@@ -19,7 +19,6 @@ import sys
 from .interlace import check_interlaced, detect_shifted, verify_chain
 from .special_fn import (
     CylinderSpec,
-    DomainError,
     EvalKind,
     cylinder,
     cylinder_and_prime,
@@ -344,6 +343,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(_USAGE_ERROR)
 
 
+def _threads(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"--threads must be >= 1, got {n}")
+    return n
+
+
 def _common(p, mu=False, kind=True, n_default=10):
     p.add_argument("--nu", type=float, required=True, help="order, in [0, 30]")
     p.add_argument("--delta", type=parse_angle, default=0.0, help="mixing angle (radians or 'pi/4')")
@@ -395,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=float, default=1.0)
     p.add_argument("--n", type=int, default=30)
     p.add_argument("--grid", default="0.5,1,5,20,100", help="x grid for recurrences (comma list)")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--threads", type=_threads, default=os.cpu_count() or 1)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("json",), default="json")
     p.set_defaults(handler=_cmd_verify)
@@ -406,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gaps", required=True, help="comma-separated order gaps")
     p.add_argument("--delta", type=parse_angle, default=0.0)
     p.add_argument("--n", type=int, default=30)
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--threads", type=_threads, default=os.cpu_count() or 1)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("json", "csv"), default="csv")
     p.set_defaults(handler=_cmd_sweep)
@@ -421,8 +427,8 @@ def main(argv=None) -> int:
         return e.code if e.code is not None else _USAGE_ERROR
     try:
         return args.handler(args)
-    except (DomainError, ValueError) as e:
-        # domain violations in argument values are usage errors
+    except ValueError as e:
+        # domain violations (DomainError) in argument values are usage errors
         print(f"cylfn: error: {e}", file=sys.stderr)
         return _USAGE_ERROR
     except ArithmeticError as e:

@@ -3,9 +3,12 @@
 A cylinder function is C(x; nu, delta) = cos(delta) J_nu(x) - sin(delta) Y_nu(x).
 Supported domain: order 0 <= nu <= 30, argument 0 < x <= 400, double precision.
 
-Strategy: compensated (double-double) power series for x <= 30; Miller-style
-backward recurrence for J and asymptotic-seeded forward recurrence for Y when
-x > 30.  Derivatives always come from the recurrence
+Strategy: for x <= 30, power series accumulated in double-double arithmetic:
+the defining series for J, and Temme's series for Y at a base order within
+1/2 of nu, then forward recurrence.  For x > 30 one path serves J, Y and every
+mixing angle: C itself at the base orders frac(nu) and frac(nu) + 1 from the
+Hankel asymptotic P/Q sums, then forward recurrence on C up to nu.
+Derivatives always come from the recurrence
 C'_nu = -C_{nu+1} + (nu/x) C_nu, never from numerical differentiation.
 """
 
@@ -39,10 +42,6 @@ NU_MAX = 30.0
 X_MAX = 400.0
 _X_SERIES = 30.0  # power series below, recurrence/asymptotics above
 _NU_INTERNAL_MAX = 34.0  # recurrences reach a few orders above NU_MAX
-
-# gamma = Euler-Mascheroni constant as a double-double pair
-_EULER_HI = 0.5772156649015329
-_EULER_LO = -4.942915152430645e-18
 
 
 class DomainError(ValueError):
@@ -164,14 +163,6 @@ def _sinpi(a: float) -> float:
     return -s if (int(n) & 1) else s
 
 
-def _cospi(a: float) -> float:
-    r = math.fmod(a, 2.0)
-    n = math.floor(r + 0.5)
-    r -= n
-    c = math.cos(math.pi * r)
-    return -c if (int(n) & 1) else c
-
-
 def _rgamma(a: float) -> float:
     # 1/Gamma(a) for any real a; zero at the poles a = 0, -1, -2, ...
     if a > 0.0:
@@ -217,45 +208,86 @@ def _j_series(nu: float, x: float) -> float:
     return (h**nu) * _rgamma(nu + 1.0) * (sh + sl)
 
 
-def _y_int_base(x: float):
-    # (Y_0, Y_1) from the logarithmic limiting series, x in (0, 30].
+# Taylor coefficients of 1/Gamma(1 + z) about z = 0, split by parity; frozen
+# from a 40-digit evaluation, reproduced by tests/test_gamma.py
+_RGAMMA1_EVEN = (
+    1.0, -0.6558780715202539, 0.16653861138229148, -0.009621971527876973,
+    -0.0011651675918590652, 0.0001280502823881162, -1.2504934821426706e-06,
+    -2.056338416977607e-07, 5.002007644469223e-09, 1.0434267116911005e-10,
+    -3.696805618642206e-12,
+)
+_RGAMMA1_ODD = (
+    0.5772156649015329, -0.04200263503409524, -0.04219773455554433,
+    0.0072189432466631, -0.00021524167411495098, -2.013485478078824e-05,
+    1.133027231981696e-06, 6.116095104481416e-09, -1.18127457048702e-09,
+    7.782263439905071e-12,
+)
+
+
+def _y_temme(mu: float, x: float):
+    # (Y_mu, Y_{mu+1}) for |mu| <= 1/2, x in (0, 30], by Temme's series
+    # (J. Comput. Phys. 19, 1975).  Unlike the reflection formula it has no
+    # 1/sin(mu pi) cancellation at or near integer orders.
     h = 0.5 * x
-    qh, ql = two_prod(h, h)
-    lg = math.log(h)
-    out = []
-    for n in (0, 1):
-        # sum_k (psi(k+1) + psi(k+n+1)) (-q)^k / (k! (k+n)!)
-        th, tl = (1.0, 0.0)  # t_0 = 1/n!  (n! = 1 for n in {0,1})
-        fh, fl = dd_add(-2.0 * _EULER_HI, -2.0 * _EULER_LO, float(n), 0.0)
-        sh, sl = dd_mul(th, tl, fh, fl)
-        tmax = abs(sh)
-        k = 1.0
-        while k < 600.0:
-            eh, el = two_sum(k, float(n))
-            dh, dl = two_prod(k, eh)
-            dl += k * el
-            th, tl = dd_mul(th, tl, qh, ql)
-            th, tl = dd_div(th, tl, dh, dl)
-            th, tl = -th, -tl
-            ih, il = dd_div(1.0, 0.0, k, 0.0)
-            fh, fl = dd_add(fh, fl, ih, il)
-            ih, il = dd_div(1.0, 0.0, k + n, 0.0)
-            fh, fl = dd_add(fh, fl, ih, il)
-            ph, pl = dd_mul(th, tl, fh, fl)
-            sh, sl = dd_add(sh, sl, ph, pl)
-            ap = abs(ph)
-            if ap > tmax:
-                tmax = ap
-            elif ap < 1e-33 * max(tmax, 1.0) and k > h:
-                break
-            k += 1.0
-        psi_sum = sh + sl
-        jn = _j_series(float(n), x)
-        y = (2.0 / math.pi) * lg * jn - (h**n) / math.pi * psi_sum
-        if n == 1:
-            y -= 1.0 / (math.pi * h)  # finite sum term: (n-k-1)!/k! at k=0
-        out.append(y)
-    return out[0], out[1]
+    # g1 = (1/Gamma(1+mu) - 1/Gamma(1-mu)) / (2 mu), g2 = the mean of the two
+    mm = mu * mu
+    g1 = g2 = 0.0
+    for a in reversed(_RGAMMA1_ODD):
+        g1 = g1 * mm + a
+    for a in reversed(_RGAMMA1_EVEN):
+        g2 = g2 * mm + a
+    pimu = math.pi * mu
+    lg = -math.log(h)
+    e = mu * lg
+    fact = pimu / math.sin(pimu) if mu else 1.0
+    sinhc = math.sinh(e) / e if e else 1.0
+    f = (2.0 / math.pi) * fact * (-g1 * math.cosh(e) + g2 * sinhc * lg)
+    ex = math.exp(e)
+    p = ex / (math.pi * (g2 + mu * g1))
+    q = 1.0 / (ex * math.pi * (g2 - mu * g1))
+    half = 0.5 * pimu
+    sinc = math.sin(half) / half if mu else 1.0
+    r = math.pi * half * sinc * sinc
+    # terms c_k (f_k + r q_k) for Y_mu and c_k p_k - k c_k (f_k + r q_k) for
+    # Y_{mu+1}, with c_k = (-h^2)^k / k!, accumulated in double-double
+    hh, hl = two_prod(h, h)
+    fh, fl = f, 0.0
+    ph, pl = p, 0.0
+    qh, ql = q, 0.0
+    ch, cl = 1.0, 0.0
+    th, tl = two_prod(r, q)
+    s0h, s0l = dd_add(f, 0.0, th, tl)
+    s1h, s1l = p, 0.0
+    tmax = abs(s0h) + abs(s1h)
+    k = 1.0
+    while k < 600.0:
+        ah, al = two_sum(k, -mu)  # exact
+        bh, bl = two_sum(k, mu)
+        # f_k = (k f_{k-1} + p_{k-1} + q_{k-1}) / (k^2 - mu^2)
+        th, tl = dd_mul(fh, fl, k, 0.0)
+        th, tl = dd_add(th, tl, ph, pl)
+        th, tl = dd_add(th, tl, qh, ql)
+        dh, dl = dd_mul(ah, al, bh, bl)
+        fh, fl = dd_div(th, tl, dh, dl)
+        ph, pl = dd_div(ph, pl, ah, al)
+        qh, ql = dd_div(qh, ql, bh, bl)
+        ch, cl = dd_mul(ch, cl, hh, hl)
+        ch, cl = dd_div(ch, cl, -k, 0.0)
+        th, tl = dd_mul(qh, ql, r, 0.0)
+        th, tl = dd_add(fh, fl, th, tl)
+        th, tl = dd_mul(ch, cl, th, tl)
+        s0h, s0l = dd_add(s0h, s0l, th, tl)
+        uh, ul = dd_mul(th, tl, -k, 0.0)
+        vh, vl = dd_mul(ch, cl, ph, pl)
+        uh, ul = dd_add(uh, ul, vh, vl)
+        s1h, s1l = dd_add(s1h, s1l, uh, ul)
+        at = abs(th) + abs(uh)
+        if at > tmax:
+            tmax = at
+        elif at < 1e-33 * tmax and k > h:
+            break
+        k += 1.0
+    return -(s0h + s0l), -(s1h + s1l) / h
 
 
 # ---------------------------------------------------------------------------
@@ -263,10 +295,10 @@ def _y_int_base(x: float):
 # ---------------------------------------------------------------------------
 
 
-def _hankel_jy(nu: float, x: float):
-    # Hankel asymptotic expansion; accurate for small orders (here nu < 2.5)
-    # once x > ~25.  Returns (J_nu, Y_nu).
-    mu4 = 4.0 * nu * nu
+def _hankel_pq(mu: float, x: float):
+    # P and Q sums of the Hankel expansion at order mu; accurate for the
+    # base orders used here (-1 <= mu < 2) once x > ~25
+    mu4 = 4.0 * mu * mu
     p = 1.0
     q = 0.0
     a = 1.0
@@ -274,13 +306,7 @@ def _hankel_jy(nu: float, x: float):
     for k in range(1, 60):
         a *= (mu4 - (2.0 * k - 1.0) ** 2) / (8.0 * k * x)
         aa = abs(a)
-        if aa >= prev or aa < 1e-20:
-            if aa < prev:
-                sgn = -1.0 if ((k // 2) & 1) else 1.0
-                if k & 1:
-                    q += sgn * a
-                else:
-                    p += sgn * a
+        if aa >= prev:
             break
         prev = aa
         sgn = -1.0 if ((k // 2) & 1) else 1.0
@@ -288,124 +314,50 @@ def _hankel_jy(nu: float, x: float):
             q += sgn * a
         else:
             p += sgn * a
-    w = x - (0.5 * nu + 0.25) * math.pi
-    cw = math.cos(w)
-    sw = math.sin(w)
+        if aa < 1e-20:
+            break
+    return p, q
+
+
+def _cyl_large(nu: float, delta: float, x: float, pair: bool = False):
+    # C_nu for x > 30 (and C_{nu+1} with pair): Hankel sums at the base
+    # orders mu = frac(nu) and mu + 1, then forward recurrence on C itself.
+    # bessel_j's window [-1, 0) takes the sums at nu directly.
+    steps = max(int(math.floor(nu)), 0)
+    mu = nu - steps
     amp = math.sqrt(2.0 / (math.pi * x))
-    return amp * (cw * p - sw * q), amp * (sw * p + cw * q)
-
-
-def _miller_values(mu0: float, k_lo: int, k_hi: int, x: float, extra: int):
-    # One backward-recurrence pass; returns J at orders mu0 + k, k_lo..k_hi.
-    m_top = int(max(k_hi, math.ceil(x)) + 10.0 * x ** (1.0 / 3.0) + 20) + extra
-    vals = [0.0] * (m_top + 1 - k_lo)
-
-    def idx(k):
-        return k - k_lo
-
-    jp = 0.0
-    j = 1e-300
-    vals[idx(m_top)] = j
-    for k in range(m_top - 1, k_lo - 1, -1):
-        order = mu0 + (k + 1)
-        jm = (2.0 * order / x) * j - jp
-        jp = j
-        j = jm
-        vals[idx(k)] = j
-        if abs(j) > 1e250:
-            scale = 1e-250
-            j *= scale
-            jp *= scale
-            for i in range(idx(k), len(vals)):
-                vals[i] *= scale
-    # normalization: (x/2)^mu0 = sum_k c_k J_{mu0+2k},
-    # c_0 = Gamma(mu0+1), c_k = (mu0+2k) Gamma(mu0+1) prod_{j<k}(mu0+j) / k!
-    g1 = _gamma_lanczos(mu0 + 1.0) if mu0 > 0.0 else 1.0
-    s = g1 * vals[idx(0)]
-    comp = 0.0
-    hk = g1  # h_1
-    k = 1
-    while 2 * k <= m_top:
-        ck = (mu0 + 2.0 * k) * hk
-        term = ck * vals[idx(2 * k)]
-        y = term - comp
-        t = s + y
-        comp = (t - s) - y
-        s = t
-        hk *= (mu0 + k) / (k + 1.0)
-        k += 1
-    norm = (0.5 * x) ** mu0 / s
-    return [vals[idx(k)] * norm for k in range(k_lo, k_hi + 1)]
-
-
-def _miller(mu0: float, k_lo: int, k_hi: int, x: float):
-    # adaptive start order: grow until two passes agree to ~1e-13
-    out = _miller_values(mu0, k_lo, k_hi, x, 0)
-    extra = 16
-    for _ in range(6):
-        nxt = _miller_values(mu0, k_lo, k_hi, x, extra)
-        ok = True
-        for a, b in zip(out, nxt):
-            if abs(a - b) > 1e-13 * max(abs(b), 1e-280):
-                ok = False
-                break
-        out = nxt
-        if ok:
-            return out
-        extra += 16
-    return out
-
-
-def _j_large(nu: float, x: float) -> float:
-    fl = math.floor(nu)
-    mu0 = nu - fl
-    k = int(fl)
-    lo = min(k, 0)
-    return _miller(mu0, lo, max(k, 0), x)[k - lo]
-
-
-def _j_pair_large(nu: float, x: float):
-    fl = math.floor(nu)
-    mu0 = nu - fl
-    k = int(fl)
-    lo = min(k, 0)
-    vals = _miller(mu0, lo, max(k, 0) + 1, x)
-    return vals[k - lo], vals[k + 1 - lo]
+    # cos/sin of the phase t = x + phi by the angle-sum rule: rounding t
+    # itself would cost up to ulp(x)/2 (3e-14 at x = 400) of phase
+    phi = delta - (0.5 * mu + 0.25) * math.pi
+    cx, sx = math.cos(x), math.sin(x)
+    cp, sp = math.cos(phi), math.sin(phi)
+    ct = cx * cp - sx * sp
+    st = sx * cp + cx * sp
+    p, q = _hankel_pq(mu, x)
+    c0 = amp * (p * ct - q * st)
+    if steps == 0 and not pair:
+        return c0
+    # the phase of order mu + 1 is t - pi/2
+    p, q = _hankel_pq(mu + 1.0, x)
+    c1 = amp * (p * st + q * ct)
+    order = mu + 1.0
+    for _ in range(steps):
+        c0, c1 = c1, (2.0 * order / x) * c1 - c0
+        order += 1.0
+    return (c0, c1) if pair else c0
 
 
 def _y_pair(nu: float, x: float):
-    # (Y_nu, Y_{nu+1}) by forward recurrence from two base orders in [0, 2)
-    mu = nu - math.floor(nu)
-    steps = int(math.floor(nu))
-    if x > _X_SERIES:
-        y0 = _hankel_jy(mu, x)[1]
-        y1 = _hankel_jy(mu + 1.0, x)[1]
-    elif mu == 0.0:
-        y0, y1 = _y_int_base(x)
-    else:
-        # reflection through negative-order J from the series
-        s = _sinpi(mu)
-        c = _cospi(mu)
-        y0 = (_j_series(mu, x) * c - _j_series(-mu, x)) / s
-        y1 = (_j_series(mu + 1.0, x) * c + _j_series(-mu - 1.0, x)) / s
+    # (Y_nu, Y_{nu+1}) for x <= 30 by forward recurrence from Temme's series
+    # at the base order mu = nu - n in [-1/2, 1/2], n the nearest integer
+    n = math.floor(nu + 0.5)
+    mu = nu - n
+    y0, y1 = _y_temme(mu, x)
     p = mu + 1.0
-    for _ in range(steps):
+    for _ in range(int(n)):
         y0, y1 = y1, (2.0 * p / x) * y1 - y0
         p += 1.0
     return y0, y1
-
-
-def _y_single(nu: float, x: float) -> float:
-    # Y_nu alone; avoids the second base order when no recurrence is needed
-    mu = nu - math.floor(nu)
-    if math.floor(nu) != 0.0:
-        return _y_pair(nu, x)[0]
-    if x > _X_SERIES:
-        return _hankel_jy(mu, x)[1]
-    if mu == 0.0:
-        return _y_int_base(x)[0]
-    s = _sinpi(mu)
-    return (_j_series(mu, x) * _cospi(mu) - _j_series(-mu, x)) / s
 
 
 def _check_x(x: float) -> float:
@@ -418,20 +370,17 @@ def _check_x(x: float) -> float:
 def bessel_j(nu: float, x: float) -> float:
     """Bessel function of the first kind, real order.
 
-    Supported box: nu in [-1, 31], 0 < x <= 400.  Negative fractional orders
-    are admitted because the reflection formula for Y needs them.
+    Supported box: nu in [-1, 31], 0 < x <= 400.  The order window reaches
+    past [0, 30] so that reflection and recurrence identities can be checked
+    across the whole box.
     """
     nu = float(nu)
     x = _check_x(x)
     if not math.isfinite(nu) or nu < -1.0 or nu > 31.0:
         raise DomainError(f"bessel_j order must lie in [-1, 31], got {nu!r}")
-    return _j_any(nu, x)
-
-
-def _j_any(nu: float, x: float) -> float:
     if x <= _X_SERIES:
         return _j_series(nu, x)
-    return _j_large(nu, x)
+    return _cyl_large(nu, 0.0, x)
 
 
 def bessel_y(nu: float, x: float) -> float:
@@ -440,33 +389,36 @@ def bessel_y(nu: float, x: float) -> float:
     x = _check_x(x)
     if not math.isfinite(nu) or nu < 0.0 or nu > NU_MAX:
         raise DomainError(f"bessel_y order must lie in [0, {NU_MAX:g}], got {nu!r}")
-    return _y_single(nu, x)
+    if x <= _X_SERIES:
+        return _y_pair(nu, x)[0]
+    return _cyl_large(nu, -0.5 * math.pi, x)  # Y_nu = C_nu(x; -pi/2)
 
 
 def _cyl_raw(nu: float, delta: float, x: float) -> float:
-    # cos(delta) J_nu - sin(delta) Y_nu with zero-weight parts skipped
+    # cos(delta) J_nu - sin(delta) Y_nu; the series skips zero-weight parts
+    if x > _X_SERIES:
+        return _cyl_large(nu, delta, x)
     c = math.cos(delta)
     s = math.sin(delta)
     v = 0.0
     if abs(c) > 1e-15:
-        v += c * _j_any(nu, x)
+        v += c * _j_series(nu, x)
     if abs(s) > 1e-15:
-        v -= s * _y_single(nu, x)
+        v -= s * _y_pair(nu, x)[0]
     return v
 
 
 def _cyl_and_prime_raw(nu: float, delta: float, x: float):
     # (C, C') sharing ladder work; C' = -C_{nu+1} + (nu/x) C_nu
+    if x > _X_SERIES:
+        v0, v1 = _cyl_large(nu, delta, x, pair=True)
+        return v0, -v1 + (nu / x) * v0
     c = math.cos(delta)
     s = math.sin(delta)
     v0 = v1 = 0.0
     if abs(c) > 1e-15:
-        if x <= _X_SERIES:
-            j0, j1 = _j_series(nu, x), _j_series(nu + 1.0, x)
-        else:
-            j0, j1 = _j_pair_large(nu, x)
-        v0 += c * j0
-        v1 += c * j1
+        v0 += c * _j_series(nu, x)
+        v1 += c * _j_series(nu + 1.0, x)
     if abs(s) > 1e-15:
         y0, y1 = _y_pair(nu, x)
         v0 -= s * y0
@@ -495,14 +447,10 @@ def cylinder_and_prime(spec: CylinderSpec, x: float):
 def sign_at_origin(spec: CylinderSpec) -> int:
     """Sign of C(x) as x -> 0+.
 
-    With delta normalized into [0, pi): +1 when sin(delta) > 0 (the Y part
-    dominates with a positive coefficient), and +1 for delta = 0 (pure J).
+    Always +1, because delta is normalized into [0, pi) where sin(delta) >= 0:
+    for sin(delta) > 0 the Y part dominates with a positive coefficient, and
+    delta = 0 is pure J, positive near the origin.
     """
-    s = math.sin(spec.delta)
-    if s > 0.0:
-        return 1
-    if s < 0.0:
-        return -1  # unreachable for normalized angles; kept for clarity
     return 1
 
 

@@ -4,6 +4,7 @@ transitivity, and breakdown atlases over (nu, mu) grids."""
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from enum import Enum
 
@@ -382,15 +383,17 @@ def breakdown_scan(
     For the JVSY family the roles are swapped: the cell pairs J_{nu+gap}
     against Y_nu, since breakdown there needs the J order above the Y order.
     Cells are independent; with threads > 1 they are evaluated in worker
-    processes and reassembled in grid order.
+    processes, at most one per cell and per CPU, and reassembled in grid
+    order.
     """
     nu = float(nu)
     delta = MixingAngle(delta).delta
     gaps = [float(g) for g in gap_grid]
-    if threads > 1:
+    workers = min(threads, len(gaps), os.cpu_count() or 1)
+    if workers > 1:
         import concurrent.futures as cf
 
-        with cf.ProcessPoolExecutor(max_workers=threads) as ex:
+        with cf.ProcessPoolExecutor(max_workers=workers) as ex:
             cells = list(ex.map(_scan_cell, [family] * len(gaps), [nu] * len(gaps), gaps, [delta] * len(gaps), [n] * len(gaps)))
     else:
         cells = [_scan_cell(family, nu, g, delta, n) for g in gaps]

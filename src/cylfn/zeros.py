@@ -38,7 +38,9 @@ class ZeroSequence:
     """The first positive zeros of C or C', in increasing order.
 
     For spec (nu=0, delta=0) with kind DERIVATIVE the leading entry is 0.0:
-    x = 0 is counted as the first zero of J'_0 by convention.
+    x = 0 is counted as the first zero of J'_0 by convention.  refined_to is
+    the worst relative tolerance achieved over the zeros: REL_TOL, unless a
+    refinement fell back to a bisection bracket.
     """
 
     spec: CylinderSpec
@@ -96,11 +98,12 @@ def _target(spec: CylinderSpec, kind: EvalKind):
 
 def _refine(f, fprime, lo, hi, flo, fhi):
     # Newton with a maintained bracket; bisects whenever Newton misbehaves.
+    # Returns (zero, relative tolerance achieved).
     x = 0.5 * (lo + hi)
     for _ in range(_MAX_ITER):
         fx = f(x)
         if fx == 0.0:
-            return x
+            return x, REL_TOL
         if (fx > 0.0) == (flo > 0.0):
             lo, flo = x, fx
         else:
@@ -109,27 +112,30 @@ def _refine(f, fprime, lo, hi, flo, fhi):
         if d != 0.0:
             step = fx / d
             if abs(step) <= REL_TOL * max(1.0, abs(x)):
-                return x - step
+                return x - step, REL_TOL
             xn = x - step
             if not (lo < xn < hi):
                 xn = 0.5 * (lo + hi)
         else:
             xn = 0.5 * (lo + hi)
         if abs(xn - x) <= REL_TOL * max(1.0, abs(xn)):
-            return xn
+            return xn, REL_TOL
         x = xn
     if hi - lo <= 1e-9 * max(1.0, hi):
-        return 0.5 * (lo + hi)
+        # bracket midpoint: off the zero by at most half the bracket
+        return 0.5 * (lo + hi), 0.5 * (hi - lo) / max(1.0, hi)
     raise IterationError(f"zero refinement did not converge in {_MAX_ITER} steps on [{lo}, {hi}]")
 
 
 @lru_cache(maxsize=4096)
-def _find_zeros_cached(spec: CylinderSpec, kind: EvalKind, n: int) -> tuple:
+def _find_zeros_cached(spec: CylinderSpec, kind: EvalKind, n: int):
+    # (zeros, worst relative tolerance achieved over them)
     prepend_origin = (
         kind is EvalKind.DERIVATIVE and spec.nu == 0.0 and spec.delta == 0.0
     )
     want = n - 1 if prepend_origin else n
     zeros = []
+    tol = REL_TOL
     if want > 0:
         f, fprime = _target(spec, kind)
         if kind is EvalKind.DERIVATIVE and spec.delta == 0.0:
@@ -148,11 +154,13 @@ def _find_zeros_cached(spec: CylinderSpec, kind: EvalKind, n: int) -> tuple:
                 x1 += 1e-9
                 f1 = f(x1)
             elif (f0 > 0.0) != (f1 > 0.0):
-                zeros.append(_refine(f, fprime, x0, x1, f0, f1))
+                z, ztol = _refine(f, fprime, x0, x1, f0, f1)
+                zeros.append(z)
+                tol = max(tol, ztol)
             x0, f0 = x1, f1
     if prepend_origin:
         zeros = [0.0] + zeros
-    return tuple(zeros)
+    return tuple(zeros), tol
 
 
 def find_zeros(spec: CylinderSpec, kind: EvalKind, n: int) -> ZeroSequence:
@@ -168,8 +176,8 @@ def find_zeros(spec: CylinderSpec, kind: EvalKind, n: int) -> ZeroSequence:
         raise DomainError(
             f"n={n} zeros at nu={spec.nu:g} would leave the box x <= {X_MAX:g}"
         )
-    zs = _find_zeros_cached(spec, kind, n)
-    return ZeroSequence(spec=spec, kind=kind, zeros=zs, refined_to=REL_TOL)
+    zs, tol = _find_zeros_cached(spec, kind, n)
+    return ZeroSequence(spec=spec, kind=kind, zeros=zs, refined_to=tol)
 
 
 def zero_trajectory(angle: MixingAngle, kind: EvalKind, s: int, nu_grid) -> Trajectory:

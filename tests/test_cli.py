@@ -56,6 +56,18 @@ class TestExitCodes:
         payload = json.loads(out)
         assert payload["passed"] is True
 
+    @pytest.mark.parametrize("command", (
+        ["sweep", "--family", "cylinder", "--nu", "1", "--gaps", "1.0"],
+        ["verify", "all"],
+    ))
+    @pytest.mark.parametrize("threads", ("0", "-2"))
+    def test_threads_below_one_rejected(self, capsys, command, threads):
+        # rejected while parsing, before any work starts
+        code, out, err = run(capsys, *command, "--threads", threads)
+        assert code == 1
+        assert out == ""
+        assert "--threads" in err
+
     def test_failed_suite_exits_3(self, capsys, monkeypatch):
         # fault injection: make the chain checker report a counterexample
         import cylfn.cli as cli

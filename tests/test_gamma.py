@@ -44,3 +44,13 @@ def test_agrees_with_math_gamma():
     for k in range(1, 60):
         x = k * 0.37
         assert gamma_real(x) == pytest.approx(math.gamma(x), rel=1e-13)
+
+
+def test_reciprocal_gamma_taylor_coefficients():
+    # frozen coefficients of 1/Gamma(1 + z) behind Temme's series for Y
+    from cylfn.special_fn import _RGAMMA1_EVEN, _RGAMMA1_ODD
+
+    with mp.workdps(40):
+        ref = mp.taylor(lambda z: mp.rgamma(1 + z), 0, 2 * len(_RGAMMA1_EVEN) - 2)
+    assert _RGAMMA1_EVEN == tuple(float(v) for v in ref[0::2])
+    assert _RGAMMA1_ODD == tuple(float(v) for v in ref[1::2])

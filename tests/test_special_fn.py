@@ -20,7 +20,7 @@ from cylfn.special_fn import (
     cylinder_prime,
     sign_at_origin,
 )
-from oracle import oracle_cylinder, oracle_j, oracle_y
+from oracle import oracle_cylinder, oracle_cylinder_prime, oracle_j, oracle_y
 
 # values frozen after reproduction by the in-repo reference implementation
 J_1_AT_1 = 0.4400505857449335
@@ -129,6 +129,31 @@ class TestAccuracyContract:
             for x in (29.95, 30.0, 30.05):
                 self._check(bessel_j(nu, x), float(oracle_j(nu, x)))
                 self._check(bessel_y(nu, x), float(oracle_y(nu, x)))
+
+    def test_y_near_integer_orders(self):
+        # orders within 1e-7 of an integer, where Y by the reflection
+        # formula would divide a cancelled difference by sin(nu pi)
+        for nu in (1e-12, 1.0 - 1e-9, 2.0 + 1e-7, 27.0 - 1e-9):
+            for x in (0.5, 12.35, 29.0):
+                self._check(bessel_y(nu, x), float(oracle_y(nu, x)))
+
+    def test_large_x_value_and_derivative(self):
+        # past x = 30 one path serves J, Y and mixed angles, for C and C'
+        # alike: the seam band, with orders up to the turning point, and the
+        # far end of the box
+        for nu, x in (
+            (0.0, 30.05), (12.5, 33.0), (25.0, 31.7), (29.4, 36.0), (30.0, 40.0),
+            (3.7, 200.0), (26.5, 280.0), (17.25, 399.9),
+        ):
+            for delta in (0.0, math.pi / 2, 2.2):
+                c, cp = cylinder_and_prime(CylinderSpec.of(nu, delta), x)
+                self._check(c, float(oracle_cylinder(nu, delta, x)))
+                self._check(cp, float(oracle_cylinder_prime(nu, delta, x)))
+
+    def test_j_order_window_past_seam(self):
+        for nu in (-0.7, -0.3, 31.0):
+            for x in (30.05, 37.5, 250.0, 400.0):
+                self._check(bessel_j(nu, x), float(oracle_j(nu, x)))
 
 
 class TestIdentities:

@@ -127,3 +127,31 @@ class TestBreakdownScan:
         serial = breakdown_scan(Family.JPRIME, 1.5, gaps, n=15, threads=1)
         parallel = breakdown_scan(Family.JPRIME, 1.5, gaps, n=15, threads=2)
         assert serial == parallel
+
+    def test_workers_capped_by_cells_and_cpus(self, monkeypatch):
+        # a stand-in pool records the worker count and runs cells in-process,
+        # so no large pool is ever started
+        import concurrent.futures as cf
+
+        asked = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(cf, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr("os.cpu_count", lambda: 4)
+        gaps = [0.5, 1.5, 2.5]
+        m = breakdown_scan(Family.JPRIME, 1.5, gaps, n=15, threads=10**6)
+        assert asked == [3]
+        assert m == breakdown_scan(Family.JPRIME, 1.5, gaps, n=15, threads=1)
+        breakdown_scan(Family.JPRIME, 1.5, gaps * 3, n=15, threads=10**6)
+        assert asked == [3, 4]

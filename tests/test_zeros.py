@@ -5,6 +5,7 @@ import math
 import pytest
 
 from cylfn.special_fn import CylinderSpec, DomainError, EvalKind, MixingAngle, cylinder
+from cylfn import zeros
 from cylfn.zeros import Trajectory, find_zeros, zero_trajectory
 from oracle import certify_sign_change, oracle_cylinder, oracle_zeros
 
@@ -72,6 +73,29 @@ class TestStructure:
         for z in find_zeros(spec, EvalKind.FUNCTION, 8).zeros:
             # local scale ~ amplitude of the oscillation
             assert abs(cylinder(spec, z)) <= 1e-9 * math.sqrt(2.0 / (math.pi * z))
+
+    def test_refined_to_is_achieved_tolerance(self):
+        assert find_zeros(_spec(0.0, 0.0), EvalKind.FUNCTION, 3).refined_to == zeros.REL_TOL
+
+    def test_refined_to_reports_bracket_fallback(self, monkeypatch):
+        # a derivative of 0 makes every step a bisection, and 32 of them end
+        # on a bracket below 1e-9 but above REL_TOL: the fallback midpoint
+        def target(spec, kind):
+            def f(x):
+                return cylinder(spec, x)
+
+            return f, lambda x: 0.0
+
+        monkeypatch.setattr(zeros, "_target", target)
+        monkeypatch.setattr(zeros, "_MAX_ITER", 32)
+        zeros._find_zeros_cached.cache_clear()
+        try:
+            seq = find_zeros(_spec(0.0, 0.0), EvalKind.FUNCTION, 3)
+        finally:
+            zeros._find_zeros_cached.cache_clear()
+        assert zeros.REL_TOL < seq.refined_to <= 1e-9
+        for got, ref in zip(seq.zeros, J0_ZEROS):
+            assert abs(got - ref) <= seq.refined_to * max(1.0, ref) + 1e-15
 
     def test_preconditions(self):
         with pytest.raises(DomainError):
