@@ -239,7 +239,7 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _verify_all_reports(threads: int) -> list:
+def _verify_all_reports() -> list:
     import random
 
     rng = random.Random(20240817)
@@ -321,7 +321,7 @@ def _cmd_verify(args) -> int:
             )
         ]
     elif suite == "all":
-        reports = _verify_all_reports(args.threads)
+        reports = _verify_all_reports()
     else:
         print(f"unknown verify suite {suite!r}", file=sys.stderr)
         return _USAGE_ERROR
@@ -401,7 +401,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=float, default=1.0)
     p.add_argument("--n", type=int, default=30)
     p.add_argument("--grid", default="0.5,1,5,20,100", help="x grid for recurrences (comma list)")
-    p.add_argument("--threads", type=_threads, default=os.cpu_count() or 1)
+    p.add_argument(
+        "--threads", type=_threads, default=os.cpu_count() or 1,
+        help="accepted for symmetry with sweep; verify runs serially (only sweep uses workers)",
+    )
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("json",), default="json")
     p.set_defaults(handler=_cmd_verify)
@@ -412,7 +415,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gaps", required=True, help="comma-separated order gaps")
     p.add_argument("--delta", type=parse_angle, default=0.0)
     p.add_argument("--n", type=int, default=30)
-    p.add_argument("--threads", type=_threads, default=os.cpu_count() or 1)
+    p.add_argument(
+        "--threads", type=_threads, default=os.cpu_count() or 1,
+        help="worker processes for the grid cells (only sweep uses workers)",
+    )
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("json", "csv"), default="csv")
     p.set_defaults(handler=_cmd_sweep)

@@ -3,13 +3,18 @@
 A cylinder function is C(x; nu, delta) = cos(delta) J_nu(x) - sin(delta) Y_nu(x).
 Supported domain: order 0 <= nu <= 30, argument 0 < x <= 400, double precision.
 
-Strategy: for x <= 30, power series accumulated in double-double arithmetic:
-the defining series for J, and Temme's series for Y at a base order within
-1/2 of nu, then forward recurrence.  For x > 30 one path serves J, Y and every
-mixing angle: C itself at the base orders frac(nu) and frac(nu) + 1 from the
-Hankel asymptotic P/Q sums, then forward recurrence on C up to nu.
-Derivatives always come from the recurrence
-C'_nu = -C_{nu+1} + (nu/x) C_nu, never from numerical differentiation.
+Strategy, all in plain double arithmetic.  For x < 20, and for nu > x up to
+x = 30, one pass yields J, Y, J' and Y' together (the bessjy design of
+Numerical Recipes): the continued fraction CF1 gives J_{nu+1}/J_nu, a
+recurrence on that ratio runs down to a base order mu, Temme's series
+(x < 2) or Steed's CF2 gives Y_mu and Y_{mu+1}, the Wronskian fixes the
+scale of J, and forward recurrence on Y climbs back to nu.  For x > 30, and
+for nu <= x from x = 20, one path serves J, Y and every mixing angle: C
+itself at the base orders frac(nu) and frac(nu) + 1 from the Hankel
+asymptotic P/Q sums, then forward recurrence on C up to nu, and
+C'_nu = -C_{nu+1} + (nu/x) C_nu.  No derivative comes from numerical
+differentiation.  Where |Y|, C or C' exceeds the double range (x -> 0),
+evaluation raises OverflowError.
 """
 
 from __future__ import annotations
@@ -17,8 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-
-from ._dd import dd_add, dd_div, dd_mul, two_prod, two_sum
 
 __all__ = [
     "DomainError",
@@ -40,8 +43,9 @@ __all__ = [
 
 NU_MAX = 30.0
 X_MAX = 400.0
-_X_SERIES = 30.0  # power series below, recurrence/asymptotics above
-_NU_INTERNAL_MAX = 34.0  # recurrences reach a few orders above NU_MAX
+_X_SERIES = 30.0  # continued fractions below, Hankel sums above
+_X_HANKEL = 20.0  # Hankel sums also serve nu <= x from here up
+_ZERO_WEIGHT = 1e-15  # |cos(delta)| or |sin(delta)| at most this skips J or Y
 
 
 class DomainError(ValueError):
@@ -74,6 +78,9 @@ class MixingAngle:
 
     delta and delta + pi give functions differing only by overall sign, with
     identical zeros, so the normalization loses nothing that matters here.
+    Angles within the zero-weight threshold below pi, where C is J up to
+    sign, normalize to 0: otherwise delta just below pi stays there while
+    delta + pi rounds to 2 pi and normalizes to 0, flipping the sign of C.
     """
 
     delta: float
@@ -85,6 +92,8 @@ class MixingAngle:
         d = math.fmod(d, math.pi)
         if d < 0.0:
             d += math.pi
+        if d > math.pi - _ZERO_WEIGHT:
+            d = 0.0
         object.__setattr__(self, "delta", d)
 
 
@@ -163,50 +172,9 @@ def _sinpi(a: float) -> float:
     return -s if (int(n) & 1) else s
 
 
-def _rgamma(a: float) -> float:
-    # 1/Gamma(a) for any real a; zero at the poles a = 0, -1, -2, ...
-    if a > 0.0:
-        return 1.0 / _gamma_lanczos(a)
-    if a == math.floor(a):
-        return 0.0
-    # reflection: 1/Gamma(a) = Gamma(1-a) sin(pi a) / pi
-    return _gamma_lanczos(1.0 - a) * _sinpi(a) / math.pi
-
-
 # ---------------------------------------------------------------------------
-# Power series (x <= 30), double-double accumulation
+# x <= 30: J, Y, J' and Y' in one pass, plain double
 # ---------------------------------------------------------------------------
-
-
-def _j_series(nu: float, x: float) -> float:
-    # J_nu via the defining series; nu real > -3, x in (0, 30].
-    # Negative integer orders reduce to positive ones first.
-    if nu < 0.0 and nu == math.floor(nu):
-        n = int(-nu)
-        v = _j_series(float(n), x)
-        return -v if (n & 1) else v
-    h = 0.5 * x
-    qh, ql = two_prod(h, h)
-    th, tl = 1.0, 0.0  # running term of sum_m (-q)^m / (m! (nu+1)_m)
-    sh, sl = 1.0, 0.0
-    tmax = 1.0
-    m = 1.0
-    while m < 600.0:
-        eh, el = two_sum(m, nu)  # exact
-        dh, dl = two_prod(m, eh)
-        dl += m * el
-        th, tl = dd_mul(th, tl, qh, ql)
-        th, tl = dd_div(th, tl, dh, dl)
-        th, tl = -th, -tl
-        sh, sl = dd_add(sh, sl, th, tl)
-        at = abs(th)
-        if at > tmax:
-            tmax = at
-        elif at < 1e-33 * tmax and m > h:
-            break
-        m += 1.0
-    return (h**nu) * _rgamma(nu + 1.0) * (sh + sl)
-
 
 # Taylor coefficients of 1/Gamma(1 + z) about z = 0, split by parity; frozen
 # from a 40-digit evaluation, reproduced by tests/test_gamma.py
@@ -223,11 +191,16 @@ _RGAMMA1_ODD = (
     7.782263439905071e-12,
 )
 
+_EPS = 2.220446049250313e-16  # unit roundoff of a double, 2**-52
+_TINY = 1e-300  # Lentz's stand-in for a vanishing denominator
+_MAXIT = 10000  # no continued fraction or series here needs more than ~100 terms
+
 
 def _y_temme(mu: float, x: float):
-    # (Y_mu, Y_{mu+1}) for |mu| <= 1/2, x in (0, 30], by Temme's series
+    # (Y_mu, x Y_{mu+1}) for |mu| <= 1/2, 0 < x < 2, by Temme's series
     # (J. Comput. Phys. 19, 1975).  Unlike the reflection formula it has no
-    # 1/sin(mu pi) cancellation at or near integer orders.
+    # 1/sin(mu pi) cancellation at or near integer orders.  x Y_{mu+1} stays
+    # finite where Y_{mu+1} itself overflows (x -> 0 with mu > 0).
     h = 0.5 * x
     # g1 = (1/Gamma(1+mu) - 1/Gamma(1-mu)) / (2 mu), g2 = the mean of the two
     mm = mu * mu
@@ -237,7 +210,7 @@ def _y_temme(mu: float, x: float):
     for a in reversed(_RGAMMA1_EVEN):
         g2 = g2 * mm + a
     pimu = math.pi * mu
-    lg = -math.log(h)
+    lg = math.log(2.0) - math.log(x)  # -log(h), finite where h underflows
     e = mu * lg
     fact = pimu / math.sin(pimu) if mu else 1.0
     sinhc = math.sinh(e) / e if e else 1.0
@@ -249,55 +222,136 @@ def _y_temme(mu: float, x: float):
     sinc = math.sin(half) / half if mu else 1.0
     r = math.pi * half * sinc * sinc
     # terms c_k (f_k + r q_k) for Y_mu and c_k p_k - k c_k (f_k + r q_k) for
-    # Y_{mu+1}, with c_k = (-h^2)^k / k!, accumulated in double-double
-    hh, hl = two_prod(h, h)
-    fh, fl = f, 0.0
-    ph, pl = p, 0.0
-    qh, ql = q, 0.0
-    ch, cl = 1.0, 0.0
-    th, tl = two_prod(r, q)
-    s0h, s0l = dd_add(f, 0.0, th, tl)
-    s1h, s1l = p, 0.0
-    tmax = abs(s0h) + abs(s1h)
-    k = 1.0
-    while k < 600.0:
-        ah, al = two_sum(k, -mu)  # exact
-        bh, bl = two_sum(k, mu)
-        # f_k = (k f_{k-1} + p_{k-1} + q_{k-1}) / (k^2 - mu^2)
-        th, tl = dd_mul(fh, fl, k, 0.0)
-        th, tl = dd_add(th, tl, ph, pl)
-        th, tl = dd_add(th, tl, qh, ql)
-        dh, dl = dd_mul(ah, al, bh, bl)
-        fh, fl = dd_div(th, tl, dh, dl)
-        ph, pl = dd_div(ph, pl, ah, al)
-        qh, ql = dd_div(qh, ql, bh, bl)
-        ch, cl = dd_mul(ch, cl, hh, hl)
-        ch, cl = dd_div(ch, cl, -k, 0.0)
-        th, tl = dd_mul(qh, ql, r, 0.0)
-        th, tl = dd_add(fh, fl, th, tl)
-        th, tl = dd_mul(ch, cl, th, tl)
-        s0h, s0l = dd_add(s0h, s0l, th, tl)
-        uh, ul = dd_mul(th, tl, -k, 0.0)
-        vh, vl = dd_mul(ch, cl, ph, pl)
-        uh, ul = dd_add(uh, ul, vh, vl)
-        s1h, s1l = dd_add(s1h, s1l, uh, ul)
-        at = abs(th) + abs(uh)
-        if at > tmax:
-            tmax = at
-        elif at < 1e-33 * tmax and k > h:
+    # -h Y_{mu+1}, with c_k = (-h^2)^k / k!
+    d = -h * h
+    c = 1.0
+    s0 = f + r * q
+    s1 = p
+    for k in range(1, _MAXIT):
+        f = (k * f + p + q) / (k * k - mm)
+        c *= d / k
+        p /= k - mu
+        q /= k + mu
+        t = c * (f + r * q)
+        s0 += t
+        u = c * p - k * t
+        s1 += u
+        if abs(t) + abs(u) < _EPS * (abs(s0) + abs(s1)):
+            return -s0, -2.0 * s1
+    raise ArithmeticError(f"Temme's series did not converge at mu={mu!r}, x={x!r}")
+
+
+def _steed(mu: float, x: float):
+    # p + iq = (J'_mu + i Y'_mu) / (J_mu + i Y_mu) for x >= 2, by Steed's
+    # continued fraction CF2 (Barnett et al., Comput. Phys. Commun. 8, 1974),
+    # evaluated by modified Lentz
+    a = 0.25 - mu * mu
+    pq = complex(-0.5 / x, 1.0)
+    b = complex(2.0 * x, 2.0)
+    d = 1.0 / b
+    c = b + 1j * a / (x * pq)
+    pq *= c * d
+    for i in range(1, _MAXIT):
+        a += 2.0 * i
+        b += 2j
+        d = 1.0 / (a * d + b)
+        c = b + a / c
+        dl = c * d
+        pq *= dl
+        if abs(dl - 1.0) < _EPS:
+            return pq.real, pq.imag
+    raise ArithmeticError(f"CF2 did not converge at mu={mu!r}, x={x!r}")
+
+
+def _jy(nu: float, x: float):
+    # (J_nu, Y_nu, J'_nu, Y'_nu) for nu >= 0 and 0 < x <= 30, after the
+    # bessjy design of Numerical Recipes:
+    # - CF1 gives r = J_{nu+1}/J_nu; its sign count gives the sign of J_{nu+1}
+    # - the recurrence on that ratio runs down nl orders to mu = nu - nl,
+    #   multiplying up p = J_nu/J_mu; ratios cannot overflow where J and J'
+    #   themselves span the double range (x -> 0)
+    # - Y_mu and Y_{mu+1} from Temme's series (x < 2) or Steed's CF2, with
+    #   the Wronskian J_{mu+1} Y_mu - J_mu Y_{mu+1} = 2/(pi x) fixing J_mu
+    # - forward recurrence on Y, stable, back up to nu
+    nl = int(nu + 0.5) if x < 2.0 else max(0, int(nu - x + 1.5))
+    mu = nu - nl
+    # CF1: J_nu/J_{nu+1} = t/x, t = 2(nu+1) - x^2/(2(nu+2) - x^2/(...))
+    xx = x * x
+    b = 2.0 * nu + 2.0
+    t = c = b
+    d = 0.0
+    sign = 1.0
+    for _ in range(_MAXIT):
+        b += 2.0
+        d = b - xx * d
+        if abs(d) < _TINY:
+            d = _TINY
+        d = 1.0 / d
+        c = b - xx / c
+        if abs(c) < _TINY:
+            c = _TINY
+        de = c * d
+        t *= de
+        if d < 0.0:
+            sign = -sign
+        if abs(de - 1.0) < _EPS:
             break
-        k += 1.0
-    return -(s0h + s0l), -(s1h + s1l) / h
+    else:
+        raise ArithmeticError(f"CF1 did not converge at nu={nu!r}, x={x!r}")
+    rn = r = x / t
+    p = 1.0
+    order = nu
+    for _ in range(nl):
+        r = x / (2.0 * order - x * r)
+        p *= r
+        order -= 1.0
+    if x < 2.0:
+        ym, xy1 = _y_temme(mu, x)
+        jm = (2.0 / math.pi) / (x * r * ym - xy1)
+        y1 = xy1 / x
+    else:
+        sp, sq = _steed(mu, x)
+        g = sp - (mu / x - r)  # p - J'_mu/J_mu
+        gam = g / sq  # Y_mu/J_mu
+        # sign(J_mu) = sign(J_{nu+1}) sign(J_mu/J_{nu+1})
+        jm = math.copysign(math.sqrt((2.0 / (math.pi * x)) / (g * gam + sq)), sign * p * rn)
+        ym = gam * jm
+        # Y_{mu+1} = (mu/x) Y_mu - Y'_mu, with Y'_mu = J_mu (gam p + q)
+        y1 = (mu / x) * ym - jm * (gam * sp + sq)
+    j = jm * p
+    order = mu + 1.0
+    for _ in range(nl):
+        ym, y1 = y1, (2.0 * order / x) * y1 - ym
+        order += 1.0
+    return j, ym, (nu * j) / x - rn * j, (nu / x) * ym - y1
+
+
+def _cyl_small(nu: float, delta: float, x: float, pair: bool = False):
+    # C (and C' with pair) for x <= 30 from one _jy pass; a part of zero
+    # weight is skipped, so that delta = 0 gives J even where Y overflows
+    j, y, jp, yp = _jy(nu, x)
+    c = math.cos(delta)
+    s = math.sin(delta)
+    v0 = v1 = 0.0
+    if abs(c) > _ZERO_WEIGHT:
+        v0 += c * j
+        v1 += c * jp
+    if abs(s) > _ZERO_WEIGHT:
+        v0 -= s * y
+        v1 -= s * yp
+    if not math.isfinite(v0) or (pair and not math.isfinite(v1)):
+        raise OverflowError(f"|C| or |C'| overflows a double at nu={nu!r}, x={x!r}")
+    return (v0, v1) if pair else v0
 
 
 # ---------------------------------------------------------------------------
-# Large-x machinery (x > 30)
+# Large-x machinery (x > 30, and nu <= x from x = 20)
 # ---------------------------------------------------------------------------
 
 
 def _hankel_pq(mu: float, x: float):
-    # P and Q sums of the Hankel expansion at order mu; accurate for the
-    # base orders used here (-1 <= mu < 2) once x > ~25
+    # P and Q sums of the Hankel expansion at order mu; for the base orders
+    # used here (-1 <= mu < 2) the smallest term is below 6e-19 from x = 20
     mu4 = 4.0 * mu * mu
     p = 1.0
     q = 0.0
@@ -320,7 +374,7 @@ def _hankel_pq(mu: float, x: float):
 
 
 def _cyl_large(nu: float, delta: float, x: float, pair: bool = False):
-    # C_nu for x > 30 (and C_{nu+1} with pair): Hankel sums at the base
+    # C_nu for x >= 20 (and C_{nu+1} with pair): Hankel sums at the base
     # orders mu = frac(nu) and mu + 1, then forward recurrence on C itself.
     # bessel_j's window [-1, 0) takes the sums at nu directly.
     steps = max(int(math.floor(nu)), 0)
@@ -347,19 +401,6 @@ def _cyl_large(nu: float, delta: float, x: float, pair: bool = False):
     return (c0, c1) if pair else c0
 
 
-def _y_pair(nu: float, x: float):
-    # (Y_nu, Y_{nu+1}) for x <= 30 by forward recurrence from Temme's series
-    # at the base order mu = nu - n in [-1/2, 1/2], n the nearest integer
-    n = math.floor(nu + 0.5)
-    mu = nu - n
-    y0, y1 = _y_temme(mu, x)
-    p = mu + 1.0
-    for _ in range(int(n)):
-        y0, y1 = y1, (2.0 * p / x) * y1 - y0
-        p += 1.0
-    return y0, y1
-
-
 def _check_x(x: float) -> float:
     x = float(x)
     if not math.isfinite(x) or x <= 0.0 or x > X_MAX:
@@ -378,52 +419,47 @@ def bessel_j(nu: float, x: float) -> float:
     x = _check_x(x)
     if not math.isfinite(nu) or nu < -1.0 or nu > 31.0:
         raise DomainError(f"bessel_j order must lie in [-1, 31], got {nu!r}")
-    if x <= _X_SERIES:
-        return _j_series(nu, x)
-    return _cyl_large(nu, 0.0, x)
+    if nu >= 0.0 or x >= _X_HANKEL:
+        return _cyl_raw(nu, 0.0, x)
+    # J_{-m} = cos(m pi) J_m - sin(m pi) Y_m, with sin(m pi) exact at m = 1
+    m = -nu
+    j, y, _, _ = _jy(m, x)
+    s = _sinpi(m)
+    v = math.cos(math.pi * m) * j
+    if s:
+        v -= s * y
+        if not math.isfinite(v):
+            raise OverflowError(f"|J| overflows a double at nu={nu!r}, x={x!r}")
+    return v
 
 
 def bessel_y(nu: float, x: float) -> float:
-    """Bessel function of the second kind, order in [0, 30], 0 < x <= 400."""
+    """Bessel function of the second kind, order in [0, 30], 0 < x <= 400.
+
+    Raises OverflowError where |Y| exceeds the double range (x -> 0).
+    """
     nu = float(nu)
     x = _check_x(x)
     if not math.isfinite(nu) or nu < 0.0 or nu > NU_MAX:
         raise DomainError(f"bessel_y order must lie in [0, {NU_MAX:g}], got {nu!r}")
-    if x <= _X_SERIES:
-        return _y_pair(nu, x)[0]
-    return _cyl_large(nu, -0.5 * math.pi, x)  # Y_nu = C_nu(x; -pi/2)
+    return _cyl_raw(nu, -0.5 * math.pi, x)  # Y_nu = C_nu(x; -pi/2)
 
 
 def _cyl_raw(nu: float, delta: float, x: float) -> float:
-    # cos(delta) J_nu - sin(delta) Y_nu; the series skips zero-weight parts
-    if x > _X_SERIES:
+    # cos(delta) J_nu - sin(delta) Y_nu.  x > 30 is tested first, so that
+    # large-x calls pay one comparison.  From x = 20 the Hankel sums serve
+    # nu <= x within an ulp, where CF1 would accumulate 5-13 ulp of rounding.
+    if x > _X_SERIES or (x >= _X_HANKEL and nu <= x):
         return _cyl_large(nu, delta, x)
-    c = math.cos(delta)
-    s = math.sin(delta)
-    v = 0.0
-    if abs(c) > 1e-15:
-        v += c * _j_series(nu, x)
-    if abs(s) > 1e-15:
-        v -= s * _y_pair(nu, x)[0]
-    return v
+    return _cyl_small(nu, delta, x)
 
 
 def _cyl_and_prime_raw(nu: float, delta: float, x: float):
-    # (C, C') sharing ladder work; C' = -C_{nu+1} + (nu/x) C_nu
-    if x > _X_SERIES:
+    # (C, C') sharing all work, dispatched as in _cyl_raw
+    if x > _X_SERIES or (x >= _X_HANKEL and nu <= x):
         v0, v1 = _cyl_large(nu, delta, x, pair=True)
         return v0, -v1 + (nu / x) * v0
-    c = math.cos(delta)
-    s = math.sin(delta)
-    v0 = v1 = 0.0
-    if abs(c) > 1e-15:
-        v0 += c * _j_series(nu, x)
-        v1 += c * _j_series(nu + 1.0, x)
-    if abs(s) > 1e-15:
-        y0, y1 = _y_pair(nu, x)
-        v0 -= s * y0
-        v1 -= s * y1
-    return v0, -v1 + (nu / x) * v0
+    return _cyl_small(nu, delta, x, pair=True)
 
 
 def cylinder(spec: CylinderSpec, x: float) -> float:

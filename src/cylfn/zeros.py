@@ -78,37 +78,38 @@ class Trajectory:
 
 
 def _target(spec: CylinderSpec, kind: EvalKind):
+    # f for the scan, and fdf(x) = (f(x), f'(x)) from one L0 call for Newton;
+    # cylinder == cylinder_and_prime[0] bitwise, so the two f agree exactly
     nu = spec.nu
     if kind is EvalKind.FUNCTION:
         def f(x):
             return cylinder(spec, x)
 
-        def fprime(x):
-            return cylinder_and_prime(spec, x)[1]
+        def fdf(x):
+            return cylinder_and_prime(spec, x)
     else:
         def f(x):
             return cylinder_and_prime(spec, x)[1]
 
-        def fprime(x):
+        def fdf(x):
             # C'' from the Bessel equation: x^2 C'' + x C' + (x^2 - nu^2) C = 0
             c, cp = cylinder_and_prime(spec, x)
-            return -cp / x - (1.0 - (nu * nu) / (x * x)) * c
-    return f, fprime
+            return cp, -cp / x - (1.0 - (nu * nu) / (x * x)) * c
+    return f, fdf
 
 
-def _refine(f, fprime, lo, hi, flo, fhi):
+def _refine(fdf, lo, hi, flo, fhi):
     # Newton with a maintained bracket; bisects whenever Newton misbehaves.
     # Returns (zero, relative tolerance achieved).
     x = 0.5 * (lo + hi)
     for _ in range(_MAX_ITER):
-        fx = f(x)
+        fx, d = fdf(x)
         if fx == 0.0:
             return x, REL_TOL
         if (fx > 0.0) == (flo > 0.0):
             lo, flo = x, fx
         else:
             hi, fhi = x, fx
-        d = fprime(x)
         if d != 0.0:
             step = fx / d
             if abs(step) <= REL_TOL * max(1.0, abs(x)):
@@ -137,7 +138,7 @@ def _find_zeros_cached(spec: CylinderSpec, kind: EvalKind, n: int):
     zeros = []
     tol = REL_TOL
     if want > 0:
-        f, fprime = _target(spec, kind)
+        f, fdf = _target(spec, kind)
         if kind is EvalKind.DERIVATIVE and spec.delta == 0.0:
             start = max(spec.nu * (1.0 - 1e-9), 1e-6)  # nu <= j'_{nu,1}
         else:
@@ -154,7 +155,7 @@ def _find_zeros_cached(spec: CylinderSpec, kind: EvalKind, n: int):
                 x1 += 1e-9
                 f1 = f(x1)
             elif (f0 > 0.0) != (f1 > 0.0):
-                z, ztol = _refine(f, fprime, x0, x1, f0, f1)
+                z, ztol = _refine(fdf, x0, x1, f0, f1)
                 zeros.append(z)
                 tol = max(tol, ztol)
             x0, f0 = x1, f1

@@ -157,6 +157,14 @@ class TestDeterminism:
         assert code_a == 0 and code_b == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_verify_all_threads_is_a_no_op(self, tmp_path):
+        # only sweep uses workers; verify accepts --threads and runs serially
+        a = tmp_path / "a.json"
+        b = tmp_path / "b.json"
+        assert main(["verify", "all", "--threads", "1", "--out", str(a)]) == 0
+        assert main(["verify", "all", "--threads", "2", "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
     def test_report_schema_fields(self, tmp_path):
         out = tmp_path / "r.json"
         main(["verify", "chain", "--nu", "1", "--c", "0.5", "--n", "5", "--out", str(out)])

@@ -22,18 +22,6 @@ def test_positive_axis_against_reference():
             x += 0.1
 
 
-def test_reciprocal_gamma_on_negative_axis():
-    # internal reflection path used by J_{-nu} for fractional nu
-    from cylfn.special_fn import _rgamma
-
-    with mp.workdps(30):
-        for x in (-0.5, -1.3, -2.7, -5.5, -10.25, -29.6):
-            ref = float(1 / mp.gamma(x))
-            assert abs(_rgamma(x) - ref) <= 1e-12 * abs(ref), f"x={x}"
-        for x in (-1.0, -4.0):
-            assert _rgamma(x) == 0.0
-
-
 def test_nonpositive_arguments_raise():
     for x in (0.0, -1.0, -7.0, -0.5):
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ import math
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cylfn.special_fn import (
@@ -138,10 +138,14 @@ class TestAccuracyContract:
                 self._check(bessel_y(nu, x), float(oracle_y(nu, x)))
 
     def test_large_x_value_and_derivative(self):
-        # past x = 30 one path serves J, Y and mixed angles, for C and C'
-        # alike: the seam band, with orders up to the turning point, and the
-        # far end of the box
+        # past x = 30, and for nu <= x from x = 20, one path serves J, Y and
+        # mixed angles, for C and C' alike: the band 20 <= x <= 30 and its
+        # edges on the continued-fraction side (nu just above x, x just
+        # below 20), the seam band with orders up to the turning point, and
+        # the far end of the box
         for nu, x in (
+            (0.0, 20.0), (0.0, 23.2), (7.5, 24.0), (19.9, 20.0), (25.0, 25.0),
+            (29.0, 29.5), (3.3, 30.0), (20.5, 20.0), (29.0, 28.5), (1.2, 19.99),
             (0.0, 30.05), (12.5, 33.0), (25.0, 31.7), (29.4, 36.0), (30.0, 40.0),
             (3.7, 200.0), (26.5, 280.0), (17.25, 399.9),
         ):
@@ -154,6 +158,40 @@ class TestAccuracyContract:
         for nu in (-0.7, -0.3, 31.0):
             for x in (30.05, 37.5, 250.0, 400.0):
                 self._check(bessel_j(nu, x), float(oracle_j(nu, x)))
+
+    def test_j_order_window_below_seam(self):
+        # J_{-m} = cos(m pi) J_m - sin(m pi) Y_m below x = 20, the Hankel
+        # sums at the negative order above; order 31 through CF1 throughout
+        for nu in (-1.0, -0.7, -0.3, 31.0):
+            for x in (1e-3, 0.5, 1.99, 2.0, 7.3, 19.99, 20.0, 26.5, 30.0):
+                self._check(bessel_j(nu, x), float(oracle_j(nu, x)))
+
+    def _check_or_overflow(self, got, ref):
+        try:
+            v = got()
+        except OverflowError:
+            # the value, or an intermediate order, is past the double range
+            assert abs(ref) > 1e300
+            return
+        assert math.isfinite(v)
+        self._check(v, float(ref))
+
+    @pytest.mark.parametrize("x", (1e-300, 1e-100, 1e-20, 1e-10))
+    @pytest.mark.parametrize("nu", (0.0, 0.5, 10.0, 30.0))
+    def test_tiny_x_is_correct_or_overflows(self, nu, x):
+        # J is finite and within contract (underflow to 0 included); Y, C
+        # and C' are within contract or raise OverflowError: never NaN,
+        # never ZeroDivisionError
+        j = bessel_j(nu, x)
+        assert math.isfinite(j)
+        self._check(j, float(oracle_j(nu, x)))
+        self._check_or_overflow(lambda: bessel_y(nu, x), oracle_y(nu, x))
+        for delta in (0.0, math.pi / 2, 2.2):
+            spec = CylinderSpec.of(nu, delta)
+            self._check_or_overflow(lambda: cylinder(spec, x), oracle_cylinder(nu, delta, x))
+            self._check_or_overflow(
+                lambda: cylinder_and_prime(spec, x)[1], oracle_cylinder_prime(nu, delta, x)
+            )
 
 
 class TestIdentities:
@@ -250,6 +288,8 @@ class TestMixingAngle:
         nu=st.floats(0.1, 10.0),
         x=st.floats(0.5, 50.0),
     )
+    # one ulp below pi: delta + pi rounds to 2 pi
+    @example(delta=3.1415926535897927, nu=1.0, x=2.0)
     @settings(max_examples=25, deadline=None)
     def test_periodicity_property(self, delta, nu, x):
         # delta + pi normalizes back to delta with the overall sign absorbed,

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import pytest
 
 from cylfn.special_fn import CylinderSpec, DomainError, EvalKind, MixingAngle, cylinder
@@ -74,6 +75,19 @@ class TestStructure:
             # local scale ~ amplitude of the oscillation
             assert abs(cylinder(spec, z)) <= 1e-9 * math.sqrt(2.0 / (math.pi * z))
 
+    @pytest.mark.parametrize("nu, n", ((11.03302818263548, 2), (3.714982139983484, 50)))
+    def test_y_type_zeros_where_y_vanishes_at_the_base_order(self, nu, n):
+        # Newton lands on zeros of Y_nu; with no recurrence steps there the
+        # continued fractions see Y_mu = 0 exactly, and a Y'/Y quotient
+        # would divide by zero
+        spec = _spec(nu, math.pi / 2)
+        zs = find_zeros(spec, EvalKind.FUNCTION, n).zeros
+        assert len(zs) == n
+        for z in zs:
+            assert certify_sign_change(
+                lambda t: oracle_cylinder(nu, math.pi / 2, t), z, eps=mp.mpf(z) * mp.mpf("1e-12")
+            )
+
     def test_refined_to_is_achieved_tolerance(self):
         assert find_zeros(_spec(0.0, 0.0), EvalKind.FUNCTION, 3).refined_to == zeros.REL_TOL
 
@@ -84,7 +98,7 @@ class TestStructure:
             def f(x):
                 return cylinder(spec, x)
 
-            return f, lambda x: 0.0
+            return f, lambda x: (f(x), 0.0)
 
         monkeypatch.setattr(zeros, "_target", target)
         monkeypatch.setattr(zeros, "_MAX_ITER", 32)
