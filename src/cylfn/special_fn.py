@@ -326,9 +326,9 @@ def _jy(nu: float, x: float):
     return j, ym, (nu * j) / x - rn * j, (nu / x) * ym - y1
 
 
-def _cyl_small(nu: float, delta: float, x: float, pair: bool = False):
-    # C (and C' with pair) for x <= 30 from one _jy pass; a part of zero
-    # weight is skipped, so that delta = 0 gives J even where Y overflows
+def _cyl_small(nu: float, delta: float, x: float):
+    # (C, C') for x <= 30 from one _jy pass; a part of zero weight is
+    # skipped, so that delta = 0 gives J even where Y overflows
     j, y, jp, yp = _jy(nu, x)
     c = math.cos(delta)
     s = math.sin(delta)
@@ -339,9 +339,9 @@ def _cyl_small(nu: float, delta: float, x: float, pair: bool = False):
     if abs(s) > _ZERO_WEIGHT:
         v0 -= s * y
         v1 -= s * yp
-    if not math.isfinite(v0) or (pair and not math.isfinite(v1)):
-        raise OverflowError(f"|C| or |C'| overflows a double at nu={nu!r}, x={x!r}")
-    return (v0, v1) if pair else v0
+    if not math.isfinite(v0):
+        raise OverflowError(f"|C| overflows a double at nu={nu!r}, x={x!r}")
+    return v0, v1
 
 
 # ---------------------------------------------------------------------------
@@ -373,9 +373,9 @@ def _hankel_pq(mu: float, x: float):
     return p, q
 
 
-def _cyl_large(nu: float, delta: float, x: float, pair: bool = False):
-    # C_nu for x >= 20 (and C_{nu+1} with pair): Hankel sums at the base
-    # orders mu = frac(nu) and mu + 1, then forward recurrence on C itself.
+def _cyl_large(nu: float, delta: float, x: float):
+    # (C, C') for x >= 20: Hankel sums at the base orders mu = frac(nu) and
+    # mu + 1, then forward recurrence on C itself up to C_nu and C_{nu+1}.
     # bessel_j's window [-1, 0) takes the sums at nu directly.
     steps = max(int(math.floor(nu)), 0)
     mu = nu - steps
@@ -389,8 +389,6 @@ def _cyl_large(nu: float, delta: float, x: float, pair: bool = False):
     st = sx * cp + cx * sp
     p, q = _hankel_pq(mu, x)
     c0 = amp * (p * ct - q * st)
-    if steps == 0 and not pair:
-        return c0
     # the phase of order mu + 1 is t - pi/2
     p, q = _hankel_pq(mu + 1.0, x)
     c1 = amp * (p * st + q * ct)
@@ -398,7 +396,17 @@ def _cyl_large(nu: float, delta: float, x: float, pair: bool = False):
     for _ in range(steps):
         c0, c1 = c1, (2.0 * order / x) * c1 - c0
         order += 1.0
-    return (c0, c1) if pair else c0
+    return c0, (nu / x) * c0 - c1
+
+
+def _cyl(nu: float, delta: float, x: float):
+    # (C, C') = cos(delta) (J, J') - sin(delta) (Y, Y'); C' is left to the
+    # callers that return it to check for overflow.  x > 30 is tested first,
+    # so that large-x calls pay one comparison.  From x = 20 the Hankel sums
+    # serve nu <= x within an ulp, where CF1 would accumulate 5-13 ulp.
+    if x > _X_SERIES or (x >= _X_HANKEL and nu <= x):
+        return _cyl_large(nu, delta, x)
+    return _cyl_small(nu, delta, x)
 
 
 def _check_x(x: float) -> float:
@@ -420,7 +428,7 @@ def bessel_j(nu: float, x: float) -> float:
     if not math.isfinite(nu) or nu < -1.0 or nu > 31.0:
         raise DomainError(f"bessel_j order must lie in [-1, 31], got {nu!r}")
     if nu >= 0.0 or x >= _X_HANKEL:
-        return _cyl_raw(nu, 0.0, x)
+        return _cyl(nu, 0.0, x)[0]
     # J_{-m} = cos(m pi) J_m - sin(m pi) Y_m, with sin(m pi) exact at m = 1
     m = -nu
     j, y, _, _ = _jy(m, x)
@@ -442,42 +450,27 @@ def bessel_y(nu: float, x: float) -> float:
     x = _check_x(x)
     if not math.isfinite(nu) or nu < 0.0 or nu > NU_MAX:
         raise DomainError(f"bessel_y order must lie in [0, {NU_MAX:g}], got {nu!r}")
-    return _cyl_raw(nu, -0.5 * math.pi, x)  # Y_nu = C_nu(x; -pi/2)
-
-
-def _cyl_raw(nu: float, delta: float, x: float) -> float:
-    # cos(delta) J_nu - sin(delta) Y_nu.  x > 30 is tested first, so that
-    # large-x calls pay one comparison.  From x = 20 the Hankel sums serve
-    # nu <= x within an ulp, where CF1 would accumulate 5-13 ulp of rounding.
-    if x > _X_SERIES or (x >= _X_HANKEL and nu <= x):
-        return _cyl_large(nu, delta, x)
-    return _cyl_small(nu, delta, x)
-
-
-def _cyl_and_prime_raw(nu: float, delta: float, x: float):
-    # (C, C') sharing all work, dispatched as in _cyl_raw
-    if x > _X_SERIES or (x >= _X_HANKEL and nu <= x):
-        v0, v1 = _cyl_large(nu, delta, x, pair=True)
-        return v0, -v1 + (nu / x) * v0
-    return _cyl_small(nu, delta, x, pair=True)
+    return _cyl(nu, -0.5 * math.pi, x)[0]  # Y_nu = C_nu(x; -pi/2)
 
 
 def cylinder(spec: CylinderSpec, x: float) -> float:
     """Evaluate C(x; nu, delta) = cos(delta) J_nu(x) - sin(delta) Y_nu(x)."""
     x = _check_x(x)
-    return _cyl_raw(spec.nu, spec.delta, x)
+    return _cyl(spec.nu, spec.delta, x)[0]
 
 
 def cylinder_prime(spec: CylinderSpec, x: float) -> float:
     """Evaluate C'(x; nu, delta) via C'_nu = -C_{nu+1} + (nu/x) C_nu."""
-    x = _check_x(x)
-    return _cyl_and_prime_raw(spec.nu, spec.delta, x)[1]
+    return cylinder_and_prime(spec, x)[1]
 
 
 def cylinder_and_prime(spec: CylinderSpec, x: float):
     """Evaluate (C, C') at x, sharing the order ladder between the two."""
     x = _check_x(x)
-    return _cyl_and_prime_raw(spec.nu, spec.delta, x)
+    c, cp = _cyl(spec.nu, spec.delta, x)
+    if not -math.inf < cp < math.inf:  # no call on the hot path; NaN fails too
+        raise OverflowError(f"|C'| overflows a double at nu={spec.nu!r}, x={x!r}")
+    return c, cp
 
 
 def sign_at_origin(spec: CylinderSpec) -> int:

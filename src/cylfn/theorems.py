@@ -15,8 +15,7 @@ from .special_fn import (
     DomainError,
     EvalKind,
     MixingAngle,
-    _cyl_and_prime_raw,
-    _cyl_raw,
+    _cyl,
 )
 from .wronskian import wronskian_profile
 from .zeros import find_zeros
@@ -85,18 +84,13 @@ def verify_recurrences(nu: float, delta: float, x_grid) -> VerificationReport:
     delta = MixingAngle(delta).delta
     grid = [float(x) for x in x_grid]
 
-    def C(k, x):
-        return _cyl_raw(nu + k, delta, x)
-
-    def Cp(k, x):
-        return _cyl_and_prime_raw(nu + k, delta, x)[1]
-
     worst = 0.0
     counterexample = None
     checks = 0
     for x in grid:
-        c0, c1, c2 = C(0, x), C(1, x), C(2, x)
-        p0, p1, p2 = Cp(0, x), Cp(1, x), Cp(2, x)
+        (c0, p0), (c1, p1), (c2, p2) = (_cyl(nu + k, delta, x) for k in (0, 1, 2))
+        if not math.isfinite(p0 + p1 + p2):
+            raise OverflowError(f"|C'| overflows a double at nu={nu!r}, x={x!r}")
         idents = {
             "three-term": (c0 - (2.0 * nu + 2.0) / x * c1 + c2, (c0, c1, c2)),
             "prime-down": (p0 + c1 - (nu / x) * c0, (p0, c1, c0)),
@@ -351,7 +345,8 @@ def _scan_cell(family: Family, nu: float, gap: float, delta: float, n: int) -> B
     else:
         mu = nu + gap
     sa, sb, kind = _family_specs(family, nu, mu, delta)
-    rep = check_interlaced(find_zeros(sa, kind, n), find_zeros(sb, kind, n))
+    za, zb = find_zeros(sa, kind, n), find_zeros(sb, kind, n)
+    rep = check_interlaced(za, zb)
     # the Wronskian equivalence concerns the functions themselves; for
     # derivative families the associated functions sit one order higher
     if kind is EvalKind.DERIVATIVE:
@@ -360,11 +355,8 @@ def _scan_cell(family: Family, nu: float, gap: float, delta: float, n: int) -> B
     else:
         wa, wb = sa, sb
     prof = wronskian_profile(wa, wb, n)
-    proviso = None
-    if family is Family.JVSY:
-        y1 = find_zeros(sb, EvalKind.FUNCTION, 1).zeros[0]
-        j1 = find_zeros(sa, EvalKind.FUNCTION, 1).zeros[0]
-        proviso = y1 < j1
+    # the JVSY proviso y_{mu,1} < j_{nu,1}, from the sequences already found
+    proviso = zb[0] < za[0] if family is Family.JVSY else None
     return BreakdownCell(
         nu=nu,
         mu=mu,

@@ -1,16 +1,31 @@
 """Enumeration of positive zeros of cylinder functions and their derivatives.
 
-Zeros are located by a sign-change scan with step pi/8 (consecutive zeros in
-the supported box are empirically more than pi/2 apart after the first, so the
-scan cannot skip a pair) and refined by Newton iteration safeguarded by a
-bisection bracket.
+Zeros are located by a sign-change scan with step pi/8 and refined by Newton
+iteration safeguarded by a bisection bracket.  The scan skips no zero.  With
+theta = arg(J + iY) and phi = arg(J' + iY'), C = |J + iY| cos(theta + delta)
+and C' = |J' + iY'| cos(phi + delta), so:
+
+- C, nu >= 1/2: theta' = 2/(pi x (J^2 + Y^2)) <= 1 (Nicholson's formula,
+  Watson 13.73), so zeros are at least pi apart.
+- C, nu < 1/2: theta' is non-increasing in x, so the gaps between zeros
+  grow.  theta rises by at most pi up to the first zero, so theta' >= pi/g
+  there for a first gap g, which puts the first zero below g; the second
+  lies past j_{nu,1} > 2.4, so g > 1.2.
+- C': J' and Y' are positive on (0, nu], so phi decreases there and at most
+  one zero lies below nu.  Above nu, phi' = 2(1 - nu^2/x^2)/(pi x (J'^2 +
+  Y'^2)) <= 1, so zeros there are at least pi apart.  x = nu is a scan
+  node, since two zeros may straddle it arbitrarily close together.
+- As x -> 0+, C > 0, and C' < 0 except for C' = J'_nu > 0 with nu > 0.
+  So at most one zero lies below the scan start, exactly when f there has
+  the other sign.  It is bracketed by stepping down geometrically and
+  bisected in log x; a zero below 1e-300 raises IterationError.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .special_fn import (
     CylinderSpec,
@@ -27,6 +42,7 @@ __all__ = ["ZeroSequence", "Trajectory", "IterationError", "find_zeros", "zero_t
 SCAN_STEP = math.pi / 8.0
 REL_TOL = 1e-12
 _MAX_ITER = 80
+_X_FLOOR = 1e-300  # a zero below the scan start is sought down to here
 
 
 class IterationError(RuntimeError):
@@ -80,21 +96,18 @@ class Trajectory:
 def _target(spec: CylinderSpec, kind: EvalKind):
     # f for the scan, and fdf(x) = (f(x), f'(x)) from one L0 call for Newton;
     # cylinder == cylinder_and_prime[0] bitwise, so the two f agree exactly
-    nu = spec.nu
     if kind is EvalKind.FUNCTION:
-        def f(x):
-            return cylinder(spec, x)
+        return partial(cylinder, spec), partial(cylinder_and_prime, spec)
+    nu = spec.nu
 
-        def fdf(x):
-            return cylinder_and_prime(spec, x)
-    else:
-        def f(x):
-            return cylinder_and_prime(spec, x)[1]
+    def f(x):
+        return cylinder_and_prime(spec, x)[1]
 
-        def fdf(x):
-            # C'' from the Bessel equation: x^2 C'' + x C' + (x^2 - nu^2) C = 0
-            c, cp = cylinder_and_prime(spec, x)
-            return cp, -cp / x - (1.0 - (nu * nu) / (x * x)) * c
+    def fdf(x):
+        # C'' from the Bessel equation: x^2 C'' + x C' + (x^2 - nu^2) C = 0
+        c, cp = cylinder_and_prime(spec, x)
+        return cp, -cp / x - (1.0 - (nu * nu) / (x * x)) * c
+
     return f, fdf
 
 
@@ -128,25 +141,53 @@ def _refine(fdf, lo, hi, flo, fhi):
     raise IterationError(f"zero refinement did not converge in {_MAX_ITER} steps on [{lo}, {hi}]")
 
 
+def _below_start(f, hi, fhi):
+    # the one zero below the scan start: step down geometrically to a
+    # bracket, then bisect in log x, so that a zero at 1e-69 still gets a
+    # relative tolerance.  No Newton: C'' can overflow there, and x * x
+    # underflows.
+    lo, flo = hi, fhi
+    while (flo > 0.0) == (fhi > 0.0):
+        if lo == _X_FLOOR:
+            raise IterationError(f"the first zero lies below x = {_X_FLOOR:g}")
+        hi, fhi = lo, flo
+        lo = max(lo * 1e-4, _X_FLOOR)
+        flo = f(lo)
+    a, b = math.log(lo), math.log(hi)
+    while b - a > REL_TOL:
+        m = 0.5 * (a + b)
+        if (f(math.exp(m)) > 0.0) == (fhi > 0.0):
+            b = m
+        else:
+            a = m
+    return math.exp(0.5 * (a + b))
+
+
 @lru_cache(maxsize=4096)
 def _find_zeros_cached(spec: CylinderSpec, kind: EvalKind, n: int):
     # (zeros, worst relative tolerance achieved over them)
-    prepend_origin = (
-        kind is EvalKind.DERIVATIVE and spec.nu == 0.0 and spec.delta == 0.0
-    )
+    derivative = kind is EvalKind.DERIVATIVE
+    prepend_origin = derivative and spec.nu == 0.0 and spec.delta == 0.0
     want = n - 1 if prepend_origin else n
     zeros = []
     tol = REL_TOL
     if want > 0:
         f, fdf = _target(spec, kind)
-        if kind is EvalKind.DERIVATIVE and spec.delta == 0.0:
+        if derivative and spec.delta == 0.0:
             start = max(spec.nu * (1.0 - 1e-9), 1e-6)  # nu <= j'_{nu,1}
         else:
             start = 1e-6
+        # two zeros of C' with delta > 0 may straddle nu closer than a step
+        node = spec.nu if derivative and spec.delta > 0.0 else 0.0
         x0 = start
         f0 = f(x0)
+        # the sign as x -> 0+: C > 0; C' < 0, but J'_nu > 0 for nu > 0
+        if (f0 > 0.0) != (not derivative or (spec.delta == 0.0 and spec.nu > 0.0)):
+            zeros.append(_below_start(f, x0, f0))
         while len(zeros) < want:
             x1 = x0 + SCAN_STEP
+            if x0 < node < x1:
+                x1 = node
             if x1 > X_MAX:
                 raise DomainError("scan exceeded the supported box x <= 400")
             f1 = f(x1)

@@ -19,6 +19,7 @@ __all__ = [
     "oracle_cylinder",
     "oracle_cylinder_prime",
     "bisect_zero",
+    "bisect_zero_log",
     "certify_sign_change",
     "oracle_zeros",
 ]
@@ -151,6 +152,16 @@ def bisect_zero(f, lo, hi, tol=mp.mpf("1e-30")):
         else:
             hi = mid
     return (lo + hi) / 2
+
+
+def bisect_zero_log(f, lo, hi, rel=mp.mpf("1e-15")):
+    """Bisection in t = log x on [lo, hi], 0 < lo < hi, to relative width rel.
+
+    For zeros near x = 0, where a bisection in x itself resolves only an
+    absolute width.
+    """
+    with mp.workdps(40):
+        return mp.exp(bisect_zero(lambda t: f(mp.exp(t)), mp.log(lo), mp.log(hi), rel))
 
 
 def certify_sign_change(f, z, eps=mp.mpf("1e-9")) -> bool:

@@ -46,6 +46,11 @@ class TestExitCodes:
         code, _, _ = run(capsys, "zeros", "--bogus", "1")
         assert code == 1
 
+    def test_computation_error_exits_2(self, capsys):
+        # the first zero of C at nu = 0, delta = pi - 1e-3 lies below 1e-300
+        code, out, err = run(capsys, "zeros", "--nu", "0", "--delta", "3.140592653589793")
+        assert code == 2 and out == "" and "1e-300" in err
+
     def test_verify_disagreement_reported_as_pass(self, capsys):
         # "not interlaced, predicate false" is agreement, so exit 0
         code, out, _ = run(

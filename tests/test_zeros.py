@@ -5,14 +5,35 @@ import math
 import mpmath as mp
 import pytest
 
-from cylfn.special_fn import CylinderSpec, DomainError, EvalKind, MixingAngle, cylinder
+from cylfn.special_fn import (
+    CylinderSpec,
+    DomainError,
+    EvalKind,
+    MixingAngle,
+    bessel_j,
+    bessel_y,
+    cylinder,
+    cylinder_and_prime,
+)
 from cylfn import zeros
-from cylfn.zeros import Trajectory, find_zeros, zero_trajectory
-from oracle import certify_sign_change, oracle_cylinder, oracle_zeros
+from cylfn.zeros import IterationError, Trajectory, find_zeros, zero_trajectory
+from oracle import (
+    bisect_zero_log,
+    certify_sign_change,
+    oracle_cylinder,
+    oracle_cylinder_prime,
+    oracle_zeros,
+)
 
 # frozen after reproduction by the reference bisection (tests/oracle.py)
 J0_ZEROS = (2.404825557695773, 5.520078110286311, 8.653727912911013)
 J1_FIRST = 3.831705970207512
+# the first three zeros of C' at an angle 1e-3 below delta_c(nu) =
+# pi/2 - arg(J'_nu(nu) + i Y'_nu(nu)), where C' has a double zero at x = nu
+STRADDLING = {
+    (5.0, 0.460552): (4.9422067579283037, 5.0580155764549347, 9.9870089648062816),
+    (30.0, 0.503288): (29.897677741122536, 30.102436767833276, 37.81769201116492),
+}
 
 
 def _spec(nu, delta):
@@ -116,6 +137,72 @@ class TestStructure:
             find_zeros(_spec(1.0, 0.0), EvalKind.FUNCTION, 0)
         with pytest.raises(DomainError):
             find_zeros(_spec(30.0, 0.0), EvalKind.FUNCTION, 200)
+
+
+class TestNoSkippedZero:
+    @pytest.mark.parametrize("nu, delta", sorted(STRADDLING))
+    def test_derivative_zeros_straddling_the_order(self, nu, delta):
+        # one zero on each side of x = nu, closer together than a scan step
+        zs = find_zeros(_spec(nu, delta), EvalKind.DERIVATIVE, 3).zeros
+        assert len(zs) == 3
+        for got, ref in zip(zs, STRADDLING[nu, delta]):
+            assert abs(got - ref) <= 1e-12 * ref
+
+    @pytest.mark.parametrize("nu, delta, kind", (
+        (0.0, math.pi - 0.1, EvalKind.FUNCTION),
+        (0.0, math.pi - 0.01, EvalKind.FUNCTION),
+        (0.2, 1e-3, EvalKind.DERIVATIVE),
+        (0.5, 1e-10, EvalKind.DERIVATIVE),
+    ))
+    def test_zero_below_the_scan_start(self, nu, delta, kind):
+        # the first zero lies below x = 1e-6, the second above it
+        f = oracle_cylinder if kind is EvalKind.FUNCTION else oracle_cylinder_prime
+        zs = find_zeros(_spec(nu, delta), kind, 2).zeros
+        ref = bisect_zero_log(lambda t: f(nu, delta, t), mp.mpf("1e-80"), mp.mpf("1e-6"))
+        assert abs(zs[0] - ref) <= 1e-9 * ref
+        assert certify_sign_change(
+            lambda t: f(nu, delta, t), zs[1], eps=mp.mpf(zs[1]) * mp.mpf("1e-12")
+        )
+
+    def test_zero_below_the_double_range_raises(self):
+        with pytest.raises(IterationError):
+            find_zeros(_spec(0.0, math.pi - 1e-3), EvalKind.FUNCTION, 3)
+
+
+class TestScanPremises:
+    # the facts the no-skip argument of the scan rests on, on a coarse grid
+    XS = [0.05 * 1.06**k for k in range(155)]  # 0.05 to 390
+
+    def test_function_phase_rate(self):
+        # theta' = 2/(pi x (J^2 + Y^2)) is at most 1 for nu >= 1/2 and
+        # non-increasing in x below (Nicholson's formula, Watson 13.73)
+        for nu in (0.0, 0.1, 0.25, 0.4, 0.49, 0.5, 0.75, 1.0, 2.5, 7.0, 15.5, 30.0):
+            rate = [
+                2.0 / (math.pi * x * (bessel_j(nu, x) ** 2 + bessel_y(nu, x) ** 2))
+                for x in self.XS
+            ]
+            if nu >= 0.5:
+                assert max(rate) <= 1.0 + 1e-12, nu
+            else:
+                assert all(b <= a * (1.0 + 1e-12) for a, b in zip(rate, rate[1:])), nu
+
+    def test_derivative_phase_rate_above_the_order(self):
+        # phi' = 2 (1 - nu^2/x^2) / (pi x (J'^2 + Y'^2)) <= 1 for x > nu
+        for k in range(0, 101, 4):
+            nu = 0.3 * k
+            j, y = _spec(nu, 0.0), _spec(nu, math.pi / 2)
+            for x in self.XS:
+                if x > nu:
+                    jp = cylinder_and_prime(j, x)[1]
+                    yp = -cylinder_and_prime(y, x)[1]
+                    assert 2.0 * (1.0 - (nu / x) ** 2) / (math.pi * x * (jp * jp + yp * yp)) <= 1.0
+
+    def test_derivatives_positive_up_to_the_order(self):
+        # J'_nu > 0 and Y'_nu > 0 on (0, nu]: at most one zero of C' below nu
+        for nu in (0.1, 0.5, 1.0, 3.3, 12.0, 30.0):
+            for x in (nu * k / 16.0 for k in range(1, 17)):
+                assert cylinder_and_prime(_spec(nu, 0.0), x)[1] > 0.0
+                assert cylinder_and_prime(_spec(nu, math.pi / 2), x)[1] < 0.0
 
 
 class TestTrajectory:
