@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import re
 import sys
 
@@ -109,10 +108,6 @@ def _write(args, text: str):
         sys.stdout.write(text)
 
 
-def _spec(nu, delta) -> CylinderSpec:
-    return CylinderSpec.of(nu, delta)
-
-
 def _kind(name: str) -> EvalKind:
     return EvalKind.FUNCTION if name == "function" else EvalKind.DERIVATIVE
 
@@ -123,7 +118,7 @@ def _kind(name: str) -> EvalKind:
 
 
 def _cmd_eval(args) -> int:
-    spec = _spec(args.nu, args.delta)
+    spec = CylinderSpec.of(args.nu, args.delta)
     if args.kind == "both":
         c, cp = cylinder_and_prime(spec, args.x)
         payload = {"nu": spec.nu, "delta": spec.delta, "x": args.x, "value": c, "derivative": cp}
@@ -139,7 +134,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_zeros(args) -> int:
-    seq = find_zeros(_spec(args.nu, args.delta), _kind(args.kind), args.n)
+    seq = find_zeros(CylinderSpec.of(args.nu, args.delta), _kind(args.kind), args.n)
     if args.format == "csv":
         lines = ["s,zero"] + [f"{i + 1},{z:.17g}" for i, z in enumerate(seq.zeros)]
         _write(args, "\n".join(lines) + "\n")
@@ -150,8 +145,8 @@ def _cmd_zeros(args) -> int:
 
 def _cmd_interlace(args) -> int:
     kind = _kind(args.kind)
-    za = find_zeros(_spec(args.nu, args.delta), kind, args.n)
-    zb = find_zeros(_spec(args.mu, args.delta_bar), kind, args.n)
+    za = find_zeros(CylinderSpec.of(args.nu, args.delta), kind, args.n)
+    zb = find_zeros(CylinderSpec.of(args.mu, args.delta_bar), kind, args.n)
     rep = check_interlaced(za, zb)
     shift = detect_shifted(za, zb)
     payload = {
@@ -172,8 +167,8 @@ def _cmd_interlace(args) -> int:
 
 
 def _cmd_wronskian(args) -> int:
-    sa = _spec(args.nu, args.delta)
-    sb = _spec(args.mu, args.delta_bar)
+    sa = CylinderSpec.of(args.nu, args.delta)
+    sb = CylinderSpec.of(args.mu, args.delta_bar)
     if args.x is not None:
         payload = {
             "nu": sa.nu,
@@ -204,15 +199,15 @@ def _cmd_wronskian(args) -> int:
 def _cmd_sweep(args) -> int:
     gaps = [float(g) for g in args.gaps.split(",")]
     family = Family(args.family)
-    m = breakdown_scan(family, args.nu, gaps, args.delta, args.n, threads=args.threads)
+    m = breakdown_scan(family, args.nu, gaps, args.delta, args.n)
     if args.format == "csv":
+        delta, delta_bar = m.angles()
         rows = ["family,nu,mu,delta,delta_bar,n,interlaced,first_violation,sign_changes,proviso"]
         for c in m.cells:
-            delta_bar = math.pi / 2.0 if family is Family.JVSY else m.delta
             fv = "" if c.first_violation is None else f"{c.first_violation[0]}:{c.first_violation[1]}"
             pv = "" if c.proviso is None else str(c.proviso).lower()
             rows.append(
-                f"{family.value},{c.nu:.17g},{c.mu:.17g},{m.delta:.17g},{delta_bar:.17g},"
+                f"{family.value},{c.nu:.17g},{c.mu:.17g},{delta:.17g},{delta_bar:.17g},"
                 f"{m.n},{str(c.interlaced).lower()},{fv},{c.sign_changes},{pv}"
             )
         _write(args, "\n".join(rows) + "\n")
@@ -317,7 +312,7 @@ def _cmd_verify(args) -> int:
             return _USAGE_ERROR
         reports = [
             interlace_wronskian_equivalence(
-                _spec(args.nu, args.delta), _spec(args.mu, args.delta_bar), args.n
+                CylinderSpec.of(args.nu, args.delta), CylinderSpec.of(args.mu, args.delta_bar), args.n
             )
         ]
     elif suite == "all":
@@ -341,6 +336,9 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(_USAGE_ERROR)
+
+
+_THREADS_HELP = "accepted for compatibility; cylfn runs serially"
 
 
 def _threads(text: str) -> int:
@@ -401,10 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=float, default=1.0)
     p.add_argument("--n", type=int, default=30)
     p.add_argument("--grid", default="0.5,1,5,20,100", help="x grid for recurrences (comma list)")
-    p.add_argument(
-        "--threads", type=_threads, default=os.cpu_count() or 1,
-        help="accepted for symmetry with sweep; verify runs serially (only sweep uses workers)",
-    )
+    p.add_argument("--threads", type=_threads, default=1, help=_THREADS_HELP)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("json",), default="json")
     p.set_defaults(handler=_cmd_verify)
@@ -415,10 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gaps", required=True, help="comma-separated order gaps")
     p.add_argument("--delta", type=parse_angle, default=0.0)
     p.add_argument("--n", type=int, default=30)
-    p.add_argument(
-        "--threads", type=_threads, default=os.cpu_count() or 1,
-        help="worker processes for the grid cells (only sweep uses workers)",
-    )
+    p.add_argument("--threads", type=_threads, default=1, help=_THREADS_HELP)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("json", "csv"), default="csv")
     p.set_defaults(handler=_cmd_sweep)

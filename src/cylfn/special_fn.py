@@ -45,7 +45,7 @@ NU_MAX = 30.0
 X_MAX = 400.0
 _X_SERIES = 30.0  # continued fractions below, Hankel sums above
 _X_HANKEL = 20.0  # Hankel sums also serve nu <= x from here up
-_ZERO_WEIGHT = 1e-15  # |cos(delta)| or |sin(delta)| at most this skips J or Y
+_ZERO_WEIGHT = 1e-15  # |cos(delta)| at most this skips J; pi - delta below it maps delta to 0
 
 
 class DomainError(ValueError):
@@ -328,7 +328,9 @@ def _jy(nu: float, x: float):
 
 def _cyl_small(nu: float, delta: float, x: float):
     # (C, C') for x <= 30 from one _jy pass; a part of zero weight is
-    # skipped, so that delta = 0 gives J even where Y overflows
+    # skipped, so that delta = 0 gives J even where Y overflows.  Y is
+    # skipped only at sin(delta) == 0: as x -> 0 it outgrows J without
+    # bound, so even delta = 1e-16 moves C' and its first zero.
     j, y, jp, yp = _jy(nu, x)
     c = math.cos(delta)
     s = math.sin(delta)
@@ -336,7 +338,7 @@ def _cyl_small(nu: float, delta: float, x: float):
     if abs(c) > _ZERO_WEIGHT:
         v0 += c * j
         v1 += c * jp
-    if abs(s) > _ZERO_WEIGHT:
+    if s != 0.0:
         v0 -= s * y
         v1 -= s * yp
     if not math.isfinite(v0):

@@ -4,7 +4,6 @@ transitivity, and breakdown atlases over (nu, mu) grids."""
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from enum import Enum
 
@@ -15,6 +14,8 @@ from .special_fn import (
     DomainError,
     EvalKind,
     MixingAngle,
+    Order,
+    _check_x,
     _cyl,
 )
 from .wronskian import wronskian_profile
@@ -67,6 +68,10 @@ class BreakdownMap:
             (c.sign_changes == 0) == c.interlaced for c in self.cells if not c.excluded
         )
 
+    def angles(self) -> tuple:
+        """Mixing angles (delta, delta_bar) of each cell's nu and mu functions."""
+        return _family_angles(self.family, self.delta)[:2]
+
 
 # ---------------------------------------------------------------------------
 # Recurrence identities
@@ -80,9 +85,9 @@ def verify_recurrences(nu: float, delta: float, x_grid) -> VerificationReport:
     below 1e-9.  The derivative sum rule C'_{nu+1} = (C_nu - C_{nu+2})/2 is
     used in its correct half-sum form.
     """
-    nu = float(nu)
+    nu = Order(nu).nu
     delta = MixingAngle(delta).delta
-    grid = [float(x) for x in x_grid]
+    grid = [_check_x(x) for x in x_grid]
 
     worst = 0.0
     counterexample = None
@@ -167,16 +172,25 @@ def verify_theorem1(nu: float, a: float, b: float, c: float, n: int) -> Verifica
     )
 
 
-def _family_specs(family: Family, nu: float, mu: float, delta: float):
+def _family_angles(family: Family, delta: float):
+    """(delta of the nu function, delta of the mu function, kind) for a
+    family; only the cylinder family takes its angle from delta."""
     if family is Family.CYLINDER:
-        return (CylinderSpec.of(nu, delta), CylinderSpec.of(mu, delta), EvalKind.FUNCTION)
+        return delta, delta, EvalKind.FUNCTION
+    if MixingAngle(delta).delta != 0.0:
+        raise DomainError(f"the {family.value} family fixes its angles; got delta={delta!r}")
     if family is Family.JPRIME:
-        return (CylinderSpec.of(nu, 0.0), CylinderSpec.of(mu, 0.0), EvalKind.DERIVATIVE)
+        return 0.0, 0.0, EvalKind.DERIVATIVE
     if family is Family.YPRIME:
-        return (CylinderSpec.of(nu, _HALF_PI), CylinderSpec.of(mu, _HALF_PI), EvalKind.DERIVATIVE)
+        return _HALF_PI, _HALF_PI, EvalKind.DERIVATIVE
     if family is Family.JVSY:
-        return (CylinderSpec.of(nu, 0.0), CylinderSpec.of(mu, _HALF_PI), EvalKind.FUNCTION)
+        return 0.0, _HALF_PI, EvalKind.FUNCTION
     raise DomainError(f"unknown family {family!r}")
+
+
+def _family_specs(family: Family, nu: float, mu: float, delta: float):
+    da, db, kind = _family_angles(family, delta)
+    return CylinderSpec.of(nu, da), CylinderSpec.of(mu, db), kind
 
 
 def verify_theorem3(
@@ -187,6 +201,7 @@ def verify_theorem3(
     nu = float(nu)
     mu = float(mu)
     name = f"theorem3({family.value}, nu={nu:g}, mu={mu:g}, delta={delta:g}, n={n})"
+    sa, sb, kind = _family_specs(family, nu, mu, delta)
     if nu == mu:
         return VerificationReport(
             name=name,
@@ -196,7 +211,6 @@ def verify_theorem3(
             counterexample=None,
             details={"excluded": True, "reason": "identical orders"},
         )
-    sa, sb, kind = _family_specs(family, nu, mu, delta)
     rep = check_interlaced(find_zeros(sa, kind, n), find_zeros(sb, kind, n))
     predicate = abs(nu - mu) <= 2.0
     agree = rep.interlaced == predicate
@@ -266,30 +280,27 @@ def verify_transitivity(
         raise DomainError("triple must share the mixing angle")
     name = f"transitivity(nu={nu:g}, delta={fspec.delta:g}, kind={kind.value}, probe=({lo:g}, {hi:g}))"
     coeffs, roots = _coefficients(kind, nu)
+
+    def premise_failure(checks, **details):
+        return VerificationReport(
+            name=name,
+            passed=True,
+            checks=checks,
+            worst_residual=0.0,
+            counterexample=None,
+            details={"status": "premise-failure", **details},
+        )
+
     # premise 1: coefficient signs constant on (lo, hi)
     for r in roots:
         if lo < r < hi:
-            return VerificationReport(
-                name=name,
-                passed=True,
-                checks=0,
-                worst_residual=0.0,
-                counterexample=None,
-                details={"status": "premise-failure", "coefficient_root": r},
-            )
+            return premise_failure(0, coefficient_root=r)
     samples = [lo + (hi - lo) * k / 16.0 for k in range(17)]
     base = [math.copysign(1.0, v) for v in coeffs(samples[0])]
     for x in samples:
         for s0, v in zip(base, coeffs(x)):
             if v == 0.0 or math.copysign(1.0, v) != s0:
-                return VerificationReport(
-                    name=name,
-                    passed=True,
-                    checks=0,
-                    worst_residual=0.0,
-                    counterexample=None,
-                    details={"status": "premise-failure", "x": x},
-                )
+                return premise_failure(0, x=x)
 
     def window_zeros(spec):
         n_max = int((hi + 20.0 - spec.nu) / math.pi)
@@ -304,14 +315,7 @@ def verify_transitivity(
         rep = check_interlaced(a_, b_)
         checks += rep.pairs_checked
         if not rep.interlaced:
-            return VerificationReport(
-                name=name,
-                passed=True,
-                checks=checks,
-                worst_residual=0.0,
-                counterexample=None,
-                details={"status": "premise-failure", "pair": name2, "violation": rep.first_violation},
-            )
+            return premise_failure(checks, pair=name2, violation=rep.first_violation)
     conclusion = check_interlaced(zf, zh)
     checks += conclusion.pairs_checked
     counterexample = None
@@ -368,25 +372,18 @@ def _scan_cell(family: Family, nu: float, gap: float, delta: float, n: int) -> B
 
 
 def breakdown_scan(
-    family: Family, nu: float, gap_grid, delta: float = 0.0, n: int = 30, threads: int = 1
+    family: Family, nu: float, gap_grid, delta: float = 0.0, n: int = 30
 ) -> BreakdownMap:
     """Interlacing/Wronskian verdicts for cells (nu, nu + gap) over gap_grid.
 
     For the JVSY family the roles are swapped: the cell pairs J_{nu+gap}
     against Y_nu, since breakdown there needs the J order above the Y order.
-    Cells are independent; with threads > 1 they are evaluated in worker
-    processes, at most one per cell and per CPU, and reassembled in grid
-    order.
+    Only the cylinder family takes delta; the others fix their angles and
+    reject a nonzero one.  Cells run in grid order in this process, so they
+    share the zero cache.
     """
     nu = float(nu)
     delta = MixingAngle(delta).delta
-    gaps = [float(g) for g in gap_grid]
-    workers = min(threads, len(gaps), os.cpu_count() or 1)
-    if workers > 1:
-        import concurrent.futures as cf
-
-        with cf.ProcessPoolExecutor(max_workers=workers) as ex:
-            cells = list(ex.map(_scan_cell, [family] * len(gaps), [nu] * len(gaps), gaps, [delta] * len(gaps), [n] * len(gaps)))
-    else:
-        cells = [_scan_cell(family, nu, g, delta, n) for g in gaps]
-    return BreakdownMap(family=family, delta=delta, n=n, cells=tuple(cells))
+    _family_angles(family, delta)  # rejects a delta the family does not take
+    cells = tuple(_scan_cell(family, nu, float(g), delta, n) for g in gap_grid)
+    return BreakdownMap(family=family, delta=delta, n=n, cells=cells)

@@ -73,6 +73,19 @@ class TestExitCodes:
         assert out == ""
         assert "--threads" in err
 
+    @pytest.mark.parametrize("argv", (
+        ["verify", "recurrences", "--nu", "-5"],
+        ["verify", "recurrences", "--nu", "35"],
+        ["verify", "recurrences", "--grid", "500"],
+        ["verify", "theorem3", "--family", "yprime", "--nu", "1", "--mu", "2", "--delta", "0.7"],
+        ["sweep", "--family", "jvsy", "--nu", "1", "--gaps", "0.8", "--delta", "0.7"],
+    ), ids=("recurrences-nu-5", "recurrences-nu35", "recurrences-x500", "theorem3-yprime", "sweep-jvsy"))
+    def test_domain_errors_exit_1(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "cylfn: error:" in err
+
     def test_failed_suite_exits_3(self, capsys, monkeypatch):
         # fault injection: make the chain checker report a counterexample
         import cylfn.cli as cli
@@ -142,6 +155,16 @@ class TestArtifacts:
         assert lines[1].startswith("cylinder,1,2,")
         assert ",true," in lines[1] and ",false," in lines[2]
 
+    def test_sweep_csv_angles_are_the_computed_ones(self, capsys):
+        # a yprime cell pairs Y'_nu with Y'_mu: both at delta = pi/2
+        code, out, _ = run(
+            capsys, "sweep", "--family", "yprime", "--nu", "1", "--gaps", "1.0",
+            "--n", "5", "--format", "csv",
+        )
+        assert code == 0
+        row = out.strip().splitlines()[1].split(",")
+        assert float(row[3]) == float(row[4]) == math.pi / 2
+
     def test_out_file(self, tmp_path, capsys):
         target = tmp_path / "zeros.json"
         code, out, _ = run(
@@ -162,12 +185,16 @@ class TestDeterminism:
         assert code_a == 0 and code_b == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_verify_all_threads_is_a_no_op(self, tmp_path):
-        # only sweep uses workers; verify accepts --threads and runs serially
-        a = tmp_path / "a.json"
-        b = tmp_path / "b.json"
-        assert main(["verify", "all", "--threads", "1", "--out", str(a)]) == 0
-        assert main(["verify", "all", "--threads", "2", "--out", str(b)]) == 0
+    @pytest.mark.parametrize("argv", (
+        ["verify", "all"],
+        ["sweep", "--family", "jvsy", "--nu", "1", "--gaps", "0.8,1.5", "--n", "12"],
+    ), ids=("verify-all", "sweep"))
+    def test_threads_is_a_no_op(self, tmp_path, argv):
+        # cylfn runs serially; sweep and verify accept --threads for compatibility
+        a = tmp_path / "a.out"
+        b = tmp_path / "b.out"
+        assert main([*argv, "--threads", "1", "--out", str(a)]) == 0
+        assert main([*argv, "--threads", "2", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
     def test_report_schema_fields(self, tmp_path):

@@ -154,6 +154,15 @@ class TestAccuracyContract:
                 self._check(c, float(oracle_cylinder(nu, delta, x)))
                 self._check(cp, float(oracle_cylinder_prime(nu, delta, x)))
 
+    def test_tiny_angle_keeps_the_y_part(self):
+        # delta = 1e-16 weighs Y by 1e-16, yet Y' outgrows J' like 1/x as
+        # x -> 0: at x = 1e-10 the Y part moves C' by 1e-6 relative, and C'
+        # changes sign near x = delta
+        nu, delta, x = 0.5, 1e-16, 1e-10
+        c, cp = cylinder_and_prime(CylinderSpec.of(nu, delta), x)
+        self._check(c, float(oracle_cylinder(nu, delta, x)))
+        self._check(cp, float(oracle_cylinder_prime(nu, delta, x)))
+
     def test_j_order_window_past_seam(self):
         for nu in (-0.7, -0.3, 31.0):
             for x in (30.05, 37.5, 250.0, 400.0):

@@ -32,6 +32,11 @@ class TestRecurrences:
         rep = verify_recurrences(7.0, math.pi / 2, [250.0, 399.0])
         assert rep.passed, rep.counterexample
 
+    @pytest.mark.parametrize("nu, grid", ((-5.0, GRID), (35.0, GRID), (1.0, [1.0, 500.0])))
+    def test_inputs_outside_the_box_rejected(self, nu, grid):
+        with pytest.raises(DomainError):
+            verify_recurrences(nu, 0.0, grid)
+
 
 class TestTheorem1:
     def test_sample_orders(self):
@@ -122,36 +127,11 @@ class TestBreakdownScan:
         assert m.cells[0].excluded
         assert not m.cells[1].excluded
 
-    def test_parallel_matches_serial(self):
-        gaps = [0.5, 1.5, 2.5]
-        serial = breakdown_scan(Family.JPRIME, 1.5, gaps, n=15, threads=1)
-        parallel = breakdown_scan(Family.JPRIME, 1.5, gaps, n=15, threads=2)
-        assert serial == parallel
-
-    def test_workers_capped_by_cells_and_cpus(self, monkeypatch):
-        # a stand-in pool records the worker count and runs cells in-process,
-        # so no large pool is ever started
-        import concurrent.futures as cf
-
-        asked = []
-
-        class Pool:
-            def __init__(self, max_workers):
-                asked.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            map = staticmethod(map)
-
-        monkeypatch.setattr(cf, "ProcessPoolExecutor", Pool)
-        monkeypatch.setattr("os.cpu_count", lambda: 4)
-        gaps = [0.5, 1.5, 2.5]
-        m = breakdown_scan(Family.JPRIME, 1.5, gaps, n=15, threads=10**6)
-        assert asked == [3]
-        assert m == breakdown_scan(Family.JPRIME, 1.5, gaps, n=15, threads=1)
-        breakdown_scan(Family.JPRIME, 1.5, gaps * 3, n=15, threads=10**6)
-        assert asked == [3, 4]
+    @pytest.mark.parametrize("family", (Family.JPRIME, Family.YPRIME, Family.JVSY))
+    def test_fixed_angle_family_rejects_delta(self, family):
+        # these families fix their angles; delta = pi normalizes to 0
+        with pytest.raises(DomainError):
+            breakdown_scan(family, 1.0, [0.0, 1.0], delta=0.7, n=5)
+        with pytest.raises(DomainError):
+            verify_theorem3(1.0, 1.0, family, delta=0.7, n=5)
+        assert breakdown_scan(family, 1.0, [1.0], delta=math.pi, n=5).delta == 0.0

@@ -153,6 +153,7 @@ class TestNoSkippedZero:
         (0.0, math.pi - 0.01, EvalKind.FUNCTION),
         (0.2, 1e-3, EvalKind.DERIVATIVE),
         (0.5, 1e-10, EvalKind.DERIVATIVE),
+        (0.5, 1e-16, EvalKind.DERIVATIVE),
     ))
     def test_zero_below_the_scan_start(self, nu, delta, kind):
         # the first zero lies below x = 1e-6, the second above it
