@@ -7,14 +7,11 @@ from .special_fn import (
     EvalKind,
     MixingAngle,
     Order,
-    asymptotic_cylinder,
     bessel_j,
     bessel_y,
     cylinder,
     cylinder_and_prime,
     cylinder_prime,
-    gamma_real,
-    sign_at_origin,
 )
 
 __version__ = "0.1.0"

@@ -348,7 +348,7 @@ def _threads(text: str) -> int:
     return n
 
 
-def _common(p, mu=False, kind=True, n_default=10):
+def _common(p, mu=False, kind=True, n_default=10, formats=("json",)):
     p.add_argument("--nu", type=float, required=True, help="order, in [0, 30]")
     p.add_argument("--delta", type=parse_angle, default=0.0, help="mixing angle (radians or 'pi/4')")
     if mu:
@@ -358,7 +358,7 @@ def _common(p, mu=False, kind=True, n_default=10):
         p.add_argument("--kind", choices=("function", "derivative"), default="function")
     p.add_argument("--n", type=int, default=n_default, help="number of zeros")
     p.add_argument("--out", default=None, help="write the artifact to PATH instead of stdout")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.add_argument("--format", choices=formats, default="json")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -375,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_eval)
 
     p = sub.add_parser("zeros", help="enumerate positive zeros")
-    _common(p)
+    _common(p, formats=("json", "csv"))
     p.set_defaults(handler=_cmd_zeros)
 
     p = sub.add_parser("interlace", help="interlacing verdict for two zero sequences")

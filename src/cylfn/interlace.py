@@ -73,20 +73,19 @@ def _as_zeros(seq) -> list:
 
 def _violations_oneside(a, b):
     # (pair_index_1based, count, position) for consecutive a-pairs judged
-    # against b; pairs above b's covered range are skipped.
+    # against b, and the number judged; a is increasing, so the pairs above
+    # b's covered range are its tail and are skipped.
     out = []
     b_last = b[-1]
-    for i in range(len(a) - 1):
+    judged = len(a) - 1
+    for i in range(judged):
         lo, hi = a[i], a[i + 1]
         if hi > b_last:
+            judged = i
             break
         cnt = bisect_left(b, hi) - bisect_right(b, lo)
         if cnt != 1:
             out.append((i + 1, cnt, lo))
-    judged = 0
-    for i in range(len(a) - 1):
-        if a[i + 1] <= b_last:
-            judged += 1
     return out, judged
 
 
@@ -138,10 +137,6 @@ def detect_shifted(A, B) -> ShiftReport:
     """
     a = _as_zeros(A)
     b = _as_zeros(B)
-    if len(a) < 2 or len(b) < 2:
-        raise EmptyOverlapError("need at least two zeros in each sequence")
-    if a[-1] <= b[0] or b[-1] <= a[0]:
-        raise EmptyOverlapError("zero sequences cover disjoint ranges")
     if check_interlaced(a, b).interlaced:
         return ShiftReport(None, None)
     for ad in range(1, _MAX_SHIFT + 1):

@@ -1,4 +1,4 @@
-"""Evaluation of Gamma, Bessel J/Y and general cylinder functions.
+"""Evaluation of Bessel J/Y and general cylinder functions.
 
 A cylinder function is C(x; nu, delta) = cos(delta) J_nu(x) - sin(delta) Y_nu(x).
 Supported domain: order 0 <= nu <= 30, argument 0 < x <= 400, double precision.
@@ -29,14 +29,11 @@ __all__ = [
     "MixingAngle",
     "CylinderSpec",
     "EvalKind",
-    "gamma_real",
     "bessel_j",
     "bessel_y",
     "cylinder",
     "cylinder_prime",
     "cylinder_and_prime",
-    "sign_at_origin",
-    "asymptotic_cylinder",
     "NU_MAX",
     "X_MAX",
 ]
@@ -120,47 +117,6 @@ class CylinderSpec:
 class EvalKind(Enum):
     FUNCTION = "function"
     DERIVATIVE = "derivative"
-
-
-# ---------------------------------------------------------------------------
-# Gamma
-# ---------------------------------------------------------------------------
-
-# Lanczos approximation, g = 7, n = 9 (Godfrey's coefficients).
-_LANCZOS_G = 7.0
-_LANCZOS_C = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-_SQRT_2PI = 2.5066282746310002
-
-
-def _gamma_lanczos(a: float) -> float:
-    # valid for a > 0
-    z = a - 1.0
-    s = _LANCZOS_C[0]
-    for i in range(1, 9):
-        s += _LANCZOS_C[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return _SQRT_2PI * t ** (z + 0.5) * math.exp(-t) * s
-
-
-def gamma_real(a: float) -> float:
-    """Gamma function for positive real arguments.
-
-    Relative error <= 1e-13 on (0, 60].
-    """
-    a = float(a)
-    if not math.isfinite(a) or a <= 0.0:
-        raise DomainError(f"gamma_real requires a finite positive argument, got {a!r}")
-    return _gamma_lanczos(a)
 
 
 def _sinpi(a: float) -> float:
@@ -474,25 +430,3 @@ def cylinder_and_prime(spec: CylinderSpec, x: float):
         raise OverflowError(f"|C'| overflows a double at nu={spec.nu!r}, x={x!r}")
     return c, cp
 
-
-def sign_at_origin(spec: CylinderSpec) -> int:
-    """Sign of C(x) as x -> 0+.
-
-    Always +1, because delta is normalized into [0, pi) where sin(delta) >= 0:
-    for sin(delta) > 0 the Y part dominates with a positive coefficient, and
-    delta = 0 is pure J, positive near the origin.
-    """
-    return 1
-
-
-def asymptotic_cylinder(spec: CylinderSpec, x: float) -> float:
-    """Leading-order large-x form sqrt(2/(pi x)) cos(x - nu pi/2 - pi/4 + delta).
-
-    Requires x >= 10 * max(1, nu); intended for bracket seeding and sanity
-    checks, not for accurate evaluation.
-    """
-    x = float(x)
-    nu = spec.nu
-    if not math.isfinite(x) or x < 10.0 * max(1.0, nu):
-        raise DomainError(f"asymptotic form requires x >= 10*max(1, nu), got x={x!r}")
-    return math.sqrt(2.0 / (math.pi * x)) * math.cos(x - (0.5 * nu + 0.25) * math.pi + spec.delta)

@@ -310,6 +310,10 @@ def verify_transitivity(
     zf = window_zeros(fspec)
     zg = window_zeros(gspec)
     zh = window_zeros(hspec)
+    # premise 2 needs two zeros of each function in the window to judge
+    counts = {"f": len(zf), "g": len(zg), "h": len(zh)}
+    if min(counts.values()) < 2:
+        return premise_failure(0, zero_counts=counts)
     checks = 0
     for name2, a_, b_ in (("f-g", zf, zg), ("g-h", zg, zh)):
         rep = check_interlaced(a_, b_)
@@ -382,7 +386,7 @@ def breakdown_scan(
     reject a nonzero one.  Cells run in grid order in this process, so they
     share the zero cache.
     """
-    nu = float(nu)
+    nu = Order(nu).nu  # checked here too: an all-zero gap grid builds no spec
     delta = MixingAngle(delta).delta
     _family_angles(family, delta)  # rejects a delta the family does not take
     cells = tuple(_scan_cell(family, nu, float(g), delta, n) for g in gap_grid)

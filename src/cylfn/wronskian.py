@@ -31,6 +31,9 @@ __all__ = [
 ]
 
 
+_DIFF_STEP = 1e-4  # centered-difference step of check_derivative_identity
+
+
 class DegenerateSpecError(ValueError):
     """Both specs name the same function; W vanishes identically."""
 
@@ -85,18 +88,17 @@ def wronskian_asymptote(spec_a: CylinderSpec, spec_b: CylinderSpec) -> float:
     )
 
 
-def check_derivative_identity(
-    spec_a: CylinderSpec, spec_b: CylinderSpec, x: float, h: float = 1e-4
-) -> float:
+def check_derivative_identity(spec_a: CylinderSpec, spec_b: CylinderSpec, x: float) -> float:
     """Residual of W' = (mu^2 - nu^2)/x^2 * xi_a xi_b at x.
 
-    W' comes from a centered difference with step h; the residual is relative
-    to max(1, |rhs|) so that large-amplitude small-x regions are not penalized
-    for ordinary finite-difference truncation error.
+    W' comes from a centered difference with step 1e-4; the residual is
+    relative to max(1, |rhs|) so that large-amplitude small-x regions are not
+    penalized for ordinary finite-difference truncation error.
     """
     x = float(x)
+    h = _DIFF_STEP
     if x - h <= 0.0:
-        raise ValueError("need x - h > 0")
+        raise ValueError(f"need x > {h:g}")
     num = (wronskian_value(spec_a, spec_b, x + h) - wronskian_value(spec_a, spec_b, x - h)) / (
         2.0 * h
     )

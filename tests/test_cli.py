@@ -79,12 +79,30 @@ class TestExitCodes:
         ["verify", "recurrences", "--grid", "500"],
         ["verify", "theorem3", "--family", "yprime", "--nu", "1", "--mu", "2", "--delta", "0.7"],
         ["sweep", "--family", "jvsy", "--nu", "1", "--gaps", "0.8", "--delta", "0.7"],
-    ), ids=("recurrences-nu-5", "recurrences-nu35", "recurrences-x500", "theorem3-yprime", "sweep-jvsy"))
+        ["sweep", "--family", "cylinder", "--nu", "50", "--gaps", "0"],
+    ), ids=(
+        "recurrences-nu-5", "recurrences-nu35", "recurrences-x500", "theorem3-yprime", "sweep-jvsy",
+        "sweep-nu50-gap0",
+    ))
     def test_domain_errors_exit_1(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 1
         assert out == ""
         assert "cylfn: error:" in err
+
+    @pytest.mark.parametrize("argv", (
+        ["interlace", "--nu", "1", "--mu", "2", "--n", "5"],
+        ["wronskian", "--nu", "1", "--mu", "2", "--x", "3"],
+    ), ids=("interlace", "wronskian"))
+    def test_csv_only_where_offered(self, capsys, argv):
+        # interlace and wronskian write JSON only, so csv is a usage error
+        code, out, err = run(capsys, *argv, "--format", "csv")
+        assert code == 1
+        assert out == ""
+        assert "--format" in err
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["nu"] == 1.0
 
     def test_failed_suite_exits_3(self, capsys, monkeypatch):
         # fault injection: make the chain checker report a counterexample

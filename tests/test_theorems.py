@@ -96,6 +96,14 @@ class TestTransitivity:
         assert rep.passed
         assert rep.details["status"] == "premise-failure"
 
+    def test_too_few_window_zeros_is_premise_failure(self):
+        # C_1, C_2, C_3 at delta = 0.3 have no zero in (0.5, 3): nothing to
+        # judge, so no conclusion claimed
+        specs = [CylinderSpec.of(k, 0.3) for k in (1.0, 2.0, 3.0)]
+        rep = verify_transitivity(*specs, EvalKind.FUNCTION, (0.5, 3.0))
+        assert rep.passed
+        assert rep.details == {"status": "premise-failure", "zero_counts": {"f": 0, "g": 0, "h": 0}}
+
     def test_rejects_non_consecutive_triple(self):
         with pytest.raises(DomainError):
             verify_transitivity(
