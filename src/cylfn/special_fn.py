@@ -12,7 +12,8 @@ scale of J, and forward recurrence on Y climbs back to nu.  For x > 30, and
 for nu <= x from x = 20, one path serves J, Y and every mixing angle: C
 itself at the base orders frac(nu) and frac(nu) + 1 from the Hankel
 asymptotic P/Q sums, then forward recurrence on C up to nu, and
-C'_nu = -C_{nu+1} + (nu/x) C_nu.  No derivative comes from numerical
+C'_nu = -C_{nu+1} + (nu/x) C_nu.  The zero finder's H = J + iY and H' come
+from the same two paths.  No derivative comes from numerical
 differentiation.  Where |Y|, C or C' exceeds the double range (x -> 0),
 evaluation raises OverflowError.
 """
@@ -331,10 +332,12 @@ def _hankel_pq(mu: float, x: float):
     return p, q
 
 
-def _cyl_large(nu: float, delta: float, x: float):
+def _cyl_large(nu: float, delta: float, x: float, h: bool = False):
     # (C, C') for x >= 20: Hankel sums at the base orders mu = frac(nu) and
     # mu + 1, then forward recurrence on C itself up to C_nu and C_{nu+1}.
-    # bessel_j's window [-1, 0) takes the sums at nu directly.
+    # bessel_j's window [-1, 0) takes the sums at nu directly.  With h, and
+    # delta = 0, (H, H') for H = J + iY: Y is C at delta = -pi/2, so cos t
+    # and sin t below become e^{it} and -i e^{it}.
     steps = max(int(math.floor(nu)), 0)
     mu = nu - steps
     amp = math.sqrt(2.0 / (math.pi * x))
@@ -345,6 +348,8 @@ def _cyl_large(nu: float, delta: float, x: float):
     cp, sp = math.cos(phi), math.sin(phi)
     ct = cx * cp - sx * sp
     st = sx * cp + cx * sp
+    if h:
+        ct, st = complex(ct, st), complex(st, -ct)
     p, q = _hankel_pq(mu, x)
     c0 = amp * (p * ct - q * st)
     # the phase of order mu + 1 is t - pi/2
@@ -357,13 +362,18 @@ def _cyl_large(nu: float, delta: float, x: float):
     return c0, (nu / x) * c0 - c1
 
 
-def _cyl(nu: float, delta: float, x: float):
-    # (C, C') = cos(delta) (J, J') - sin(delta) (Y, Y'); C' is left to the
-    # callers that return it to check for overflow.  x > 30 is tested first,
-    # so that large-x calls pay one comparison.  From x = 20 the Hankel sums
-    # serve nu <= x within an ulp, where CF1 would accumulate 5-13 ulp.
+def _cyl(nu: float, delta: float, x: float, h: bool = False):
+    # (C, C') = cos(delta) (J, J') - sin(delta) (Y, Y'); with h, and delta =
+    # 0, (H, H') for H = J + iY, which the zero finder takes.  C' is left to
+    # the callers that return it to check for overflow.  x > 30 is tested
+    # first, so that large-x calls pay one comparison.  From x = 20 the
+    # Hankel sums serve nu <= x within an ulp, where CF1 would accumulate
+    # 5-13 ulp.
     if x > _X_SERIES or (x >= _X_HANKEL and nu <= x):
-        return _cyl_large(nu, delta, x)
+        return _cyl_large(nu, delta, x, h)
+    if h:
+        j, y, jp, yp = _jy(nu, x)
+        return complex(j, y), complex(jp, yp)
     return _cyl_small(nu, delta, x)
 
 

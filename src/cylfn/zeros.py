@@ -1,24 +1,28 @@
 """Enumeration of positive zeros of cylinder functions and their derivatives.
 
-Zeros are located by a sign-change scan with step pi/8 and refined by Newton
-iteration safeguarded by a bisection bracket.  The scan skips no zero.  With
-theta = arg(J + iY) and phi = arg(J' + iY'), C = |J + iY| cos(theta + delta)
-and C' = |J' + iY'| cos(phi + delta), so:
+Newton's method on the phase (Heitman, Bremer and Rokhlin, J. Comput. Phys.
+290, 2015).  With theta = arg(J + iY), C = |J + iY| cos(theta + delta) and
+theta' = 2/(pi x (J^2 + Y^2)) > 0 (DLMF 10.18); C' likewise with phi = arg(J'
++ iY') and phi' = 2(1 - nu^2/x^2)/(pi x (J'^2 + Y'^2)).  Each zero is an
+integer crossing of u = (theta + delta)/pi + 1/2 (phi for C'), so it is
+sought at a known index and none is skipped.  For C, u rises from delta/pi
+at 0+.  For C', u falls from 1 + delta/pi while J', Y' > 0, on (0, nu], so
+through 1 at most once, then rises.  The branch of arg is the one nearest
+the Debye term sqrt(x^2 - nu^2) - nu arccos(nu/x) - pi/4 (-pi/4 for x <= nu;
++ pi/2 for phi): within pi/4 below nu, and tested above.
 
-- C, nu >= 1/2: theta' = 2/(pi x (J^2 + Y^2)) <= 1 (Nicholson's formula,
-  Watson 13.73), so zeros are at least pi apart.
-- C, nu < 1/2: theta' is non-increasing in x, so the gaps between zeros
-  grow.  theta rises by at most pi up to the first zero, so theta' >= pi/g
-  there for a first gap g, which puts the first zero below g; the second
-  lies past j_{nu,1} > 2.4, so g > 1.2.
-- C': J' and Y' are positive on (0, nu], so phi decreases there and at most
-  one zero lies below nu.  Above nu, phi' = 2(1 - nu^2/x^2)/(pi x (J'^2 +
-  Y'^2)) <= 1, so zeros there are at least pi apart.  x = nu is a scan
-  node, since two zeros may straddle it arbitrarily close together.
-- As x -> 0+, C > 0, and C' < 0 except for C' = J'_nu > 0 with nu > 0.
-  So at most one zero lies below the scan start, exactly when f there has
-  the other sign.  It is bracketed by stepping down geometrically and
-  bisected in log x; a zero below 1e-300 raises IterationError.
+By Nicholson's formula (Watson 13.73), theta' <= 1 with theta convex for nu
+>= 1/2, theta' >= 1 with theta concave below, and u - x/pi -> kappa = 1/4 -
+nu/2 + delta/pi.  So the zero at u = m lies between x + pi (m - u(x)), for
+any x below it, and pi (m - kappa); for C' above nu too, with kappa + 1/2, as
+phi' <= 1 there.  Seeded by a Newton step from the previous zero, iterates
+fall from the right of a convex phase and rise from the left of a concave
+one; a step that leaves the bracket bisects it.
+
+As x -> 0+, C > 0, and C' < 0 except for C' = J'_nu > 0 with nu > 0.  So at
+most one zero lies below x = 1e-6, exactly when f there has the other sign;
+it is bracketed by stepping down and bisected in log x, and one below 1e-300
+raises IterationError.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from itertools import count, islice
 
 from .special_fn import (
     CylinderSpec,
@@ -33,16 +38,17 @@ from .special_fn import (
     EvalKind,
     MixingAngle,
     X_MAX,
+    _cyl,
     cylinder,
     cylinder_and_prime,
 )
 
 __all__ = ["ZeroSequence", "Trajectory", "IterationError", "find_zeros", "zero_trajectory"]
 
-SCAN_STEP = math.pi / 8.0
 REL_TOL = 1e-12
 _MAX_ITER = 80
-_X_FLOOR = 1e-300  # a zero below the scan start is sought down to here
+_START = 1e-6  # a zero below here is bisected in log x
+_X_FLOOR = 1e-300  # a zero below the start is sought down to here
 
 
 class IterationError(RuntimeError):
@@ -94,58 +100,54 @@ class Trajectory:
 
 
 def _target(spec: CylinderSpec, kind: EvalKind):
-    # f for the scan, and fdf(x) = (f(x), f'(x)) from one L0 call for Newton;
-    # cylinder == cylinder_and_prime[0] bitwise, so the two f agree exactly
-    if kind is EvalKind.FUNCTION:
-        return partial(cylinder, spec), partial(cylinder_and_prime, spec)
-    nu = spec.nu
+    # the phase evaluator x -> (u, u') of the module docstring, from one
+    # (H, H') evaluation
+    nu, lift = spec.nu, spec.delta / math.pi + 0.5
+    derivative = kind is EvalKind.DERIVATIVE
 
-    def f(x):
-        return cylinder_and_prime(spec, x)[1]
+    def phase(x):
+        h = _cyl(nu, 0.0, x, h=True)[derivative]
+        rate = (2.0 / (math.pi * math.pi * x)) * (1.0 - (nu / x) ** 2 if derivative else 1.0)
+        t = math.atan2(h.imag, h.real) / math.pi
+        est = 0.25 if derivative else -0.25  # the Debye term, in units of pi
+        if x > nu:
+            est += (math.sqrt(x * x - nu * nu) - nu * math.acos(nu / x)) / math.pi
+        t += 2.0 * round(0.5 * (est - t))
+        return t + lift, rate / (h.real * h.real + h.imag * h.imag)
 
-    def fdf(x):
-        # C'' from the Bessel equation: x^2 C'' + x C' + (x^2 - nu^2) C = 0
-        c, cp = cylinder_and_prime(spec, x)
-        return cp, -cp / x - (1.0 - (nu * nu) / (x * x)) * c
-
-    return f, fdf
+    return phase
 
 
-def _refine(fdf, lo, hi, flo, fhi):
-    # Newton with a maintained bracket; bisects whenever Newton misbehaves.
-    # Returns (zero, relative tolerance achieved).
-    x = 0.5 * (lo + hi)
+def _refine(phase, m, x, a, b):
+    # Newton on u(x) = m from x, u - m changing sign once between a (u < m)
+    # and b (u > m), in either order; a step that leaves the bracket bisects
+    # it.  Returns the zero, the tolerance achieved and the last (x, u, u').
     for _ in range(_MAX_ITER):
-        fx, d = fdf(x)
-        if fx == 0.0:
-            return x, REL_TOL
-        if (fx > 0.0) == (flo > 0.0):
-            lo, flo = x, fx
+        w, dw = phase(x)
+        if w < m:
+            a = x
         else:
-            hi, fhi = x, fx
-        if d != 0.0:
-            step = fx / d
-            if abs(step) <= REL_TOL * max(1.0, abs(x)):
-                return x - step, REL_TOL
-            xn = x - step
-            if not (lo < xn < hi):
-                xn = 0.5 * (lo + hi)
-        else:
-            xn = 0.5 * (lo + hi)
-        if abs(xn - x) <= REL_TOL * max(1.0, abs(xn)):
-            return xn, REL_TOL
+            b = x
+        step = (w - m) / dw if dw else math.inf
+        if abs(step) <= REL_TOL * max(1.0, x):
+            return x - step, REL_TOL, (x, w, dw)
+        xn = x - step
+        if not min(a, b) < xn < max(a, b):
+            xn = 0.5 * (a + b)
+        if abs(xn - x) <= REL_TOL * max(1.0, xn):
+            return xn, REL_TOL, (x, w, dw)
         x = xn
-    if hi - lo <= 1e-9 * max(1.0, hi):
+    hi = max(1.0, a, b)
+    if abs(b - a) <= 1e-9 * hi:
         # bracket midpoint: off the zero by at most half the bracket
-        return 0.5 * (lo + hi), 0.5 * (hi - lo) / max(1.0, hi)
-    raise IterationError(f"zero refinement did not converge in {_MAX_ITER} steps on [{lo}, {hi}]")
+        return 0.5 * (a + b), 0.5 * abs(b - a) / hi, (x, w, dw)
+    raise IterationError(f"zero refinement did not converge in {_MAX_ITER} steps on [{a}, {b}]")
 
 
 def _below_start(f, hi, fhi):
-    # the one zero below the scan start: step down geometrically to a
-    # bracket, then bisect in log x, so that a zero at 1e-69 still gets a
-    # relative tolerance.  No Newton: C'' can overflow there, and x * x
-    # underflows.
+    # the one zero below the start: step down geometrically to a bracket,
+    # then bisect in log x, so that a zero at 1e-69 still gets a relative
+    # tolerance.  No Newton: |H| can overflow there, and x * x underflows.
     lo, flo = hi, fhi
     while (flo > 0.0) == (fhi > 0.0):
         if lo == _X_FLOOR:
@@ -163,52 +165,45 @@ def _below_start(f, hi, fhi):
     return math.exp(0.5 * (a + b))
 
 
+def _zeros(spec: CylinderSpec, kind: EvalKind):
+    # yields (zero, relative tolerance achieved) in increasing order
+    nu, delta = spec.nu, spec.delta
+    derivative = kind is EvalKind.DERIVATIVE
+    if derivative and nu == 0.0 and delta == 0.0:
+        yield 0.0, REL_TOL  # x = 0 counts as the first zero of J'_0
+    f = (lambda x: cylinder_and_prime(spec, x)[1]) if derivative else partial(cylinder, spec)
+    phase = _target(spec, kind)
+    fx = f(_START)
+    # the sign as x -> 0+: C > 0; C' < 0, but J'_nu > 0 for nu > 0
+    below = (fx > 0.0) != (not derivative or (delta == 0.0 and nu > 0.0))
+    if below:
+        yield _below_start(f, _START, fx), REL_TOL
+    x = nu if derivative and nu > _START else _START
+    w, dw = phase(x)
+    if x > _START and delta > 0.0 and not below and w < 1.0:
+        # C': u falls through 1 on (1e-6, nu), from 1 + delta/pi at 0+
+        yield _refine(phase, 1.0, 0.5 * (_START + nu), nu, _START)[:2]
+    kappa = 0.25 - 0.5 * nu + delta / math.pi + (0.5 if derivative else 0.0)
+    for m in count(math.floor(w) + 1):
+        # the bracket of the module docstring; find_zeros' bound on n keeps it below x = 400
+        lo, hi = sorted((x + math.pi * (m - w), math.pi * (m - kappa)))
+        lo = max(lo, x)
+        seed = x + (m - w) / dw if dw > 0.0 else hi
+        z, tol, (x, w, dw) = _refine(phase, m, min(max(seed, lo), hi), lo, hi)
+        yield z, tol
+
+
 @lru_cache(maxsize=4096)
 def _find_zeros_cached(spec: CylinderSpec, kind: EvalKind, n: int):
     # (zeros, worst relative tolerance achieved over them)
-    derivative = kind is EvalKind.DERIVATIVE
-    prepend_origin = derivative and spec.nu == 0.0 and spec.delta == 0.0
-    want = n - 1 if prepend_origin else n
-    zeros = []
-    tol = REL_TOL
-    if want > 0:
-        f, fdf = _target(spec, kind)
-        if derivative and spec.delta == 0.0:
-            start = max(spec.nu * (1.0 - 1e-9), 1e-6)  # nu <= j'_{nu,1}
-        else:
-            start = 1e-6
-        # two zeros of C' with delta > 0 may straddle nu closer than a step
-        node = spec.nu if derivative and spec.delta > 0.0 else 0.0
-        x0 = start
-        f0 = f(x0)
-        # the sign as x -> 0+: C > 0; C' < 0, but J'_nu > 0 for nu > 0
-        if (f0 > 0.0) != (not derivative or (spec.delta == 0.0 and spec.nu > 0.0)):
-            zeros.append(_below_start(f, x0, f0))
-        while len(zeros) < want:
-            x1 = x0 + SCAN_STEP
-            if x0 < node < x1:
-                x1 = node
-            if x1 > X_MAX:
-                raise DomainError("scan exceeded the supported box x <= 400")
-            f1 = f(x1)
-            if f1 == 0.0:
-                zeros.append(x1)
-                x1 += 1e-9
-                f1 = f(x1)
-            elif (f0 > 0.0) != (f1 > 0.0):
-                z, ztol = _refine(fdf, x0, x1, f0, f1)
-                zeros.append(z)
-                tol = max(tol, ztol)
-            x0, f0 = x1, f1
-    if prepend_origin:
-        zeros = [0.0] + zeros
-    return tuple(zeros), tol
+    zeros, tols = zip(*islice(_zeros(spec, kind), n))
+    return zeros, max(REL_TOL, *tols)
 
 
 def find_zeros(spec: CylinderSpec, kind: EvalKind, n: int) -> ZeroSequence:
     """Return the first n positive zeros of C (or C') for the given spec.
 
-    Requires n >= 1 and n*pi + nu + 20 <= 400 so that the scan stays inside
+    Requires n >= 1 and n*pi + nu + 20 <= 400 so that the zeros lie inside
     the evaluation box.
     """
     n = int(n)

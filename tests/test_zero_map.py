@@ -8,10 +8,10 @@ Requests (nu, delta, kind) in four strata: C' at delta_c(nu) -+ 1e-2 and
 1e-4, where C' has a double zero at x = nu for delta_c(nu) = pi/2 -
 arg(J'_nu(nu) + i Y'_nu(nu)), so that two zeros straddle nu just below it;
 C at delta -> pi with nu < 1/2 and C' at delta -> 0+ with nu < 1/2, where the
-first zero lies below the scan start; and the whole box.  The reference
-(tests/oracle.py) finds the first K zeros of each by itself: one below the
-scan start by bisection in log x, the others by a sign scan at half the
-library's step, refined to a step of 5e-3 within 1/4 of nu for C'.  The
+first zero lies below the library's start, x = 1e-6; and the whole box.  The
+reference (tests/oracle.py) finds the first K zeros of each by itself: one
+below the start by bisection in log x, the others by a sign scan of step
+pi/16, refined to a step of 5e-3 within 1/4 of nu for C'.  The
 library must return the zeros in the same order and count: each zero below
 the start within 1e-9 relative of the reference, each other one inside its
 reference bracket with a certified sign change within 1e-12 * max(1, z).
@@ -26,12 +26,13 @@ import mpmath as mp
 import pytest
 
 from cylfn.special_fn import CylinderSpec, EvalKind, cylinder_and_prime
-from cylfn.zeros import SCAN_STEP, IterationError, find_zeros
+from cylfn.zeros import IterationError, find_zeros
 from oracle import bisect_zero_log, certify_sign_change, oracle_cylinder, oracle_cylinder_prime
 
 SEED = 20261018
 PER_STRATUM = 16
 K = 3
+STEP = math.pi / 16  # the reference scan's step
 FLOOR = mp.mpf("1e-300")
 
 
@@ -95,7 +96,7 @@ def _reference(nu, delta, kind):
     x0 = start
     fine = kind is EvalKind.DERIVATIVE
     while len(below) + len(brackets) < K:
-        x1 = x0 + (mp.mpf("5e-3") if fine and abs(x0 - nu) < 0.25 else SCAN_STEP / 2)
+        x1 = x0 + (mp.mpf("5e-3") if fine and abs(x0 - nu) < 0.25 else STEP)
         f1 = f(x1)
         if (f0 > 0) != (f1 > 0):
             brackets.append((x0, x1))
@@ -127,7 +128,7 @@ def test_zero_map(capsys):
                 zs = zs[1:]
             f, newton, below, brackets, start = _reference(nu, delta, kind)
             seen["below the start"] += len(below)
-            seen["straddling nu"] += any(a < nu < b < a + SCAN_STEP for a, b in zip(zs, zs[1:]))
+            seen["straddling nu"] += any(a < nu < b < a + 2 * STEP for a, b in zip(zs, zs[1:]))
             for z, ref in zip(zs, below):
                 assert z < start
                 rel = float(abs(z - ref) / ref)
@@ -144,6 +145,6 @@ def test_zero_map(capsys):
         print()
         for name, (r, at) in worst.items():
             print(f"zero map {name:14s} worst error/max(1, z) {r:.2e} at (nu, delta, kind, z) = {at}")
-        print(f"zero map below the scan start: worst relative error {below_rel[0]:.2e} at {below_rel[1]}")
+        print(f"zero map below the start: worst relative error {below_rel[0]:.2e} at {below_rel[1]}")
         print(f"zero map requests with a zero {seen}")
     assert all(r <= 1e-12 for r, _ in worst.values()), worst

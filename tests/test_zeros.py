@@ -1,6 +1,7 @@
 """Zero enumeration and trajectory tests."""
 
 import math
+import random
 
 import mpmath as mp
 import pytest
@@ -10,8 +11,6 @@ from cylfn.special_fn import (
     DomainError,
     EvalKind,
     MixingAngle,
-    bessel_j,
-    bessel_y,
     cylinder,
     cylinder_and_prime,
 )
@@ -113,15 +112,15 @@ class TestStructure:
         assert find_zeros(_spec(0.0, 0.0), EvalKind.FUNCTION, 3).refined_to == zeros.REL_TOL
 
     def test_refined_to_reports_bracket_fallback(self, monkeypatch):
-        # a derivative of 0 makes every step a bisection, and 32 of them end
+        # a phase rate of 0 makes every step a bisection, and 32 of them end
         # on a bracket below 1e-9 but above REL_TOL: the fallback midpoint
-        def target(spec, kind):
-            def f(x):
-                return cylinder(spec, x)
+        target = zeros._target
 
-            return f, lambda x: (f(x), 0.0)
+        def flat_rate(spec, kind):
+            phase = target(spec, kind)
+            return lambda x: (phase(x)[0], 0.0)
 
-        monkeypatch.setattr(zeros, "_target", target)
+        monkeypatch.setattr(zeros, "_target", flat_rate)
         monkeypatch.setattr(zeros, "_MAX_ITER", 32)
         zeros._find_zeros_cached.cache_clear()
         try:
@@ -170,21 +169,22 @@ class TestNoSkippedZero:
             find_zeros(_spec(0.0, math.pi - 1e-3), EvalKind.FUNCTION, 3)
 
 
-class TestScanPremises:
-    # the facts the no-skip argument of the scan rests on, on a coarse grid
+class TestPhasePremises:
+    # the facts the zero finder's index and brackets rest on, on a coarse grid
     XS = [0.05 * 1.06**k for k in range(155)]  # 0.05 to 390
 
     def test_function_phase_rate(self):
-        # theta' = 2/(pi x (J^2 + Y^2)) is at most 1 for nu >= 1/2 and
-        # non-increasing in x below (Nicholson's formula, Watson 13.73)
+        # theta' = 2/(pi x (J^2 + Y^2)) (Nicholson's formula, Watson 13.73):
+        # at most 1 and non-decreasing (theta convex) for nu >= 1/2, at
+        # least 1 and non-increasing (theta concave) below
         for nu in (0.0, 0.1, 0.25, 0.4, 0.49, 0.5, 0.75, 1.0, 2.5, 7.0, 15.5, 30.0):
-            rate = [
-                2.0 / (math.pi * x * (bessel_j(nu, x) ** 2 + bessel_y(nu, x) ** 2))
-                for x in self.XS
-            ]
+            phase = zeros._target(_spec(nu, 0.0), EvalKind.FUNCTION)
+            rate = [math.pi * phase(x)[1] for x in self.XS]
             if nu >= 0.5:
                 assert max(rate) <= 1.0 + 1e-12, nu
+                assert all(b >= a * (1.0 - 1e-12) for a, b in zip(rate, rate[1:])), nu
             else:
+                assert min(rate) >= 1.0 - 1e-12, nu
                 assert all(b <= a * (1.0 + 1e-12) for a, b in zip(rate, rate[1:])), nu
 
     def test_derivative_phase_rate_above_the_order(self):
@@ -204,6 +204,90 @@ class TestScanPremises:
             for x in (nu * k / 16.0 for k in range(1, 17)):
                 assert cylinder_and_prime(_spec(nu, 0.0), x)[1] > 0.0
                 assert cylinder_and_prime(_spec(nu, math.pi / 2), x)[1] < 0.0
+
+    @staticmethod
+    def _grid(nu):
+        # x -> 0 geometrically, then step 0.25, refined to 0.02 in the
+        # turning region and at the regime seams x = 20 and x = 30
+        xs = [1e-6 * 1.25**k for k in range(62)]
+        x = 1.0
+        while x < 400.0:
+            fine = abs(x - nu) < 0.3 * nu + 0.5 or abs(x - 20.0) < 0.5 or abs(x - 30.0) < 0.5
+            x = min(400.0, x + (0.02 if fine else 0.25))
+            xs.append(x)
+        return xs
+
+    @pytest.mark.parametrize("kind", tuple(EvalKind))
+    def test_branch_rule_follows_the_phase(self, kind):
+        # the phase evaluator's branch of arg is the continuous one: from
+        # x = 1e-6, where the principal value is it (theta -> -pi/2, phi ->
+        # pi/2 as x -> 0+), unwrapped step by step; steps are small enough
+        # that the phase moves by less than pi between them.  At x = 400
+        # u - x/pi is near its limit kappa.
+        for nu in (0.0, 0.1, 0.25, 0.5, 1.0, 2.5, 7.3, 12.5, 20.0, 29.5, 30.0):
+            phase = zeros._target(_spec(nu, 0.0), kind)
+            ref = None
+            for x in self._grid(nu):
+                u = phase(x)[0]
+                if ref is None:
+                    assert -0.5 < u <= 1.5
+                    ref = u
+                else:
+                    ref += (u - ref + 1.0) % 2.0 - 1.0
+                assert abs(u - ref) <= 1e-9, (nu, x, u, ref)
+            kappa = 0.25 - 0.5 * nu + (0.5 if kind is EvalKind.DERIVATIVE else 0.0)
+            assert abs(u - 400.0 / math.pi - kappa) < 0.5, nu
+
+    @pytest.mark.parametrize("nu, delta, kind, c", (
+        (0.0, 0.0, EvalKind.FUNCTION, -0.25),
+        (0.25, 2.5, EvalKind.FUNCTION, -0.25),
+        (7.5, 1.0, EvalKind.FUNCTION, -0.25),
+        (20.0, math.pi / 2, EvalKind.FUNCTION, -0.25),
+        (0.0, 0.0, EvalKind.DERIVATIVE, -0.75),  # j'_{0,1} = 0 by convention
+        (5.0, 0.0, EvalKind.DERIVATIVE, -0.75),
+        (12.0, math.pi / 2, EvalKind.DERIVATIVE, 0.25),  # Y': (s + nu/2 - 1/4) pi
+        (20.0, 2.0, EvalKind.DERIVATIVE, 0.25),
+        (8.0, 0.05, EvalKind.DERIVATIVE, -1.75),  # one more zero below nu
+    ))
+    def test_last_of_110_zeros_near_mcmahon(self, nu, delta, kind, c):
+        # beta = (s + nu/2 + c) pi - delta, within pi/4 at s = 110: no index
+        # is skipped or repeated over the whole box
+        z = find_zeros(_spec(nu, delta), kind, 110).zeros[-1]
+        assert abs(z - ((110 + 0.5 * nu + c) * math.pi - delta)) < math.pi / 4
+
+
+class TestPassCount:
+    @staticmethod
+    def _count_phase(monkeypatch):
+        calls = [0]
+        target = zeros._target
+
+        def counted(spec, kind):
+            phase = target(spec, kind)
+
+            def f(x):
+                calls[0] += 1
+                return phase(x)
+
+            return f
+
+        monkeypatch.setattr(zeros, "_target", counted)
+        return calls
+
+    def test_phase_passes_per_zero(self, monkeypatch):
+        # a seeded block with the zeros-cold mix: every n in {2, 6, 20, 50,
+        # 110} with J, Y and a mixed angle, for C and C'.  A count, not a
+        # timing, so that it holds on any machine
+        calls = self._count_phase(monkeypatch)
+        zeros._find_zeros_cached.cache_clear()
+        rng = random.Random(20261018)
+        found = 0
+        for n in (2, 6, 20, 50, 110):
+            for delta in (0.0, math.pi / 2, None):
+                for kind in EvalKind:
+                    d = math.pi * rng.random() if delta is None else delta
+                    found += len(find_zeros(_spec(30.0 * rng.random(), d), kind, n))
+        assert calls[0] <= 5 * found
 
 
 class TestTrajectory:
