@@ -3,13 +3,15 @@
 Two functions interlace when every open interval between consecutive zeros of
 one contains exactly one zero of the other.  Finite sequences are compared
 only on intervals fully covered by both, so truncation cannot produce false
-violations.
+violations.  check_interlaced decides from one walk over the merged, tagged
+zeros: a pair of consecutive zeros of one side holds the zeros of the other
+side met since its lower end, and neighbouring zeros of the two sides closer
+than COINCIDENCE_TOL are coincident.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .reports import VerificationReport
@@ -71,43 +73,12 @@ def _as_zeros(seq) -> list:
     return [float(v) for v in seq]
 
 
-def _violations_oneside(a, b):
-    # (pair_index_1based, count, position) for consecutive a-pairs judged
-    # against b, and the number judged; a is increasing, so the pairs above
-    # b's covered range are its tail and are skipped.
-    out = []
-    b_last = b[-1]
-    judged = len(a) - 1
-    for i in range(judged):
-        lo, hi = a[i], a[i + 1]
-        if hi > b_last:
-            judged = i
-            break
-        cnt = bisect_left(b, hi) - bisect_right(b, lo)
-        if cnt != 1:
-            out.append((i + 1, cnt, lo))
-    return out, judged
-
-
-def _coincident(a, b) -> bool:
-    i = j = 0
-    while i < len(a) and j < len(b):
-        d = a[i] - b[j]
-        if abs(d) <= COINCIDENCE_TOL:
-            return True
-        if d < 0:
-            i += 1
-        else:
-            j += 1
-    return False
-
-
 def check_interlaced(A, B) -> InterlaceReport:
     """Decide interlacing of two strictly increasing zero sequences.
 
-    Symmetric in its arguments; only intervals inside both covered ranges are
-    judged.  Coincident zeros (within COINCIDENCE_TOL) are violations and are
-    flagged, since in-scope zeros are simple and distinct.
+    Symmetric in its arguments; only pairs whose upper end both sequences
+    reach are judged.  Coincident zeros (within COINCIDENCE_TOL) are
+    violations and are flagged, since in-scope zeros are simple and distinct.
     """
     a = _as_zeros(A)
     b = _as_zeros(B)
@@ -115,18 +86,29 @@ def check_interlaced(A, B) -> InterlaceReport:
         raise EmptyOverlapError("need at least two zeros in each sequence")
     if a[-1] <= b[0] or b[-1] <= a[0]:
         raise EmptyOverlapError("zero sequences cover disjoint ranges")
-    va, na = _violations_oneside(a, b)
-    vb, nb = _violations_oneside(b, a)
-    coin = _coincident(a, b)
-    viols = [(pos, "A", i, c) for (i, c, pos) in va] + [(pos, "B", i, c) for (i, c, pos) in vb]
-    viols.sort()
-    if viols or coin:
-        if viols:
-            pos, side, i, c = viols[0]
-            return InterlaceReport(False, (i, c), na + nb, coin, side)
-        # purely coincident: point at the first coincident pair
-        return InterlaceReport(False, None, na + nb, True, None)
-    return InterlaceReport(True, None, na + nb, False, None)
+    top = min(a[-1], b[-1])
+    last = [-math.inf, -math.inf]  # each side's latest zero: its open pair's lower end
+    inside = [0, 0]  # zeros of the other side met since that lower end
+    pairs = [0, 0]
+    viols = []  # (lower end, side, pair index, count)
+    coincident = False
+    for z, s in sorted([(z, 0) for z in a] + [(z, 1) for z in b]):
+        o = 1 - s
+        # the nearest zero of the other side below z is its latest
+        if z - last[o] <= COINCIDENCE_TOL:
+            coincident = True
+        tie = z == last[o]  # the other side's zero at z, met first, is not inside
+        if last[s] > -math.inf and z <= top:
+            pairs[s] += 1
+            if inside[s] - tie != 1:
+                viols.append((last[s], s, pairs[s], inside[s] - tie))
+        inside[o] += not tie
+        last[s], inside[s] = z, 0
+    checked = pairs[0] + pairs[1]
+    if viols:
+        _, s, i, count = min(viols)
+        return InterlaceReport(False, (i, count), checked, coincident, "AB"[s])
+    return InterlaceReport(not coincident, None, checked, coincident)
 
 
 def detect_shifted(A, B) -> ShiftReport:

@@ -63,7 +63,12 @@ class BreakdownMap:
     cells: tuple
 
     def consistent(self) -> bool:
-        """Wronskian cross check: sign_changes == 0 <=> interlaced, per cell."""
+        """Wronskian cross check: sign_changes == 0 <=> interlaced, per cell.
+
+        interlaced is judged up to the last zero both n-term sequences reach,
+        sign_changes over every merged extremum: a sign change past that
+        window (cylinder nu = 4, gap 2.5, n = 3) is the true verdict.
+        """
         return all(
             (c.sign_changes == 0) == c.interlaced for c in self.cells if not c.excluded
         )
@@ -145,20 +150,17 @@ def verify_theorem1(nu: float, a: float, b: float, c: float, n: int) -> Verifica
         raise DomainError("require nu >= 0")
     checks = 0
     counterexample = None
-    for delta in (0.0, math.pi / 4.0, _HALF_PI):
-        za = find_zeros(CylinderSpec.of(nu, delta), EvalKind.FUNCTION, n)
-        zb = find_zeros(CylinderSpec.of(nu + a, delta), EvalKind.FUNCTION, n)
+    parts = [("a-functions", d, EvalKind.FUNCTION, a) for d in (0.0, math.pi / 4.0, _HALF_PI)]
+    parts += [("a-jprime", 0.0, EvalKind.DERIVATIVE, b), ("a-yprime", _HALF_PI, EvalKind.DERIVATIVE, b)]
+    for part, delta, kind, gap in parts:
+        za = find_zeros(CylinderSpec.of(nu, delta), kind, n)
+        zb = find_zeros(CylinderSpec.of(nu + gap, delta), kind, n)
         rep = check_interlaced(za, zb)
         checks += rep.pairs_checked
         if not rep.interlaced and counterexample is None:
-            counterexample = {"part": "a-functions", "delta": delta, "violation": rep.first_violation}
-    for delta, label in ((0.0, "a-jprime"), (_HALF_PI, "a-yprime")):
-        za = find_zeros(CylinderSpec.of(nu, delta), EvalKind.DERIVATIVE, n)
-        zb = find_zeros(CylinderSpec.of(nu + b, delta), EvalKind.DERIVATIVE, n)
-        rep = check_interlaced(za, zb)
-        checks += rep.pairs_checked
-        if not rep.interlaced and counterexample is None:
-            counterexample = {"part": label, "violation": rep.first_violation}
+            # only a-functions carries delta: the derivative labels name it
+            angle = {"delta": delta} if kind is EvalKind.FUNCTION else {}
+            counterexample = {"part": part, **angle, "violation": rep.first_violation}
     chain = verify_chain(nu, c, n)
     checks += chain.checks
     if not chain.passed and counterexample is None:
@@ -197,7 +199,10 @@ def verify_theorem3(
     nu: float, mu: float, family: Family, delta: float = 0.0, n: int = 30
 ) -> VerificationReport:
     """Interlacing verdict over the first n zeros against the predicate
-    |nu - mu| <= 2, for one (nu, mu) cell of one family."""
+    |nu - mu| <= 2, for one (nu, mu) cell of one family.  JVSY is rejected:
+    J against Y breaks down past gap 1, and breakdown_scan maps that."""
+    if family is Family.JVSY:
+        raise DomainError("theorem3 judges |nu - mu| <= 2, not J vs Y; use sweep --family jvsy")
     nu = float(nu)
     mu = float(mu)
     name = f"theorem3({family.value}, nu={nu:g}, mu={mu:g}, delta={delta:g}, n={n})"
@@ -231,31 +236,6 @@ def verify_theorem3(
     )
 
 
-def _coefficients(kind: EvalKind, nu: float):
-    # a f + b g + c h = 0 for the triple at orders nu, nu+1, nu+2
-    if kind is EvalKind.FUNCTION:
-        roots = ()
-
-        def coeffs(x):
-            return 1.0, -(2.0 * nu + 2.0) / x, 1.0
-
-    else:
-        roots = (
-            math.sqrt(nu * (nu + 1.0)),
-            math.sqrt(nu * (nu + 2.0)),
-            math.sqrt((nu + 1.0) * (nu + 2.0)),
-        )
-
-        def coeffs(x):
-            return (
-                x * x - (nu + 1.0) * (nu + 2.0),
-                -(2.0 * (nu + 1.0) / x) * (x * x - nu * (nu + 2.0)),
-                x * x - nu * (nu + 1.0),
-            )
-
-    return coeffs, roots
-
-
 def verify_transitivity(
     fspec: CylinderSpec,
     gspec: CylinderSpec,
@@ -265,10 +245,11 @@ def verify_transitivity(
 ) -> VerificationReport:
     """Conditional transitivity of interlacing through a three-term relation.
 
-    Premises (coefficient sign constancy on the probe interval, f-g and g-h
-    interlaced there) are confirmed numerically first; premise failure is
-    reported as such, with no conclusion asserted.  A confirmed-premise
-    conclusion failure would falsify the transitivity lemma and fails loudly.
+    Premises (coefficient signs constant on the probe interval, read off the
+    coefficients' roots; f-g and g-h interlaced there) are confirmed first;
+    premise failure is reported as such, with no conclusion asserted.  A
+    confirmed-premise conclusion failure would falsify the transitivity lemma
+    and fails loudly.
     """
     lo, hi = float(coeff_probe[0]), float(coeff_probe[1])
     if not 0.0 < lo < hi:
@@ -279,7 +260,6 @@ def verify_transitivity(
     if not (fspec.delta == gspec.delta == hspec.delta):
         raise DomainError("triple must share the mixing angle")
     name = f"transitivity(nu={nu:g}, delta={fspec.delta:g}, kind={kind.value}, probe=({lo:g}, {hi:g}))"
-    coeffs, roots = _coefficients(kind, nu)
 
     def premise_failure(checks, **details):
         return VerificationReport(
@@ -291,16 +271,13 @@ def verify_transitivity(
             details={"status": "premise-failure", **details},
         )
 
-    # premise 1: coefficient signs constant on (lo, hi)
-    for r in roots:
-        if lo < r < hi:
-            return premise_failure(0, coefficient_root=r)
-    samples = [lo + (hi - lo) * k / 16.0 for k in range(17)]
-    base = [math.copysign(1.0, v) for v in coeffs(samples[0])]
-    for x in samples:
-        for s0, v in zip(base, coeffs(x)):
-            if v == 0.0 or math.copysign(1.0, v) != s0:
-                return premise_failure(0, x=x)
+    # premise 1: coefficient signs constant on (lo, hi).  For C they are 1,
+    # -(2nu+2)/x and 1, of fixed sign on x > 0; for C' they are x^2 - const
+    # and -(2(nu+1)/x)(x^2 - nu(nu+2)), which change sign only at these roots
+    if kind is EvalKind.DERIVATIVE:
+        for r in map(math.sqrt, (nu * (nu + 1.0), nu * (nu + 2.0), (nu + 1.0) * (nu + 2.0))):
+            if lo < r < hi:
+                return premise_failure(0, coefficient_root=r)
 
     def window_zeros(spec):
         n_max = int((hi + 20.0 - spec.nu) / math.pi)

@@ -113,6 +113,8 @@ def wronskian_profile(spec_a: CylinderSpec, spec_b: CylinderSpec, n: int) -> Wro
 
     Extremum values use the closed forms -xi_a'(z) xi_b(z) at zeros of C_a and
     +xi_a(z) xi_b'(z) at zeros of C_b; no extremum search is performed.
+    extrema and sign_changes run over every merged zero (window), past the
+    range both sequences cover, which is all that check_interlaced judges.
     """
     if spec_a == spec_b:
         raise DegenerateSpecError("wronskian profile of a spec against itself is identically 0")

@@ -46,6 +46,12 @@ class TestExitCodes:
         code, _, _ = run(capsys, "zeros", "--bogus", "1")
         assert code == 1
 
+    def test_unknown_verify_suite_exits_1(self, capsys):
+        code, out, err = run(capsys, "verify", "bogus")
+        assert code == 1
+        assert out == ""
+        assert "invalid choice" in err
+
     def test_computation_error_exits_2(self, capsys):
         # the first zero of C at nu = 0, delta = pi - 1e-3 lies below 1e-300
         code, out, err = run(capsys, "zeros", "--nu", "0", "--delta", "3.140592653589793")
@@ -80,9 +86,11 @@ class TestExitCodes:
         ["verify", "theorem3", "--family", "yprime", "--nu", "1", "--mu", "2", "--delta", "0.7"],
         ["sweep", "--family", "jvsy", "--nu", "1", "--gaps", "0.8", "--delta", "0.7"],
         ["sweep", "--family", "cylinder", "--nu", "50", "--gaps", "0"],
+        # |nu - mu| <= 2 is the equal-angle predicate; J vs Y is sweep's
+        ["verify", "theorem3", "--family", "jvsy", "--nu", "2.5", "--mu", "1", "--n", "30"],
     ), ids=(
         "recurrences-nu-5", "recurrences-nu35", "recurrences-x500", "theorem3-yprime", "sweep-jvsy",
-        "sweep-nu50-gap0",
+        "sweep-nu50-gap0", "theorem3-jvsy",
     ))
     def test_domain_errors_exit_1(self, capsys, argv):
         code, out, err = run(capsys, *argv)

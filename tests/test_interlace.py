@@ -1,10 +1,12 @@
 """Interlacing verdicts, shifted interlacing, and the inequality chain."""
 
 import math
+import random
 
 import pytest
 
 from cylfn.interlace import (
+    COINCIDENCE_TOL,
     EmptyOverlapError,
     check_interlaced,
     detect_shifted,
@@ -63,6 +65,68 @@ class TestCheckInterlaced:
             check_interlaced([1.0, 2.0], [5.0, 6.0])
         with pytest.raises(EmptyOverlapError):
             check_interlaced([1.0], [0.5, 2.0])
+
+
+def _reference(a, b):
+    """Brute-force verdict: the other side's zeros strictly inside each pair
+    whose upper end both sequences reach, and coincidence over all pairs."""
+    top = min(a[-1], b[-1])
+    viols, checked = [], 0
+    for side, (p, q) in enumerate(((a, b), (b, a))):
+        for i in range(len(p) - 1):
+            if p[i + 1] <= top:
+                checked += 1
+                count = sum(1 for v in q if p[i] < v < p[i + 1])
+                if count != 1:
+                    viols.append((p[i], side, i + 1, count))
+    coincident = any(abs(x - y) <= COINCIDENCE_TOL for x in a for y in b)
+    if viols:
+        _, side, i, count = min(viols)
+        return False, (i, count), checked, coincident, "AB"[side]
+    return not coincident, None, checked, coincident, None
+
+
+def _seeded_pairs(seed):
+    rng = random.Random(seed)
+    kinds = (EvalKind.FUNCTION, EvalKind.DERIVATIVE)
+
+    def seq():
+        nu = rng.choice((rng.uniform(0.0, 10.0), float(rng.randrange(6))))
+        delta = rng.choice((0.0, math.pi / 2, rng.uniform(0.0, math.pi)))
+        return list(_zeros(nu, delta, rng.randrange(2, 20), rng.choice(kinds)).zeros)
+
+    pairs = []
+    for _ in range(40):
+        a, b = seq(), seq()
+        i, j = rng.randrange(len(a) - 1), rng.randrange(len(b) - 1)
+        shared = sorted(set(a + rng.sample(b, min(len(b), 3))))  # exact ties
+        pairs += [(a, b), (a[i:], b[j:]), (a[: len(a) - i + 1], b[j : j + 5]), (shared, b)]
+    grid = [0.5 * k for k in range(24)]
+    for _ in range(120):
+        a = sorted(rng.sample(grid, rng.randrange(2, 12)))
+        nudges = (0.0, 0.0, 0.5 * COINCIDENCE_TOL, -0.5 * COINCIDENCE_TOL, 2 * COINCIDENCE_TOL, 0.1)
+        b = sorted(v + rng.choice(nudges) for v in rng.sample(grid, rng.randrange(2, 12)))
+        pairs.append((a, b))
+    # coincident only at the end of the window: no judged pair is violated
+    pairs.append(([1.0, 2.0, 3.0], [1.5, 2.5, 3.0 + 0.5 * COINCIDENCE_TOL]))
+    return pairs
+
+
+class TestCheckInterlacedReference:
+    @pytest.mark.parametrize("seed", (1, 2, 3))
+    def test_matches_brute_force(self, seed):
+        # find_zeros sequences of both kinds, their slices, and synthetic
+        # sequences with exact ties and near-coincidences, each way round
+        for a, b in _seeded_pairs(seed):
+            for p, q in ((a, b), (b, a)):
+                if p[-1] <= q[0] or q[-1] <= p[0]:
+                    with pytest.raises(EmptyOverlapError):
+                        check_interlaced(p, q)
+                    continue
+                rep = check_interlaced(p, q)
+                got = (rep.interlaced, rep.first_violation, rep.pairs_checked, rep.coincident,
+                       rep.violation_side)
+                assert got == _reference(p, q), (p, q)
 
 
 class TestDetectShifted:

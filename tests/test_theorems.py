@@ -96,6 +96,26 @@ class TestTransitivity:
         assert rep.passed
         assert rep.details["status"] == "premise-failure"
 
+    @pytest.mark.parametrize("kind", (EvalKind.FUNCTION, EvalKind.DERIVATIVE))
+    @pytest.mark.parametrize("nu", (0.5, 1.0, 2.5))
+    def test_premise_fails_exactly_on_a_root_inside(self, nu, kind):
+        # the C' coefficients change sign at these roots only; the C ones never
+        roots = [math.sqrt(nu * (nu + 1)), math.sqrt(nu * (nu + 2)), math.sqrt((nu + 1) * (nu + 2))]
+        specs = [CylinderSpec.of(nu + k, 0.0) for k in range(3)]
+        straddling = [(r - 0.1, r + 0.1) for r in roots] + [(roots[0] - 0.1, roots[2] + 0.1)]
+        clear = [(0.05, roots[0] - 0.1), (roots[0] + 0.05, roots[1] - 0.05), (roots[2] + 0.1, 60.0)]
+        for lo, hi in straddling + clear:
+            rep = verify_transitivity(*specs, kind, (lo, hi))
+            inside = [r for r in roots if lo < r < hi and kind is EvalKind.DERIVATIVE]
+            assert rep.passed
+            if inside:
+                assert rep.details == {"status": "premise-failure", "coefficient_root": inside[0]}
+            else:
+                assert "coefficient_root" not in rep.details
+        # clear of every root, with zeros to judge, the premises and the
+        # conclusion hold
+        assert verify_transitivity(*specs, kind, clear[-1]).details == {"status": "ok"}
+
     def test_too_few_window_zeros_is_premise_failure(self):
         # C_1, C_2, C_3 at delta = 0.3 have no zero in (0.5, 3): nothing to
         # judge, so no conclusion claimed
