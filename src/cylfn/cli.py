@@ -8,8 +8,6 @@ Artifacts are deterministic: numbers are serialized with 17 significant
 digits and fixed field order, so identical argv yields identical bytes.
 """
 
-from __future__ import annotations
-
 import argparse
 import math
 import re
@@ -51,21 +49,13 @@ def parse_angle(text: str) -> float:
     """Angle in radians, or an exact rational multiple of pi like 'pi/4'."""
     s = text.strip().lower().replace(" ", "")
     m = _PI_RE.match(s)
-    if m:
-        coef_s, den_s = m.groups()
-        if coef_s in ("", "+"):
-            coef = 1.0
-        elif coef_s == "-":
-            coef = -1.0
-        else:
-            coef = float(coef_s)
-        val = coef * math.pi
-        if den_s:
-            val /= float(den_s)
-        return val
     try:
-        return float(s)
-    except ValueError:
+        if not m:
+            return float(s)
+        coef_s, den_s = m.groups()
+        coef = {"": 1.0, "+": 1.0, "-": -1.0}.get(coef_s)
+        return (float(coef_s) if coef is None else coef) * math.pi / float(den_s or 1.0)
+    except (ValueError, ZeroDivisionError):  # 'pi/0' among them
         raise argparse.ArgumentTypeError(f"cannot parse angle {text!r}") from None
 
 
@@ -91,7 +81,7 @@ def _fmt(value) -> str:
     if isinstance(value, dict):
         items = ", ".join(f"{_fmt(str(k))}: {_fmt(v)}" for k, v in value.items())
         return "{" + items + "}"
-    if isinstance(value, (list, tuple)):
+    if type(value) in (list, tuple):  # not a record: those are tuples too
         return "[" + ", ".join(_fmt(v) for v in value) + "]"
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
@@ -102,8 +92,11 @@ def emit_json(obj) -> str:
 
 def _write(args, text: str):
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as e:  # an --out that cannot be written is a usage error
+            raise ValueError(f"cannot write {args.out!r}: {e.strerror}") from None
     else:
         sys.stdout.write(text)
 

@@ -9,10 +9,8 @@ side met since its lower end, and neighbouring zeros of the two sides closer
 than COINCIDENCE_TOL are coincident.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .reports import VerificationReport
 from .special_fn import CylinderSpec, DomainError, EvalKind
@@ -36,8 +34,10 @@ class EmptyOverlapError(ValueError):
     """The two zero sequences cover disjoint ranges."""
 
 
-@dataclass(frozen=True)
-class InterlaceReport:
+_INTERLACE_FIELDS = "interlaced first_violation pairs_checked coincident violation_side"
+
+
+class InterlaceReport(namedtuple("InterlaceReport", _INTERLACE_FIELDS, defaults=(False, None))):
     """Verdict of an interlacing check on two finite zero sequences.
 
     first_violation is (i, count): the i-th consecutive pair (1-based, in the
@@ -46,15 +46,10 @@ class InterlaceReport:
     zeros of the two sequences closer than COINCIDENCE_TOL.
     """
 
-    interlaced: bool
-    first_violation: tuple | None
-    pairs_checked: int
-    coincident: bool = False
-    violation_side: str | None = None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ShiftReport:
+class ShiftReport(namedtuple("ShiftReport", "shift_d window")):
     """Shifted-interlacing detection result.
 
     shift_d = d means the entries of B fall one pair later/earlier in A after
@@ -63,8 +58,7 @@ class ShiftReport:
     ordinarily (d = 0 is ordinary interlacing and is excluded).
     """
 
-    shift_d: int | None
-    window: tuple | None
+    __slots__ = ()
 
 
 def _as_zeros(seq) -> list:

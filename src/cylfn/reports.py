@@ -1,30 +1,27 @@
 """Shared verification-report type."""
 
-from __future__ import annotations
+from collections import namedtuple
 
-from dataclasses import dataclass, field
+_REPORT_FIELDS = "name passed checks worst_residual counterexample details"
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(namedtuple("VerificationReport", _REPORT_FIELDS)):
     """Outcome of one numerical verification run.
 
     passed is true exactly when no counterexample was found; worst_residual is
     check-specific (an inequality margin, a maximum relative residual, ...)
     and is documented by the producing operation.  details carries auxiliary
-    values for human inspection and is not part of the serialized schema.
+    values for human inspection and is not part of the serialized schema;
+    each report gets its own details dict unless one is passed.
     """
 
-    name: str
-    passed: bool
-    checks: int
-    worst_residual: float
-    counterexample: dict | None = None
-    details: dict = field(default_factory=dict)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.passed != (self.counterexample is None):
+    def __new__(cls, name, passed, checks, worst_residual, counterexample=None, details=None):
+        if passed != (counterexample is None):
             raise ValueError("passed must hold exactly when counterexample is absent")
+        details = {} if details is None else details
+        return tuple.__new__(cls, (name, passed, checks, worst_residual, counterexample, details))
 
     def to_schema(self) -> dict:
         """Fixed-field-order mapping matching the CLI JSON report schema."""

@@ -18,11 +18,10 @@ differentiation.  Where |Y|, C or C' exceeds the double range (x -> 0),
 evaluation raises OverflowError.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
+from operator import attrgetter
 
 __all__ = [
     "DomainError",
@@ -50,8 +49,7 @@ class DomainError(ValueError):
     """Argument outside the supported evaluation box."""
 
 
-@dataclass(frozen=True)
-class Order:
+class Order(namedtuple("Order", "nu")):
     """Real order nu of a cylinder function, restricted to [0, 30].
 
     nu = 0 is admitted for the boundary cases built on J_0 / Y_0 (zero
@@ -59,19 +57,18 @@ class Order:
     the inequality-chain checks).
     """
 
-    nu: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        nu = float(self.nu)
-        if not math.isfinite(nu):
-            raise DomainError(f"order must be finite, got {self.nu!r}")
-        if nu < 0.0 or nu > NU_MAX:
-            raise DomainError(f"order must lie in [0, {NU_MAX:g}], got {nu!r}")
-        object.__setattr__(self, "nu", nu)
+    def __new__(cls, nu: float):
+        v = float(nu)
+        if not math.isfinite(v):
+            raise DomainError(f"order must be finite, got {nu!r}")
+        if v < 0.0 or v > NU_MAX:
+            raise DomainError(f"order must lie in [0, {NU_MAX:g}], got {v!r}")
+        return tuple.__new__(cls, (v,))
 
 
-@dataclass(frozen=True)
-class MixingAngle:
+class MixingAngle(namedtuple("MixingAngle", "delta")):
     """Mixing angle delta, normalized into [0, pi) on construction.
 
     delta and delta + pi give functions differing only by overall sign, with
@@ -81,38 +78,32 @@ class MixingAngle:
     delta + pi rounds to 2 pi and normalizes to 0, flipping the sign of C.
     """
 
-    delta: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        d = float(self.delta)
+    def __new__(cls, delta: float):
+        d = float(delta)
         if not math.isfinite(d):
-            raise DomainError(f"angle must be finite, got {self.delta!r}")
+            raise DomainError(f"angle must be finite, got {delta!r}")
         d = math.fmod(d, math.pi)
         if d < 0.0:
             d += math.pi
         if d > math.pi - _ZERO_WEIGHT:
             d = 0.0
-        object.__setattr__(self, "delta", d)
+        return tuple.__new__(cls, (d,))
 
 
-@dataclass(frozen=True)
-class CylinderSpec:
+class CylinderSpec(namedtuple("CylinderSpec", "order angle")):
     """Identifies one cylinder function C(x; nu, delta) up to sign."""
 
-    order: Order
-    angle: MixingAngle
+    __slots__ = ()
+
+    # C-level getters: nu and delta are read on every evaluation
+    nu = property(attrgetter("order.nu"), doc="The order nu.")
+    delta = property(attrgetter("angle.delta"), doc="The mixing angle delta.")
 
     @staticmethod
     def of(nu: float, delta: float) -> "CylinderSpec":
         return CylinderSpec(Order(nu), MixingAngle(delta))
-
-    @property
-    def nu(self) -> float:
-        return self.order.nu
-
-    @property
-    def delta(self) -> float:
-        return self.angle.delta
 
 
 class EvalKind(Enum):

@@ -1,10 +1,8 @@
 """Executable verification harness: recurrences, interlacing theorems,
 transitivity, and breakdown atlases over (nu, mu) grids."""
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 from .interlace import check_interlaced, verify_chain
@@ -42,25 +40,20 @@ class Family(Enum):
     JVSY = "jvsy"
 
 
-@dataclass(frozen=True)
-class BreakdownCell:
-    nu: float
-    mu: float
-    interlaced: bool
-    first_violation: tuple | None
-    sign_changes: int
-    proviso: bool | None = None  # y_{mu,1} < j_{nu,1}, JVSY family only
-    excluded: bool = False  # nu == mu cell
+_CELL_FIELDS = "nu mu interlaced first_violation sign_changes proviso excluded"
 
 
-@dataclass(frozen=True)
-class BreakdownMap:
+class BreakdownCell(namedtuple("BreakdownCell", _CELL_FIELDS, defaults=(None, False))):
+    """One (nu, mu) cell; proviso is y_{mu,1} < j_{nu,1} for the JVSY family
+    and None for the others, excluded marks the nu == mu cell."""
+
+    __slots__ = ()
+
+
+class BreakdownMap(namedtuple("BreakdownMap", "family delta n cells")):
     """Per-cell interlacing verdict plus Wronskian sign-change count."""
 
-    family: Family
-    delta: float
-    n: int
-    cells: tuple
+    __slots__ = ()
 
     def consistent(self) -> bool:
         """Wronskian cross check: sign_changes == 0 <=> interlaced, per cell.

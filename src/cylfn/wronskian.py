@@ -8,10 +8,8 @@ keeping one sign beyond the first zero, so sign changes are counted from the
 extremum values alone.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .interlace import COINCIDENCE_TOL, check_interlaced
 from .reports import VerificationReport
@@ -38,8 +36,10 @@ class DegenerateSpecError(ValueError):
     """Both specs name the same function; W vanishes identically."""
 
 
-@dataclass(frozen=True)
-class WronskianProfile:
+_PROFILE_FIELDS = "spec_a spec_b extrema sign_changes asymptote window tail_value coincident"
+
+
+class WronskianProfile(namedtuple("WronskianProfile", _PROFILE_FIELDS, defaults=(False,))):
     """Extremum structure of W on a finite window.
 
     extrema entries are (position, value, tag) with tag "A-zero", "B-zero" or
@@ -48,14 +48,7 @@ class WronskianProfile:
     window for comparison with the asymptote.
     """
 
-    spec_a: CylinderSpec
-    spec_b: CylinderSpec
-    extrema: tuple
-    sign_changes: int
-    asymptote: float
-    window: tuple
-    tail_value: float
-    coincident: bool = False
+    __slots__ = ()
 
 
 def _xi_pair(spec: CylinderSpec, x: float):

@@ -17,7 +17,9 @@ nu/2 + delta/pi.  So the zero at u = m lies between x + pi (m - u(x)), for
 any x below it, and pi (m - kappa); for C' above nu too, with kappa + 1/2, as
 phi' <= 1 there.  Seeded by a Newton step from the previous zero, iterates
 fall from the right of a convex phase and rise from the left of a concave
-one; a step that leaves the bracket bisects it.
+one; a step that leaves the bracket bisects it.  u's rounding, about 2e-16,
+moves x by that over x u', so a crossing with |x u'| < 1e-3 (the first zero
+of C' as delta -> 0+, of C as delta -> pi-) is finished on f itself.
 
 As x -> 0+, C > 0, and C' < 0 except for C' = J'_nu > 0 with nu > 0.  So at
 most one zero lies below x = 1e-6, exactly when f there has the other sign;
@@ -25,10 +27,8 @@ it is bracketed by stepping down and bisected in log x, and one below 1e-300
 raises IterationError.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache, partial
 from itertools import count, islice
 
@@ -49,26 +49,46 @@ REL_TOL = 1e-12
 _MAX_ITER = 80
 _START = 1e-6  # a zero below here is bisected in log x
 _X_FLOOR = 1e-300  # a zero below the start is sought down to here
+_FLAT = 1e-3  # |x u'| below this: u's rounding, about 2e-16, moves x by over REL_TOL / 10
 
 
 class IterationError(RuntimeError):
     """Zero refinement failed to converge."""
 
 
-@dataclass(frozen=True)
 class ZeroSequence:
     """The first positive zeros of C or C', in increasing order.
 
     For spec (nu=0, delta=0) with kind DERIVATIVE the leading entry is 0.0:
     x = 0 is counted as the first zero of J'_0 by convention.  refined_to is
     the worst relative tolerance achieved over the zeros: REL_TOL, unless a
-    refinement fell back to a bisection bracket.
+    refinement fell back to a bisection bracket.  len, indexing and
+    iteration read the zeros.
     """
 
-    spec: CylinderSpec
-    kind: EvalKind
-    zeros: tuple
-    refined_to: float
+    __slots__ = ("spec", "kind", "zeros", "refined_to")
+
+    def __init__(self, spec: CylinderSpec, kind: EvalKind, zeros: tuple, refined_to: float):
+        for name, value in zip(self.__slots__, (spec, kind, zeros, refined_to)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _values(self):
+        return self.spec, self.kind, self.zeros, self.refined_to
+
+    def __eq__(self, other):
+        same = other.__class__ is self.__class__
+        return self._values() == other._values() if same else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return "ZeroSequence(" + ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__) + ")"
 
     def __len__(self):
         return len(self.zeros)
@@ -76,15 +96,14 @@ class ZeroSequence:
     def __getitem__(self, i):
         return self.zeros[i]
 
+    def __iter__(self):
+        return iter(self.zeros)
 
-@dataclass(frozen=True)
-class Trajectory:
+
+class Trajectory(namedtuple("Trajectory", "s kind angle samples")):
     """Samples (nu, s-th zero) of one zero tracked across orders."""
 
-    s: int
-    kind: EvalKind
-    angle: MixingAngle
-    samples: tuple  # of (nu, zero) pairs
+    __slots__ = ()
 
     def is_strictly_increasing(self) -> bool:
         zs = [z for _, z in self.samples]
@@ -118,10 +137,12 @@ def _target(spec: CylinderSpec, kind: EvalKind):
     return phase
 
 
-def _refine(phase, m, x, a, b):
+def _refine(phase, fd, m, x, a, b):
     # Newton on u(x) = m from x, u - m changing sign once between a (u < m)
     # and b (u > m), in either order; a step that leaves the bracket bisects
-    # it.  Returns the zero, the tolerance achieved and the last (x, u, u').
+    # it.  A crossing too flat for u's rounding is finished on f itself.
+    # Returns the zero, the tolerance achieved and the last (x, u, u').
+    ends = a, b
     for _ in range(_MAX_ITER):
         w, dw = phase(x)
         if w < m:
@@ -129,19 +150,47 @@ def _refine(phase, m, x, a, b):
         else:
             b = x
         step = (w - m) / dw if dw else math.inf
-        if abs(step) <= REL_TOL * max(1.0, x):
-            return x - step, REL_TOL, (x, w, dw)
         xn = x - step
-        if not min(a, b) < xn < max(a, b):
-            xn = 0.5 * (a + b)
-        if abs(xn - x) <= REL_TOL * max(1.0, xn):
-            return xn, REL_TOL, (x, w, dw)
-        x = xn
+        if abs(step) > REL_TOL * max(1.0, x):
+            if not min(a, b) < xn < max(a, b):
+                xn = 0.5 * (a + b)
+            if abs(xn - x) > REL_TOL * max(1.0, xn):
+                x = xn
+                continue
+        if abs(x * dw) < _FLAT:  # f's bracket: 500 times u's rounding, inside the one given
+            return (*_polish(fd, xn, 1e-13 / max(abs(x * dw), 1e-300), *sorted(ends)), (x, w, dw))
+        return xn, REL_TOL, (x, w, dw)
     hi = max(1.0, a, b)
     if abs(b - a) <= 1e-9 * hi:
         # bracket midpoint: off the zero by at most half the bracket
         return 0.5 * (a + b), 0.5 * abs(b - a) / hi, (x, w, dw)
     raise IterationError(f"zero refinement did not converge in {_MAX_ITER} steps on [{a}, {b}]")
+
+
+def _polish(fd, z, r, lo, hi):
+    # Newton in t = log x on f = C or C' itself, (f, x f') = fd(x), from the phase's zero z
+    # in a sign bracket [z e^-r, z e^r] clipped to [lo, hi]: f's rounding scales with its
+    # own small terms, not with |H|.  Returns the zero and the relative tolerance achieved.
+    t = math.log(z)
+    a, b = max(t - r, math.log(lo)), min(t + r, math.log(hi))
+    fa = fd(math.exp(a))[0]
+    if (fa > 0.0) == (fd(math.exp(b))[0] > 0.0):
+        return z, r  # no sign change to finish on: the phase's own tolerance
+    for _ in range(_MAX_ITER):
+        f, g = fd(math.exp(t))
+        if (f > 0.0) == (fa > 0.0):
+            a = t
+        else:
+            b = t
+        step = f / g if g else math.inf
+        if abs(step) <= REL_TOL:
+            return math.exp(t - step), REL_TOL
+        t -= step
+        if not a < t < b:
+            t = 0.5 * (a + b)
+        if b - a <= REL_TOL:
+            break
+    return math.exp(0.5 * (a + b)), 0.5 * (b - a)
 
 
 def _below_start(f, hi, fhi):
@@ -172,6 +221,11 @@ def _zeros(spec: CylinderSpec, kind: EvalKind):
     if derivative and nu == 0.0 and delta == 0.0:
         yield 0.0, REL_TOL  # x = 0 counts as the first zero of J'_0
     f = (lambda x: cylinder_and_prime(spec, x)[1]) if derivative else partial(cylinder, spec)
+
+    def fd(x):  # (f, x f'), with x C'' = -C' - (x - nu^2/x) C by Bessel's equation
+        c, cp = cylinder_and_prime(spec, x)
+        return (cp, -cp - (x - nu * nu / x) * c) if derivative else (c, x * cp)
+
     phase = _target(spec, kind)
     fx = f(_START)
     # the sign as x -> 0+: C > 0; C' < 0, but J'_nu > 0 for nu > 0
@@ -182,14 +236,14 @@ def _zeros(spec: CylinderSpec, kind: EvalKind):
     w, dw = phase(x)
     if x > _START and delta > 0.0 and not below and w < 1.0:
         # C': u falls through 1 on (1e-6, nu), from 1 + delta/pi at 0+
-        yield _refine(phase, 1.0, 0.5 * (_START + nu), nu, _START)[:2]
+        yield _refine(phase, fd, 1.0, 0.5 * (_START + nu), nu, _START)[:2]
     kappa = 0.25 - 0.5 * nu + delta / math.pi + (0.5 if derivative else 0.0)
     for m in count(math.floor(w) + 1):
         # the bracket of the module docstring; find_zeros' bound on n keeps it below x = 400
         lo, hi = sorted((x + math.pi * (m - w), math.pi * (m - kappa)))
         lo = max(lo, x)
         seed = x + (m - w) / dw if dw > 0.0 else hi
-        z, tol, (x, w, dw) = _refine(phase, m, min(max(seed, lo), hi), lo, hi)
+        z, tol, (x, w, dw) = _refine(phase, fd, m, min(max(seed, lo), hi), lo, hi)
         yield z, tol
 
 

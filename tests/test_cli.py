@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +35,13 @@ class TestAngleParsing:
 
         with pytest.raises(argparse.ArgumentTypeError):
             parse_angle("two pies")
+
+    @pytest.mark.parametrize("text", ("pi/0", "pi/0.0", ".pi"))
+    def test_division_by_zero_and_bare_point_rejected(self, text):
+        import argparse
+
+        with pytest.raises(argparse.ArgumentTypeError):
+            parse_angle(text)
 
 
 class TestExitCodes:
@@ -97,6 +108,21 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert "cylfn: error:" in err
+
+    @pytest.mark.parametrize("angle", ("pi/0", "pi/0.0"))
+    def test_angle_over_zero_is_a_usage_error(self, capsys, angle):
+        code, out, err = run(capsys, "zeros", "--nu", "1", "--delta", angle)
+        assert code == 1
+        assert out == ""
+        assert "--delta" in err and "Traceback" not in err
+
+    def test_unwritable_out_is_a_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x"
+        code, out, err = run(capsys, "zeros", "--nu", "1", "--out", str(target))
+        assert code == 1
+        assert out == ""
+        assert "cylfn: error:" in err and str(target) in err
+        assert not target.exists()
 
     @pytest.mark.parametrize("argv", (
         ["interlace", "--nu", "1", "--mu", "2", "--n", "5"],
@@ -231,3 +257,18 @@ class TestDeterminism:
         assert list(report.keys()) == [
             "name", "passed", "checks", "worst_residual", "counterexample",
         ]
+
+
+class TestStartup:
+    def test_cli_imports_no_dataclasses_typing_or_inspect(self):
+        # -S keeps site's own imports out, so sys.modules shows cylfn's
+        src = Path(__file__).resolve().parents[1] / "src"
+        probe = (
+            "import cylfn.cli, sys; "
+            "print(' '.join(m for m in ('dataclasses', 'typing', 'inspect') if m in sys.modules))"
+        )
+        env = dict(os.environ, PYTHONPATH=str(src))
+        out = subprocess.run(
+            [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        assert out.split() == []

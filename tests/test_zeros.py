@@ -164,6 +164,22 @@ class TestNoSkippedZero:
             lambda t: f(nu, delta, t), zs[1], eps=mp.mpf(zs[1]) * mp.mpf("1e-12")
         )
 
+    @pytest.mark.parametrize("nu", (1.0, 2.5, 7.0))
+    @pytest.mark.parametrize("eps", (1e-12, 1e-9, 1e-6))
+    @pytest.mark.parametrize("kind", tuple(EvalKind))
+    def test_first_zero_at_a_small_effective_angle(self, nu, eps, kind):
+        # C' at delta -> 0+ and C at delta -> pi-: the first zero's phase
+        # crossing is too flat for the phase's rounding
+        delta = eps if kind is EvalKind.DERIVATIVE else math.pi - eps
+        spec = _spec(nu, delta)
+        f = oracle_cylinder if kind is EvalKind.FUNCTION else oracle_cylinder_prime
+        seq = find_zeros(spec, kind, 2)
+        z = seq[0]
+        assert certify_sign_change(
+            lambda t: f(spec.nu, spec.delta, t), z, eps=mp.mpf(z) * mp.mpf("1e-12")
+        )
+        assert seq.refined_to == zeros.REL_TOL
+
     def test_zero_below_the_double_range_raises(self):
         with pytest.raises(IterationError):
             find_zeros(_spec(0.0, math.pi - 1e-3), EvalKind.FUNCTION, 3)
