@@ -23,6 +23,8 @@ class VerificationReport(namedtuple("VerificationReport", _REPORT_FIELDS)):
         details = {} if details is None else details
         return tuple.__new__(cls, (name, passed, checks, worst_residual, counterexample, details))
 
+    _make = classmethod(lambda cls, it: cls(*it))  # validates, and so does _replace
+
     def to_schema(self) -> dict:
         """Fixed-field-order mapping matching the CLI JSON report schema."""
         return {

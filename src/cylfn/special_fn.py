@@ -67,6 +67,8 @@ class Order(namedtuple("Order", "nu")):
             raise DomainError(f"order must lie in [0, {NU_MAX:g}], got {v!r}")
         return tuple.__new__(cls, (v,))
 
+    _make = classmethod(lambda cls, it: cls(*it))  # validates, and so does _replace
+
 
 class MixingAngle(namedtuple("MixingAngle", "delta")):
     """Mixing angle delta, normalized into [0, pi) on construction.
@@ -90,6 +92,8 @@ class MixingAngle(namedtuple("MixingAngle", "delta")):
         if d > math.pi - _ZERO_WEIGHT:
             d = 0.0
         return tuple.__new__(cls, (d,))
+
+    _make = classmethod(lambda cls, it: cls(*it))  # validates, and so does _replace
 
 
 class CylinderSpec(namedtuple("CylinderSpec", "order angle")):

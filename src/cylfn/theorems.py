@@ -13,6 +13,7 @@ from .special_fn import (
     EvalKind,
     MixingAngle,
     Order,
+    X_MAX,
     _check_x,
     _cyl,
 )
@@ -273,8 +274,11 @@ def verify_transitivity(
                 return premise_failure(0, coefficient_root=r)
 
     def window_zeros(spec):
-        n_max = int((hi + 20.0 - spec.nu) / math.pi)
+        # enough zeros to pass hi, within find_zeros' limit n pi + nu + 20 <= X_MAX
+        n_max = max(1, int((min(hi + 20.0, X_MAX - 20.0) - spec.nu) / math.pi))
         zs = find_zeros(spec, kind, n_max).zeros
+        if zs[-1] < hi:
+            raise DomainError(f"probe ({lo:g}, {hi:g}) reaches past the zeros of nu={spec.nu:g} in the box")
         return [z for z in zs if lo < z < hi]
 
     zf = window_zeros(fspec)

@@ -17,9 +17,12 @@ nu/2 + delta/pi.  So the zero at u = m lies between x + pi (m - u(x)), for
 any x below it, and pi (m - kappa); for C' above nu too, with kappa + 1/2, as
 phi' <= 1 there.  Seeded by a Newton step from the previous zero, iterates
 fall from the right of a convex phase and rise from the left of a concave
-one; a step that leaves the bracket bisects it.  u's rounding, about 2e-16,
-moves x by that over x u', so a crossing with |x u'| < 1e-3 (the first zero
-of C' as delta -> 0+, of C as delta -> pi-) is finished on f itself.
+one; a step that leaves the bracket bisects it.  u is rounded to about
+2e-16 absolute, which moves x by that over x u': too far where the crossing
+is flat (the first zero of C' as delta -> 0+, of C as delta -> pi-).  So
+near an integer m the offset is read from f = |H| sin(pi u) instead, as u - m
+= asin((-1)^m f/|H|)/pi, with f = cos(delta) Re H - sin(delta) Im H from the
+same H: f's rounding scales with its own small terms, not with |H|.
 
 As x -> 0+, C > 0, and C' < 0 except for C' = J'_nu > 0 with nu > 0.  So at
 most one zero lies below x = 1e-6, exactly when f there has the other sign;
@@ -49,7 +52,6 @@ REL_TOL = 1e-12
 _MAX_ITER = 80
 _START = 1e-6  # a zero below here is bisected in log x
 _X_FLOOR = 1e-300  # a zero below the start is sought down to here
-_FLAT = 1e-3  # |x u'| below this: u's rounding, about 2e-16, moves x by over REL_TOL / 10
 
 
 class IterationError(RuntimeError):
@@ -61,9 +63,10 @@ class ZeroSequence:
 
     For spec (nu=0, delta=0) with kind DERIVATIVE the leading entry is 0.0:
     x = 0 is counted as the first zero of J'_0 by convention.  refined_to is
-    the worst relative tolerance achieved over the zeros: REL_TOL, unless a
-    refinement fell back to a bisection bracket.  len, indexing and
-    iteration read the zeros.
+    the worst tolerance achieved over the zeros, relative to max(1, x):
+    REL_TOL, the last Newton step's bound, unless a refinement ran out of
+    steps and fell back to its bisection bracket's midpoint.  len, indexing
+    and iteration read the zeros.
     """
 
     __slots__ = ("spec", "kind", "zeros", "refined_to")
@@ -119,37 +122,43 @@ class Trajectory(namedtuple("Trajectory", "s kind angle samples")):
 
 
 def _target(spec: CylinderSpec, kind: EvalKind):
-    # the phase evaluator x -> (u, u') of the module docstring, from one
-    # (H, H') evaluation
+    # the phase evaluator x -> (u, u', f/|H|) of the module docstring, from
+    # one (H, H') evaluation
     nu, lift = spec.nu, spec.delta / math.pi + 0.5
+    cos, sin = math.cos(spec.delta), math.sin(spec.delta)
     derivative = kind is EvalKind.DERIVATIVE
 
     def phase(x):
         h = _cyl(nu, 0.0, x, h=True)[derivative]
+        re, im = h.real, h.imag
         rate = (2.0 / (math.pi * math.pi * x)) * (1.0 - (nu / x) ** 2 if derivative else 1.0)
-        t = math.atan2(h.imag, h.real) / math.pi
+        t = math.atan2(im, re) / math.pi
         est = 0.25 if derivative else -0.25  # the Debye term, in units of pi
         if x > nu:
             est += (math.sqrt(x * x - nu * nu) - nu * math.acos(nu / x)) / math.pi
         t += 2.0 * round(0.5 * (est - t))
-        return t + lift, rate / (h.real * h.real + h.imag * h.imag)
+        hh = re * re + im * im
+        return t + lift, rate / hh, (cos * re - sin * im) / math.sqrt(hh)
 
     return phase
 
 
-def _refine(phase, fd, m, x, a, b):
+def _refine(phase, m, x, a, b):
     # Newton on u(x) = m from x, u - m changing sign once between a (u < m)
     # and b (u > m), in either order; a step that leaves the bracket bisects
-    # it.  A crossing too flat for u's rounding is finished on f itself.
-    # Returns the zero, the tolerance achieved and the last (x, u, u').
-    ends = a, b
+    # it.  Near m, u - m is read from f/|H| (module docstring), except where
+    # |H|^2 overflows: there u' = 0 and f/|H| reads 0.  Returns the zero, the
+    # tolerance achieved and the last (x, u, u').
     for _ in range(_MAX_ITER):
-        w, dw = phase(x)
-        if w < m:
+        w, dw, s = phase(x)
+        e = w - m
+        if abs(e) < 0.25 and dw:
+            e = math.asin(-s if m & 1 else s) / math.pi
+        if e < 0.0:
             a = x
         else:
             b = x
-        step = (w - m) / dw if dw else math.inf
+        step = e / dw if dw else math.inf
         xn = x - step
         if abs(step) > REL_TOL * max(1.0, x):
             if not min(a, b) < xn < max(a, b):
@@ -157,40 +166,12 @@ def _refine(phase, fd, m, x, a, b):
             if abs(xn - x) > REL_TOL * max(1.0, xn):
                 x = xn
                 continue
-        if abs(x * dw) < _FLAT:  # f's bracket: 500 times u's rounding, inside the one given
-            return (*_polish(fd, xn, 1e-13 / max(abs(x * dw), 1e-300), *sorted(ends)), (x, w, dw))
         return xn, REL_TOL, (x, w, dw)
     hi = max(1.0, a, b)
     if abs(b - a) <= 1e-9 * hi:
         # bracket midpoint: off the zero by at most half the bracket
         return 0.5 * (a + b), 0.5 * abs(b - a) / hi, (x, w, dw)
     raise IterationError(f"zero refinement did not converge in {_MAX_ITER} steps on [{a}, {b}]")
-
-
-def _polish(fd, z, r, lo, hi):
-    # Newton in t = log x on f = C or C' itself, (f, x f') = fd(x), from the phase's zero z
-    # in a sign bracket [z e^-r, z e^r] clipped to [lo, hi]: f's rounding scales with its
-    # own small terms, not with |H|.  Returns the zero and the relative tolerance achieved.
-    t = math.log(z)
-    a, b = max(t - r, math.log(lo)), min(t + r, math.log(hi))
-    fa = fd(math.exp(a))[0]
-    if (fa > 0.0) == (fd(math.exp(b))[0] > 0.0):
-        return z, r  # no sign change to finish on: the phase's own tolerance
-    for _ in range(_MAX_ITER):
-        f, g = fd(math.exp(t))
-        if (f > 0.0) == (fa > 0.0):
-            a = t
-        else:
-            b = t
-        step = f / g if g else math.inf
-        if abs(step) <= REL_TOL:
-            return math.exp(t - step), REL_TOL
-        t -= step
-        if not a < t < b:
-            t = 0.5 * (a + b)
-        if b - a <= REL_TOL:
-            break
-    return math.exp(0.5 * (a + b)), 0.5 * (b - a)
 
 
 def _below_start(f, hi, fhi):
@@ -221,11 +202,6 @@ def _zeros(spec: CylinderSpec, kind: EvalKind):
     if derivative and nu == 0.0 and delta == 0.0:
         yield 0.0, REL_TOL  # x = 0 counts as the first zero of J'_0
     f = (lambda x: cylinder_and_prime(spec, x)[1]) if derivative else partial(cylinder, spec)
-
-    def fd(x):  # (f, x f'), with x C'' = -C' - (x - nu^2/x) C by Bessel's equation
-        c, cp = cylinder_and_prime(spec, x)
-        return (cp, -cp - (x - nu * nu / x) * c) if derivative else (c, x * cp)
-
     phase = _target(spec, kind)
     fx = f(_START)
     # the sign as x -> 0+: C > 0; C' < 0, but J'_nu > 0 for nu > 0
@@ -233,17 +209,17 @@ def _zeros(spec: CylinderSpec, kind: EvalKind):
     if below:
         yield _below_start(f, _START, fx), REL_TOL
     x = nu if derivative and nu > _START else _START
-    w, dw = phase(x)
+    w, dw, _ = phase(x)
     if x > _START and delta > 0.0 and not below and w < 1.0:
         # C': u falls through 1 on (1e-6, nu), from 1 + delta/pi at 0+
-        yield _refine(phase, fd, 1.0, 0.5 * (_START + nu), nu, _START)[:2]
+        yield _refine(phase, 1, 0.5 * (_START + nu), nu, _START)[:2]
     kappa = 0.25 - 0.5 * nu + delta / math.pi + (0.5 if derivative else 0.0)
     for m in count(math.floor(w) + 1):
         # the bracket of the module docstring; find_zeros' bound on n keeps it below x = 400
         lo, hi = sorted((x + math.pi * (m - w), math.pi * (m - kappa)))
         lo = max(lo, x)
         seed = x + (m - w) / dw if dw > 0.0 else hi
-        z, tol, (x, w, dw) = _refine(phase, fd, m, min(max(seed, lo), hi), lo, hi)
+        z, tol, (x, w, dw) = _refine(phase, m, min(max(seed, lo), hi), lo, hi)
         yield z, tol
 
 

@@ -110,6 +110,22 @@ class TestSpecValues:
             make(value)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("rebuild, message", (
+        (lambda: Order(1.0)._replace(nu=-5.0), "order must lie in [0, 30], got -5.0"),
+        (lambda: Order._make([math.nan]), "order must be finite, got nan"),
+        (lambda: MixingAngle(0.5)._replace(delta=math.inf), "angle must be finite, got inf"),
+        (lambda: MixingAngle._make([math.nan]), "angle must be finite, got nan"),
+    ), ids=("order-replace", "order-make", "angle-replace", "angle-make"))
+    def test_make_and_replace_validate(self, rebuild, message):
+        with pytest.raises(DomainError) as info:
+            rebuild()
+        assert str(info.value) == message
+
+    def test_make_and_replace_normalize(self):
+        assert Order._make([3]).nu == 3.0 and type(Order._make([3]).nu) is float
+        assert MixingAngle(0.5)._replace(delta=math.pi + 0.5).delta == pytest.approx(0.5)
+        assert MixingAngle._make([-math.pi / 2]).delta == math.pi / 2
+
     def test_properties_are_read_only(self):
         spec = CylinderSpec.of(1.0, 0.5)
         with pytest.raises(AttributeError):
@@ -130,6 +146,15 @@ class TestVerificationReport:
     def test_passed_must_match_counterexample(self, passed, counterexample):
         with pytest.raises(ValueError, match="passed must hold exactly"):
             VerificationReport("r", passed, 1, 0.0, counterexample)
+
+    def test_make_and_replace_keep_the_rule(self):
+        rep = VerificationReport("r", True, 1, 0.0)
+        with pytest.raises(ValueError, match="passed must hold exactly"):
+            rep._replace(passed=False)
+        with pytest.raises(ValueError, match="passed must hold exactly"):
+            VerificationReport._make(("r", True, 1, 0.0, {"s": 1}, {}))
+        failed = rep._replace(passed=False, counterexample={"s": 1})
+        assert (failed.passed, failed.counterexample, failed.checks) == (False, {"s": 1}, 1)
 
     def test_schema_order(self):
         rep = VerificationReport("r", False, 2, -1.0, {"s": 1}, {"extra": 3})

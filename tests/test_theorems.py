@@ -116,6 +116,22 @@ class TestTransitivity:
         # conclusion hold
         assert verify_transitivity(*specs, kind, clear[-1]).details == {"status": "ok"}
 
+    def test_probe_up_to_the_last_zero_in_the_box(self):
+        # hi + 20 - nu over pi zeros would pass x = 400 at hi = 370: the count
+        # is capped at find_zeros' limit, whose last zeros still lie above hi
+        specs = [CylinderSpec.of(5.0 + k, 0.0) for k in range(3)]
+        assert verify_transitivity(*specs, EvalKind.FUNCTION, (5.0, 370.0)).details == {
+            "status": "ok"
+        }
+        with pytest.raises(DomainError, match=r"probe \(5, 390\)"):
+            verify_transitivity(*specs, EvalKind.FUNCTION, (5.0, 390.0))
+
+    def test_probe_below_every_zero_is_premise_failure(self):
+        # at nu = 28 a probe ending at 5 asks for no zeros at all
+        specs = [CylinderSpec.of(28.0 + k, 0.0) for k in range(3)]
+        rep = verify_transitivity(*specs, EvalKind.FUNCTION, (1.0, 5.0))
+        assert rep.details == {"status": "premise-failure", "zero_counts": {"f": 0, "g": 0, "h": 0}}
+
     def test_too_few_window_zeros_is_premise_failure(self):
         # C_1, C_2, C_3 at delta = 0.3 have no zero in (0.5, 3): nothing to
         # judge, so no conclusion claimed

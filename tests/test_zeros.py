@@ -118,7 +118,7 @@ class TestStructure:
 
         def flat_rate(spec, kind):
             phase = target(spec, kind)
-            return lambda x: (phase(x)[0], 0.0)
+            return lambda x: (phase(x)[0], 0.0, phase(x)[2])
 
         monkeypatch.setattr(zeros, "_target", flat_rate)
         monkeypatch.setattr(zeros, "_MAX_ITER", 32)
@@ -164,8 +164,8 @@ class TestNoSkippedZero:
             lambda t: f(nu, delta, t), zs[1], eps=mp.mpf(zs[1]) * mp.mpf("1e-12")
         )
 
-    @pytest.mark.parametrize("nu", (1.0, 2.5, 7.0))
-    @pytest.mark.parametrize("eps", (1e-12, 1e-9, 1e-6))
+    @pytest.mark.parametrize("nu", (1.0, 2.5, 7.0, 10.0, 15.0, 30.0))
+    @pytest.mark.parametrize("eps", (1e-15, 1e-14, 1e-12, 1e-9, 1e-6))
     @pytest.mark.parametrize("kind", tuple(EvalKind))
     def test_first_zero_at_a_small_effective_angle(self, nu, eps, kind):
         # C' at delta -> 0+ and C at delta -> pi-: the first zero's phase
@@ -304,6 +304,30 @@ class TestPassCount:
                     d = math.pi * rng.random() if delta is None else delta
                     found += len(find_zeros(_spec(30.0 * rng.random(), d), kind, n))
         assert calls[0] <= 5 * found
+
+    def test_one_evaluation_of_f_per_request(self, monkeypatch):
+        # every zero above the start comes from the phase, flat crossings at
+        # a small effective angle included: f itself is evaluated once per
+        # request, for the sign test at x = 1e-6
+        calls = [0]
+        for name in ("cylinder", "cylinder_and_prime"):
+            def counted(*args, fn=getattr(zeros, name)):
+                calls[0] += 1
+                return fn(*args)
+
+            monkeypatch.setattr(zeros, name, counted)
+        zeros._find_zeros_cached.cache_clear()
+        rng = random.Random(20261019)
+        requests = 0
+        for n in (2, 6, 20):
+            for kind in EvalKind:
+                for small in (True, True, False):
+                    eps = 10.0 ** rng.uniform(-14.0, -2.0) if small else rng.uniform(0.0, math.pi)
+                    delta = eps if kind is EvalKind.DERIVATIVE else math.pi - eps
+                    seq = find_zeros(_spec(rng.uniform(2.0, 30.0), delta), kind, n)
+                    assert seq[0] > zeros._START
+                    requests += 1
+        assert calls[0] == requests
 
 
 class TestTrajectory:
