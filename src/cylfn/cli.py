@@ -287,12 +287,12 @@ def _verify_all_reports() -> list:
 
 def _cmd_verify(args) -> int:
     suite = args.suite
+    if suite in ("theorem3", "equivalence") and args.mu is None:
+        print(f"verify {suite} requires --mu", file=sys.stderr)
+        return _USAGE_ERROR
     if suite == "theorem1":
         reports = [verify_theorem1(args.nu, args.a, args.b, args.c, args.n)]
     elif suite == "theorem3":
-        if args.mu is None:
-            print("verify theorem3 requires --mu", file=sys.stderr)
-            return _USAGE_ERROR
         reports = [verify_theorem3(args.nu, args.mu, Family(args.family), args.delta, args.n)]
     elif suite == "chain":
         reports = [verify_chain(args.nu, args.c, args.n)]
@@ -300,9 +300,6 @@ def _cmd_verify(args) -> int:
         grid = [float(v) for v in args.grid.split(",")]
         reports = [verify_recurrences(args.nu, args.delta, grid)]
     elif suite == "equivalence":
-        if args.mu is None:
-            print("verify equivalence requires --mu", file=sys.stderr)
-            return _USAGE_ERROR
         reports = [
             interlace_wronskian_equivalence(
                 CylinderSpec.of(args.nu, args.delta), CylinderSpec.of(args.mu, args.delta_bar), args.n

@@ -115,15 +115,6 @@ class EvalKind(Enum):
     DERIVATIVE = "derivative"
 
 
-def _sinpi(a: float) -> float:
-    # sin(pi*a) with the argument reduced before multiplying by pi
-    r = math.fmod(a, 2.0)
-    n = math.floor(r + 0.5)  # nearest integer in [-2, 2]
-    r -= n
-    s = math.sin(math.pi * r)
-    return -s if (int(n) & 1) else s
-
-
 # ---------------------------------------------------------------------------
 # x <= 30: J, Y, J' and Y' in one pass, plain double
 # ---------------------------------------------------------------------------
@@ -305,7 +296,7 @@ def _cyl_small(nu: float, delta: float, x: float):
 
 def _hankel_pq(mu: float, x: float):
     # P and Q sums of the Hankel expansion at order mu; for the base orders
-    # used here (-1 <= mu < 2) the smallest term is below 6e-19 from x = 20
+    # used here (0 <= mu < 2) the smallest term is below 6e-19 from x = 20
     mu4 = 4.0 * mu * mu
     p = 1.0
     q = 0.0
@@ -330,10 +321,9 @@ def _hankel_pq(mu: float, x: float):
 def _cyl_large(nu: float, delta: float, x: float, h: bool = False):
     # (C, C') for x >= 20: Hankel sums at the base orders mu = frac(nu) and
     # mu + 1, then forward recurrence on C itself up to C_nu and C_{nu+1}.
-    # bessel_j's window [-1, 0) takes the sums at nu directly.  With h, and
-    # delta = 0, (H, H') for H = J + iY: Y is C at delta = -pi/2, so cos t
-    # and sin t below become e^{it} and -i e^{it}.
-    steps = max(int(math.floor(nu)), 0)
+    # With h, and delta = 0, (H, H') for H = J + iY: Y is C at delta = -pi/2,
+    # so cos t and sin t below become e^{it} and -i e^{it}.
+    steps = int(nu)
     mu = nu - steps
     amp = math.sqrt(2.0 / (math.pi * x))
     # cos/sin of the phase t = x + phi by the angle-sum rule: rounding t
@@ -390,18 +380,12 @@ def bessel_j(nu: float, x: float) -> float:
     x = _check_x(x)
     if not math.isfinite(nu) or nu < -1.0 or nu > 31.0:
         raise DomainError(f"bessel_j order must lie in [-1, 31], got {nu!r}")
-    if nu >= 0.0 or x >= _X_HANKEL:
+    if nu >= 0.0:
         return _cyl(nu, 0.0, x)[0]
-    # J_{-m} = cos(m pi) J_m - sin(m pi) Y_m, with sin(m pi) exact at m = 1
+    # J_{-m} = cos(m pi) J_m - sin(m pi) Y_m = C_m(x; m pi) = -C_m(x; (m - 1) pi),
+    # at an angle within pi/2 of 0, so that sin keeps its relative accuracy
     m = -nu
-    j, y, _, _ = _jy(m, x)
-    s = _sinpi(m)
-    v = math.cos(math.pi * m) * j
-    if s:
-        v -= s * y
-        if not math.isfinite(v):
-            raise OverflowError(f"|J| overflows a double at nu={nu!r}, x={x!r}")
-    return v
+    return _cyl(m, m * math.pi, x)[0] if m <= 0.5 else -_cyl(m, (m - 1.0) * math.pi, x)[0]
 
 
 def bessel_y(nu: float, x: float) -> float:

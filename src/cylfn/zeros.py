@@ -25,14 +25,16 @@ near an integer m the offset is read from f = |H| sin(pi u) instead, as u - m
 same H: f's rounding scales with its own small terms, not with |H|.
 
 As x -> 0+, C > 0, and C' < 0 except for C' = J'_nu > 0 with nu > 0.  So at
-most one zero lies below x = 1e-6, exactly when f there has the other sign;
-it is bracketed by stepping down and bisected in log x, and one below 1e-300
-raises IterationError.
+most one zero lies below x = 1e-6, exactly when f there has the other sign.
+It, or else C''s zero below nu, is where a/b = |tan delta| for the parts a, b
+> 0 of H (H') that f weighs; at delta = 0, J'_nu's, where nu J_nu = x J_{nu+1}.
+Both ratios are near powers of x, so the same Newton loop solves for their
+logs in log x; a zero below 1e-300 raises IterationError.
 """
 
 import math
 from collections import namedtuple
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import count, islice
 
 from .special_fn import (
@@ -50,8 +52,8 @@ __all__ = ["ZeroSequence", "Trajectory", "IterationError", "find_zeros", "zero_t
 
 REL_TOL = 1e-12
 _MAX_ITER = 80
-_START = 1e-6  # a zero below here is bisected in log x
-_X_FLOOR = 1e-300  # a zero below the start is sought down to here
+_START = 1e-6  # a zero below here is sought in log x
+_X_FLOOR = 1e-300  # ... down to here
 
 
 class IterationError(RuntimeError):
@@ -174,25 +176,40 @@ def _refine(phase, m, x, a, b):
     raise IterationError(f"zero refinement did not converge in {_MAX_ITER} steps on [{a}, {b}]")
 
 
-def _below_start(f, hi, fhi):
-    # the one zero below the start: step down geometrically to a bracket,
-    # then bisect in log x, so that a zero at 1e-69 still gets a relative
-    # tolerance.  No Newton: |H| can overflow there, and x * x underflows.
-    lo, flo = hi, fhi
-    while (flo > 0.0) == (fhi > 0.0):
-        if lo == _X_FLOOR:
-            raise IterationError(f"the first zero lies below x = {_X_FLOOR:g}")
-        hi, fhi = lo, flo
-        lo = max(lo * 1e-4, _X_FLOOR)
-        flo = f(lo)
-    a, b = math.log(lo), math.log(hi)
-    while b - a > REL_TOL:
-        m = 0.5 * (a + b)
-        if (f(math.exp(m)) > 0.0) == (fhi > 0.0):
-            b = m
-        else:
-            a = m
-    return math.exp(0.5 * (a + b))
+def _origin(spec: CylinderSpec, kind: EvalKind, lo, hi):
+    # the first zero from the origin (module docstring) on (lo, hi), by
+    # _refine at level 0 in t = log(x / X_MAX) <= 0, so that its step test is
+    # relative in x: r = log(a/b) - log|tan delta| for (a, b) = (J, -Y), (J',
+    # Y'), or (-J'_0, Y'_0) for C' at nu = 0 past pi/2; at delta = 0, r =
+    # log(x J_{nu+1} / (nu J_nu)) = -log1p(J'_nu / J_{nu+1}), near 2 log x
+    nu, derivative = spec.nu, kind is EvalKind.DERIVATIVE
+    cos, sin = math.cos(spec.delta), math.sin(spec.delta)
+    sa, sb = (math.copysign(1.0, cos), 1.0) if derivative else (1.0, -1.0)
+    cos = abs(cos)
+
+    def phase(t):
+        x = X_MAX * math.exp(t)
+        h = _cyl(nu, 0.0, x, h=True)
+        if sin == 0.0:
+            j, b = h[0].real, _cyl(nu + 1.0, 0.0, x)[0]
+            r = math.log(b / j) - math.log(nu / x)
+            if abs(r) < 0.25:
+                r = -math.log1p(h[1].real / b)
+            return r, x * (j / b + b / j) - 2.0 * nu, math.sin(math.pi * r)
+        a, b = sa * h[derivative].real, sb * h[derivative].imag
+        if not (a > 0.0 and b < math.inf):
+            raise OverflowError(f"|H| leaves the double range at nu={nu!r}, x={x!r}")
+        p, q = (sa * (nu / x - 1.0), nu / x + 1.0) if derivative else (1.0, 1.0)
+        r = math.log(a) - math.log(b) + math.log(cos / sin)
+        if abs(r) < 0.25:  # from f's own difference, not from two large logs
+            r = math.log1p((cos * a - sin * b) / (sin * b))
+        return r, (2.0 / math.pi) * (p / a) * (q / b), math.sin(math.pi * r)
+
+    a, t, b = (math.log(v / X_MAX) for v in (lo, _START, hi))
+    t, tol, _ = _refine(phase, 0, t, a, b)
+    if lo == _X_FLOOR and t - a <= REL_TOL:
+        raise IterationError(f"the first zero lies below x = {_X_FLOOR:g}")
+    return X_MAX * math.exp(t), tol
 
 
 def _zeros(spec: CylinderSpec, kind: EvalKind):
@@ -201,18 +218,17 @@ def _zeros(spec: CylinderSpec, kind: EvalKind):
     derivative = kind is EvalKind.DERIVATIVE
     if derivative and nu == 0.0 and delta == 0.0:
         yield 0.0, REL_TOL  # x = 0 counts as the first zero of J'_0
-    f = (lambda x: cylinder_and_prime(spec, x)[1]) if derivative else partial(cylinder, spec)
     phase = _target(spec, kind)
-    fx = f(_START)
+    fx = cylinder_and_prime(spec, _START)[1] if derivative else cylinder(spec, _START)
     # the sign as x -> 0+: C > 0; C' < 0, but J'_nu > 0 for nu > 0
     below = (fx > 0.0) != (not derivative or (delta == 0.0 and nu > 0.0))
     if below:
-        yield _below_start(f, _START, fx), REL_TOL
+        yield _origin(spec, kind, _X_FLOOR, _START)
     x = nu if derivative and nu > _START else _START
     w, dw, _ = phase(x)
     if x > _START and delta > 0.0 and not below and w < 1.0:
         # C': u falls through 1 on (1e-6, nu), from 1 + delta/pi at 0+
-        yield _refine(phase, 1, 0.5 * (_START + nu), nu, _START)[:2]
+        yield _origin(spec, kind, _START, nu)
     kappa = 0.25 - 0.5 * nu + delta / math.pi + (0.5 if derivative else 0.0)
     for m in count(math.floor(w) + 1):
         # the bracket of the module docstring; find_zeros' bound on n keeps it below x = 400
@@ -240,9 +256,7 @@ def find_zeros(spec: CylinderSpec, kind: EvalKind, n: int) -> ZeroSequence:
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
     if n * math.pi + spec.nu + 20.0 > X_MAX:
-        raise DomainError(
-            f"n={n} zeros at nu={spec.nu:g} would leave the box x <= {X_MAX:g}"
-        )
+        raise DomainError(f"n={n} zeros at nu={spec.nu:g} would leave the box x <= {X_MAX:g}")
     zs, tol = _find_zeros_cached(spec, kind, n)
     return ZeroSequence(spec=spec, kind=kind, zeros=zs, refined_to=tol)
 
@@ -255,8 +269,5 @@ def zero_trajectory(angle: MixingAngle, kind: EvalKind, s: int, nu_grid) -> Traj
     grid = [float(v) for v in nu_grid]
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise DomainError("nu_grid must be strictly increasing")
-    samples = []
-    for nu in grid:
-        seq = find_zeros(CylinderSpec.of(nu, angle.delta), kind, s)
-        samples.append((nu, seq.zeros[s - 1]))
-    return Trajectory(s=s, kind=kind, angle=angle, samples=tuple(samples))
+    samples = tuple((nu, find_zeros(CylinderSpec.of(nu, angle.delta), kind, s)[s - 1]) for nu in grid)
+    return Trajectory(s=s, kind=kind, angle=angle, samples=samples)

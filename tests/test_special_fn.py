@@ -161,15 +161,20 @@ class TestAccuracyContract:
         self._check(c, float(oracle_cylinder(nu, delta, x)))
         self._check(cp, float(oracle_cylinder_prime(nu, delta, x)))
 
+    # orders about -1/2, where the mixing angle of J_{-m} switches from m pi
+    # to (m - 1) pi, and just above -1
+    BOUNDARY_ORDERS = (-0.5, -(0.5 + 1e-9), -(0.5 - 1e-9), -(1.0 - 1e-9))
+
     def test_j_order_window_past_seam(self):
-        for nu in (-0.7, -0.3, 31.0):
+        for nu in (-0.7, -0.3, 31.0) + self.BOUNDARY_ORDERS:
             for x in (30.05, 37.5, 250.0, 400.0):
                 self._check(bessel_j(nu, x), float(oracle_j(nu, x)))
 
     def test_j_order_window_below_seam(self):
-        # J_{-m} = cos(m pi) J_m - sin(m pi) Y_m below x = 20, the Hankel
-        # sums at the negative order above; order 31 through CF1 throughout
-        for nu in (-1.0, -0.7, -0.3, 31.0):
+        # J_{-m} = cos(m pi) J_m - sin(m pi) Y_m = C_m(x; m pi), from the
+        # same paths as every C_m: the one-pass J, Y below x = 20, the Hankel
+        # sums above; order 31 through CF1 throughout
+        for nu in (-1.0, -0.7, -0.3, 31.0) + self.BOUNDARY_ORDERS:
             for x in (1e-3, 0.5, 1.99, 2.0, 7.3, 19.99, 20.0, 26.5, 30.0):
                 self._check(bessel_j(nu, x), float(oracle_j(nu, x)))
 

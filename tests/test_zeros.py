@@ -153,6 +153,8 @@ class TestNoSkippedZero:
         (0.2, 1e-3, EvalKind.DERIVATIVE),
         (0.5, 1e-10, EvalKind.DERIVATIVE),
         (0.5, 1e-16, EvalKind.DERIVATIVE),
+        (0.0, math.pi - 1e-14, EvalKind.DERIVATIVE),  # J'_0 = -J_1 < 0: C' at delta -> pi-
+        (1e-13, 0.0, EvalKind.DERIVATIVE),  # J'_nu's own zero, near sqrt(2 nu)
     ))
     def test_zero_below_the_scan_start(self, nu, delta, kind):
         # the first zero lies below x = 1e-6, the second above it
@@ -183,6 +185,15 @@ class TestNoSkippedZero:
     def test_zero_below_the_double_range_raises(self):
         with pytest.raises(IterationError):
             find_zeros(_spec(0.0, math.pi - 1e-3), EvalKind.FUNCTION, 3)
+
+    @pytest.mark.parametrize("nu, delta, error", (
+        (0.5, 1e-250, OverflowError),  # the zero lies where |Y'| overflows
+        (0.001, 1e-5, IterationError),  # at about x = 1e-5000
+    ))
+    def test_extreme_angle_error_class(self, nu, delta, error):
+        # an evaluation that leaves the double range is never read as a zero
+        with pytest.raises(error):
+            find_zeros(_spec(nu, delta), EvalKind.DERIVATIVE, 2)
 
 
 class TestPhasePremises:
@@ -328,6 +339,81 @@ class TestPassCount:
                     assert seq[0] > zeros._START
                     requests += 1
         assert calls[0] == requests
+
+    @staticmethod
+    def _origin_requests(rng, count):
+        # (spec, kind) with the first zero from the origin: below the start
+        # (C at delta -> pi-, C' at delta -> 0+, nu <= 0.3) or C''s below nu
+        out = []
+        for i in range(count):
+            if i % 3 == 0:
+                nu, delta = rng.uniform(0.05, 0.3), math.pi - 10.0 ** rng.uniform(-4.0, -1.5)
+                out.append((_spec(nu, delta), EvalKind.FUNCTION))
+            else:
+                nu = rng.uniform(0.05, 0.3) if i % 3 == 1 else rng.uniform(2.0, 30.0)
+                out.append((_spec(nu, 10.0 ** rng.uniform(-12.0, -2.0)), EvalKind.DERIVATIVE))
+        return out
+
+    def test_every_zero_from_one_solver(self, monkeypatch):
+        # the zero below the start and C''s below nu come from the same
+        # Newton loop as every other zero: one _refine call per zero
+        calls = [0]
+        refine = zeros._refine
+
+        def counted(*args):
+            calls[0] += 1
+            return refine(*args)
+
+        monkeypatch.setattr(zeros, "_refine", counted)
+        zeros._find_zeros_cached.cache_clear()
+        found = below = below_nu = 0
+        for spec, kind in self._origin_requests(random.Random(20261020), 600):
+            seq = find_zeros(spec, kind, 2)
+            found += len(seq)
+            below += seq[0] < zeros._START
+            below_nu += zeros._START < seq[0] < spec.nu
+        assert below >= 300 and below_nu >= 150
+        assert calls[0] == found
+
+    def test_phase_passes_for_the_derivative_zero_below_the_order(self, monkeypatch):
+        # C''s first zero as delta -> 0+: log(J'/Y') is near linear in log x,
+        # where the phase creeps in x
+        calls = [0]
+        cyl = zeros._cyl
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return cyl(*args, **kwargs)
+
+        monkeypatch.setattr(zeros, "_cyl", counted)
+        zeros._find_zeros_cached.cache_clear()
+        rng = random.Random(20261021)
+        counts = []
+        for _ in range(600):
+            nu, delta = rng.uniform(0.3, 30.0), 10.0 ** rng.uniform(-12.0, math.log10(0.32))
+            calls[0] = 0
+            find_zeros(_spec(nu, delta), EvalKind.DERIVATIVE, 1)
+            counts.append(calls[0])
+        assert sum(counts) <= 8 * len(counts)
+        assert max(counts) <= 12
+
+    def test_one_evaluation_of_f_below_the_start(self, monkeypatch):
+        # the zero below x = 1e-6 costs no evaluation of f past the sign test
+        calls = [0]
+        for name in ("cylinder", "cylinder_and_prime"):
+            def counted(*args, fn=getattr(zeros, name)):
+                calls[0] += 1
+                return fn(*args)
+
+            monkeypatch.setattr(zeros, name, counted)
+        zeros._find_zeros_cached.cache_clear()
+        below = 0
+        for spec, kind in self._origin_requests(random.Random(20261022), 90):
+            calls[0] = 0
+            if find_zeros(spec, kind, 3)[0] < zeros._START:
+                assert calls[0] == 1
+                below += 1
+        assert below >= 45
 
 
 class TestTrajectory:
