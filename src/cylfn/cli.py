@@ -70,10 +70,9 @@ def _fmt(value) -> str:
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):
-        if math.isnan(value) or math.isinf(value):
-            raise ValueError(f"non-finite value {value!r} in artifact")
-        out = format(value, ".17g")
-        return out
+        if not math.isfinite(value):
+            raise ArithmeticError(f"non-finite value {value!r} in artifact")
+        return format(value, ".17g")
     if isinstance(value, str):
         import json
 
@@ -101,10 +100,6 @@ def _write(args, text: str):
         sys.stdout.write(text)
 
 
-def _kind(name: str) -> EvalKind:
-    return EvalKind.FUNCTION if name == "function" else EvalKind.DERIVATIVE
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers
 # ---------------------------------------------------------------------------
@@ -112,32 +107,29 @@ def _kind(name: str) -> EvalKind:
 
 def _cmd_eval(args) -> int:
     spec = CylinderSpec.of(args.nu, args.delta)
+    payload = {"nu": spec.nu, "delta": spec.delta, "x": args.x}
     if args.kind == "both":
-        c, cp = cylinder_and_prime(spec, args.x)
-        payload = {"nu": spec.nu, "delta": spec.delta, "x": args.x, "value": c, "derivative": cp}
+        payload["value"], payload["derivative"] = cylinder_and_prime(spec, args.x)
+    elif args.kind == "function":
+        payload.update(kind=args.kind, value=cylinder(spec, args.x))
     else:
-        kind = _kind(args.kind)
-        if kind is EvalKind.FUNCTION:
-            v = cylinder(spec, args.x)
-        else:
-            v = cylinder_and_prime(spec, args.x)[1]
-        payload = {"nu": spec.nu, "delta": spec.delta, "x": args.x, "kind": args.kind, "value": v}
+        payload.update(kind=args.kind, value=cylinder_and_prime(spec, args.x)[1])
     _write(args, emit_json(payload))
     return 0
 
 
 def _cmd_zeros(args) -> int:
-    seq = find_zeros(CylinderSpec.of(args.nu, args.delta), _kind(args.kind), args.n)
+    seq = find_zeros(CylinderSpec.of(args.nu, args.delta), EvalKind(args.kind), args.n)
     if args.format == "csv":
         lines = ["s,zero"] + [f"{i + 1},{z:.17g}" for i, z in enumerate(seq.zeros)]
         _write(args, "\n".join(lines) + "\n")
     else:
-        _write(args, emit_json(list(seq.zeros)))
+        _write(args, emit_json(seq.zeros))
     return 0
 
 
 def _cmd_interlace(args) -> int:
-    kind = _kind(args.kind)
+    kind = EvalKind(args.kind)
     za = find_zeros(CylinderSpec.of(args.nu, args.delta), kind, args.n)
     zb = find_zeros(CylinderSpec.of(args.mu, args.delta_bar), kind, args.n)
     rep = check_interlaced(za, zb)
@@ -149,11 +141,11 @@ def _cmd_interlace(args) -> int:
         "delta_bar": zb.spec.delta,
         "n": args.n,
         "interlaced": rep.interlaced,
-        "first_violation": list(rep.first_violation) if rep.first_violation else None,
+        "first_violation": rep.first_violation,
         "pairs_checked": rep.pairs_checked,
         "coincident": rep.coincident,
         "shift_d": shift.shift_d,
-        "shift_window": list(shift.window) if shift.window else None,
+        "shift_window": shift.window,
     }
     _write(args, emit_json(payload))
     return 0
@@ -162,29 +154,19 @@ def _cmd_interlace(args) -> int:
 def _cmd_wronskian(args) -> int:
     sa = CylinderSpec.of(args.nu, args.delta)
     sb = CylinderSpec.of(args.mu, args.delta_bar)
+    payload = {"nu": sa.nu, "mu": sb.nu, "delta": sa.delta, "delta_bar": sb.delta}
     if args.x is not None:
-        payload = {
-            "nu": sa.nu,
-            "mu": sb.nu,
-            "delta": sa.delta,
-            "delta_bar": sb.delta,
-            "x": args.x,
-            "value": wronskian_value(sa, sb, args.x),
-        }
+        payload.update(x=args.x, value=wronskian_value(sa, sb, args.x))
     else:
         prof = wronskian_profile(sa, sb, args.n)
-        payload = {
-            "nu": sa.nu,
-            "mu": sb.nu,
-            "delta": sa.delta,
-            "delta_bar": sb.delta,
-            "n": args.n,
-            "sign_changes": prof.sign_changes,
-            "asymptote": prof.asymptote,
-            "window": list(prof.window),
-            "tail_value": prof.tail_value,
-            "extrema": [[z, v, t] for (z, v, t) in prof.extrema],
-        }
+        payload.update(
+            n=args.n,
+            sign_changes=prof.sign_changes,
+            asymptote=prof.asymptote,
+            window=prof.window,
+            tail_value=prof.tail_value,
+            extrema=prof.extrema,
+        )
     _write(args, emit_json(payload))
     return 0
 
@@ -210,18 +192,7 @@ def _cmd_sweep(args) -> int:
             "delta": m.delta,
             "n": m.n,
             "consistent": m.consistent(),
-            "cells": [
-                {
-                    "nu": c.nu,
-                    "mu": c.mu,
-                    "interlaced": c.interlaced,
-                    "first_violation": list(c.first_violation) if c.first_violation else None,
-                    "sign_changes": c.sign_changes,
-                    "proviso": c.proviso,
-                    "excluded": c.excluded,
-                }
-                for c in m.cells
-            ],
+            "cells": [c._asdict() for c in m.cells],
         }
         _write(args, emit_json(payload))
     return 0
@@ -416,10 +387,7 @@ def main(argv=None) -> int:
         # domain violations (DomainError) in argument values are usage errors
         print(f"cylfn: error: {e}", file=sys.stderr)
         return _USAGE_ERROR
-    except ArithmeticError as e:
-        print(f"cylfn: computation failed: {e}", file=sys.stderr)
-        return _COMPUTE_ERROR
-    except RuntimeError as e:
+    except (ArithmeticError, RuntimeError) as e:
         print(f"cylfn: computation failed: {e}", file=sys.stderr)
         return _COMPUTE_ERROR
 

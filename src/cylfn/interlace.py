@@ -28,6 +28,7 @@ __all__ = [
 
 COINCIDENCE_TOL = 1e-9
 _MAX_SHIFT = 3
+_CHAIN_LINKS = ("j' < y", "y < y_{+c}", "y_{+c} < y'", "y' < j", "j < j_{+c}", "j_{+c} < j'_{s+1}")
 
 
 class EmptyOverlapError(ValueError):
@@ -118,22 +119,12 @@ def detect_shifted(A, B) -> ShiftReport:
     for ad in range(1, _MAX_SHIFT + 1):
         for d in (ad, -ad):
             # 1-based condition A[s+d] <= B[s] < A[s+d+1]; 0-based indices
-            # are s-1+d and s+d.
-            s_lo = max(1, 1 - d)
-            s_hi = min(len(b), len(a) - d - 1)
-            if s_hi - s_lo < 1:
-                continue
-            ok_from = None
-            for s in range(s_lo, s_hi + 1):
-                lo = a[s - 1 + d]
-                hi = a[s + d]
-                if lo - COINCIDENCE_TOL <= b[s - 1] < hi:
-                    if ok_from is None:
-                        ok_from = s
-                else:
-                    ok_from = None
-            if ok_from is not None and s_hi - ok_from >= 1:
-                return ShiftReport(d, (ok_from, s_hi))
+            # are s-1+d and s+d.  The window runs down from the top s.
+            top = s = min(len(b), len(a) - d - 1)
+            while s >= max(1, 1 - d) and a[s - 1 + d] - COINCIDENCE_TOL <= b[s - 1] < a[s + d]:
+                s -= 1
+            if top - s >= 2:
+                return ShiftReport(d, (s + 1, top))
     return ShiftReport(None, None)
 
 
@@ -159,37 +150,24 @@ def verify_chain(nu: float, c: float, n: int) -> VerificationReport:
     yp = find_zeros(CylinderSpec.of(nu, half), EvalKind.DERIVATIVE, n).zeros
     j = find_zeros(CylinderSpec.of(nu, 0.0), EvalKind.FUNCTION, n).zeros
     jc = find_zeros(CylinderSpec.of(nu + c, 0.0), EvalKind.FUNCTION, n).zeros
-    names = ("j' < y", "y < y_{+c}", "y_{+c} < y'", "y' < j", "j < j_{+c}", "j_{+c} < j'_{s+1}")
-    worst = math.inf
+    # one interleaved sequence: margin k is link _CHAIN_LINKS[k % 6] at s = k // 6 + 1
+    chain = [q[s] for s in range(n) for q in (jp, y, yc, yp, j, jc)] + [jp[n]]
+    margins = [hi - lo for lo, hi in zip(chain, chain[1:])]
+    # coincidences within COINCIDENCE_TOL are tolerated: at nu = 0, c = 1 the
+    # links y_{1,s} vs y'_{0,s} and j_{1,s} vs j'_{0,s+1} are exact
+    # equalities (Y'_0 = -Y_1, J'_0 = -J_1).
+    bad = [k for k, m in enumerate(margins) if m < -COINCIDENCE_TOL]
     counterexample = None
-    checks = 0
-    for s in range(n):
-        links = (
-            (jp[s], y[s]),
-            (y[s], yc[s]),
-            (yc[s], yp[s]),
-            (yp[s], j[s]),
-            (j[s], jc[s]),
-            (jc[s], jp[s + 1]),
-        )
-        for name, (lo, hi) in zip(names, links):
-            checks += 1
-            margin = hi - lo
-            if margin < worst:
-                worst = margin
-            # coincidences within COINCIDENCE_TOL are tolerated: at nu = 0,
-            # c = 1 the links y_{1,s} vs y'_{0,s} and j_{1,s} vs j'_{0,s+1}
-            # are exact equalities (Y'_0 = -Y_1, J'_0 = -J_1).
-            if margin < -COINCIDENCE_TOL and counterexample is None:
-                counterexample = {"s": s + 1, "link": name, "lower": lo, "upper": hi}
-    checks += 1
-    if nu > jp[0] and counterexample is None:
+    if bad:
+        k = bad[0]
+        link = _CHAIN_LINKS[k % 6]
+        counterexample = {"s": k // 6 + 1, "link": link, "lower": chain[k], "upper": chain[k + 1]}
+    elif nu > jp[0]:
         counterexample = {"link": "nu <= j'_{nu,1}", "nu": nu, "first_zero": jp[0]}
-    worst = min(worst, jp[0] - nu)
     return VerificationReport(
         name=f"chain(nu={nu:g}, c={c:g}, n={n})",
         passed=counterexample is None,
-        checks=checks,
-        worst_residual=worst,
+        checks=6 * n + 1,
+        worst_residual=min(*margins, jp[0] - nu),
         counterexample=counterexample,
     )

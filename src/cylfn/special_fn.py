@@ -269,26 +269,6 @@ def _jy(nu: float, x: float):
     return j, ym, (nu * j) / x - rn * j, (nu / x) * ym - y1
 
 
-def _cyl_small(nu: float, delta: float, x: float):
-    # (C, C') for x <= 30 from one _jy pass; a part of zero weight is
-    # skipped, so that delta = 0 gives J even where Y overflows.  Y is
-    # skipped only at sin(delta) == 0: as x -> 0 it outgrows J without
-    # bound, so even delta = 1e-16 moves C' and its first zero.
-    j, y, jp, yp = _jy(nu, x)
-    c = math.cos(delta)
-    s = math.sin(delta)
-    v0 = v1 = 0.0
-    if abs(c) > _ZERO_WEIGHT:
-        v0 += c * j
-        v1 += c * jp
-    if s != 0.0:
-        v0 -= s * y
-        v1 -= s * yp
-    if not math.isfinite(v0):
-        raise OverflowError(f"|C| overflows a double at nu={nu!r}, x={x!r}")
-    return v0, v1
-
-
 # ---------------------------------------------------------------------------
 # Large-x machinery (x > 30, and nu <= x from x = 20)
 # ---------------------------------------------------------------------------
@@ -356,10 +336,25 @@ def _cyl(nu: float, delta: float, x: float, h: bool = False):
     # 5-13 ulp.
     if x > _X_SERIES or (x >= _X_HANKEL and nu <= x):
         return _cyl_large(nu, delta, x, h)
+    j, y, jp, yp = _jy(nu, x)
     if h:
-        j, y, jp, yp = _jy(nu, x)
         return complex(j, y), complex(jp, yp)
-    return _cyl_small(nu, delta, x)
+    # a part of zero weight is skipped, so that delta = 0 gives J even where
+    # Y overflows.  Y is skipped only at sin(delta) == 0: as x -> 0 it
+    # outgrows J without bound, so even delta = 1e-16 moves C' and its first
+    # zero.
+    c = math.cos(delta)
+    s = math.sin(delta)
+    v0 = v1 = 0.0
+    if abs(c) > _ZERO_WEIGHT:
+        v0 += c * j
+        v1 += c * jp
+    if s != 0.0:
+        v0 -= s * y
+        v1 -= s * yp
+    if not math.isfinite(v0):
+        raise OverflowError(f"|C| overflows a double at nu={nu!r}, x={x!r}")
+    return v0, v1
 
 
 def _check_x(x: float) -> float:

@@ -93,29 +93,23 @@ def verify_recurrences(nu: float, delta: float, x_grid) -> VerificationReport:
     checks = 0
     for x in grid:
         (c0, p0), (c1, p1), (c2, p2) = (_cyl(nu + k, delta, x) for k in (0, 1, 2))
-        if not math.isfinite(p0 + p1 + p2):
-            raise OverflowError(f"|C'| overflows a double at nu={nu!r}, x={x!r}")
+        d0 = (x * x - (nu + 1.0) * (nu + 2.0)) * p0
+        d2 = (x * x - nu * (nu + 1.0)) * p2
+        d1 = (2.0 * (nu + 1.0) / x) * (x * x - nu * (nu + 2.0)) * p1
         idents = {
             "three-term": (c0 - (2.0 * nu + 2.0) / x * c1 + c2, (c0, c1, c2)),
             "prime-down": (p0 + c1 - (nu / x) * c0, (p0, c1, c0)),
             "prime-halfsum": (p1 - 0.5 * (c0 - c2), (p1, c0, c2)),
             "prime-up": (p1 - c0 + ((nu + 1.0) / x) * c1, (p1, c0, c1)),
             "prime-up2": (p2 - c1 + ((nu + 2.0) / x) * c2, (p2, c1, c2)),
-            "derivative-three-term": (
-                (x * x - (nu + 1.0) * (nu + 2.0)) * p0
-                + (x * x - nu * (nu + 1.0)) * p2
-                - (2.0 * (nu + 1.0) / x) * (x * x - nu * (nu + 2.0)) * p1,
-                (
-                    (x * x - (nu + 1.0) * (nu + 2.0)) * p0,
-                    (x * x - nu * (nu + 1.0)) * p2,
-                    (2.0 * (nu + 1.0) / x) * (x * x - nu * (nu + 2.0)) * p1,
-                ),
-            ),
+            "derivative-three-term": (d0 + d2 - d1, (d0, d2, d1)),
         }
         for name, (resid, terms) in idents.items():
             checks += 1
             scale = max(1e-300, max(abs(t) for t in terms))
             rel = abs(resid) / scale
+            if not rel < math.inf:  # NaN fails too
+                raise OverflowError(f"the {name} identity leaves the double range at nu={nu!r}, x={x!r}")
             if rel > worst:
                 worst = rel
             if rel > 1e-9 and counterexample is None:

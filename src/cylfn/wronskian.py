@@ -71,7 +71,10 @@ def wronskian_value(spec_a: CylinderSpec, spec_b: CylinderSpec, x: float) -> flo
     """W(sqrt(x) C_a, sqrt(x) C_b) at x."""
     fa, fpa = _xi_pair(spec_a, x)
     fb, fpb = _xi_pair(spec_b, x)
-    return fa * fpb - fpa * fb
+    w = fa * fpb - fpa * fb
+    if not math.isfinite(w):  # inf - inf where both products overflow
+        raise OverflowError(f"W leaves the double range at nu={spec_a.nu!r}, mu={spec_b.nu!r}, x={x!r}")
+    return w
 
 
 def wronskian_asymptote(spec_a: CylinderSpec, spec_b: CylinderSpec) -> float:

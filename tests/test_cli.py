@@ -10,6 +10,10 @@ from pathlib import Path
 import pytest
 
 from cylfn.cli import main, parse_angle
+from cylfn.special_fn import CylinderSpec, EvalKind, cylinder_and_prime
+from cylfn.theorems import BreakdownCell
+from cylfn.wronskian import wronskian_profile
+from cylfn.zeros import find_zeros
 
 
 def run(capsys, *argv):
@@ -67,6 +71,28 @@ class TestExitCodes:
         # the first zero of C at nu = 0, delta = pi - 1e-3 lies below 1e-300
         code, out, err = run(capsys, "zeros", "--nu", "0", "--delta", "3.140592653589793")
         assert code == 2 and out == "" and "1e-300" in err
+
+    @pytest.mark.parametrize("suite", ("theorem3", "equivalence"))
+    def test_verify_without_mu_is_a_usage_error(self, capsys, suite):
+        code, out, err = run(capsys, "verify", suite)
+        assert code == 1
+        assert out == ""
+        assert f"verify {suite} requires --mu" in err
+
+    def test_wronskian_outside_the_double_range_exits_2(self, capsys):
+        # W = inf - inf at nu = 30, mu = 29.5, x = 1e-5: a computation error
+        argv = ("wronskian", "--nu", "30", "--delta", "pi/2", "--delta-bar", "pi/2")
+        code, out, err = run(capsys, *argv, "--mu", "29.5", "--x", "1e-5")
+        assert code == 2 and out == "" and "double range" in err
+        code, out, _ = run(capsys, *argv, "--mu", "20", "--x", "0.001")
+        assert code == 0
+        assert '"value": 1.2269687143435209e+213}' in out
+
+    @pytest.mark.parametrize("grid, identity", (("1.2e-8", "derivative-three-term"), ("1e-8", "prime-up2")))
+    def test_recurrence_term_outside_the_double_range_exits_2(self, capsys, grid, identity):
+        code, out, err = run(capsys, "verify", "recurrences", "--nu", "30", "--delta", "pi/2", "--grid", grid)
+        assert code == 2 and out == ""
+        assert identity in err
 
     def test_verify_disagreement_reported_as_pass(self, capsys):
         # "not interlaced, predicate false" is agreement, so exit 0
@@ -226,6 +252,62 @@ class TestArtifacts:
         assert out == ""
         vals = json.loads(target.read_text())
         assert vals[0] == pytest.approx(math.pi, abs=1e-10)
+
+
+class TestArtifactFields:
+    """Each artifact is written straight from its record: keys, order, values."""
+
+    @pytest.mark.parametrize("kind", ("both", "derivative"))
+    def test_eval_kinds_match_cylinder_and_prime(self, capsys, kind):
+        code, out, _ = run(capsys, "eval", "--nu", "2.5", "--delta", "pi/3", "--x", "7", "--kind", kind)
+        assert code == 0
+        c, cp = cylinder_and_prime(CylinderSpec.of(2.5, math.pi / 3), 7.0)
+        tail = {"value": c, "derivative": cp} if kind == "both" else {"kind": kind, "value": cp}
+        assert json.loads(out) == {"nu": 2.5, "delta": math.pi / 3, "x": 7.0, **tail}
+        assert list(json.loads(out)) == ["nu", "delta", "x", *tail]
+
+    def test_zeros_csv(self, capsys):
+        code, out, _ = run(capsys, "zeros", "--nu", "1.5", "--delta", "pi/4", "--n", "4", "--format", "csv")
+        assert code == 0
+        zs = find_zeros(CylinderSpec.of(1.5, math.pi / 4), EvalKind.FUNCTION, 4).zeros
+        assert out == "s,zero\n" + "".join(f"{i + 1},{z:.17g}\n" for i, z in enumerate(zs))
+        assert [float(r.split(",")[1]) for r in out.splitlines()[1:]] == list(zs)
+
+    def test_wronskian_profile(self, capsys):
+        code, out, _ = run(capsys, "wronskian", "--nu", "1", "--mu", "4.5", "--n", "6")
+        assert code == 0
+        payload = json.loads(out)
+        assert list(payload) == [
+            "nu", "mu", "delta", "delta_bar", "n", "sign_changes", "asymptote", "window",
+            "tail_value", "extrema",
+        ]
+        prof = wronskian_profile(CylinderSpec.of(1.0, 0.0), CylinderSpec.of(4.5, 0.0), 6)
+        assert payload["extrema"] == [[z, v, t] for z, v, t in prof.extrema]
+        assert payload["window"] == list(prof.window)
+        assert payload["sign_changes"] == prof.sign_changes >= 1
+
+    def test_sweep_json_cells_are_the_records(self, capsys):
+        code, out, _ = run(
+            capsys, "sweep", "--family", "cylinder", "--nu", "1", "--gaps", "0,1,3.5",
+            "--n", "12", "--format", "json",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert list(payload) == ["family", "delta", "n", "consistent", "cells"]
+        cells = payload["cells"]
+        assert all(list(c) == list(BreakdownCell._fields) for c in cells)
+        assert [c["excluded"] for c in cells] == [True, False, False]
+        assert cells[1]["first_violation"] is None
+        assert isinstance(cells[2]["first_violation"], list) and len(cells[2]["first_violation"]) == 2
+
+    @pytest.mark.parametrize("argv", (
+        ["verify", "theorem1", "--nu", "1", "--n", "8"],
+        ["verify", "equivalence", "--nu", "1", "--mu", "2", "--n", "10"],
+    ), ids=("theorem1", "equivalence"))
+    def test_verify_suites_pass(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert json.loads(out)["passed"] is True
 
 
 class TestDeterminism:

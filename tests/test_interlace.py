@@ -2,9 +2,11 @@
 
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 
+import cylfn.interlace
 from cylfn.interlace import (
     COINCIDENCE_TOL,
     EmptyOverlapError,
@@ -149,6 +151,74 @@ class TestDetectShifted:
         assert lo == 1  # holds on the full checkable window
 
 
+def _forward_shift(a, b):
+    """Forward search for the shift: for each d, the run of s that holds up
+    to the top s, tracked from its first s upward."""
+    if check_interlaced(a, b).interlaced:
+        return None, None
+    for ad in (1, 2, 3):
+        for d in (ad, -ad):
+            s_lo, s_hi = max(1, 1 - d), min(len(b), len(a) - d - 1)
+            if s_hi - s_lo < 1:
+                continue
+            ok_from = None
+            for s in range(s_lo, s_hi + 1):
+                if a[s - 1 + d] - COINCIDENCE_TOL <= b[s - 1] < a[s + d]:
+                    if ok_from is None:
+                        ok_from = s
+                else:
+                    ok_from = None
+            if ok_from is not None and s_hi - ok_from >= 1:
+                return d, (ok_from, s_hi)
+    return None, None
+
+
+def _shifted_pairs(seed):
+    """Real and synthetic sequences b placed a shift d in [-5, 5] along a:
+    b[s] in [a[s+d], a[s+d+1]), at a random point or at an end nudged by
+    +-COINCIDENCE_TOL, some with one entry moved out of place, and slices."""
+    rng = random.Random(seed)
+    pairs = _seeded_pairs(seed)
+    grid = [0.5 * k for k in range(30)]
+    for _ in range(150):
+        if rng.random() < 0.5:
+            a = list(_zeros(rng.uniform(0.0, 8.0), rng.choice((0.0, math.pi / 2)), rng.randrange(4, 20)).zeros)
+        else:
+            a = sorted(rng.sample(grid, rng.randrange(4, 20)))
+        d = rng.randint(-5, 5)
+        b = [a[0] - 1.0 + k / 8.0 for k in range(max(0, -d))]  # the s below the window
+        for i in range(max(0, d), len(a) - 1):
+            lo, hi = a[i], a[i + 1]
+            b.append(rng.choice((
+                lo + rng.random() * (hi - lo), lo, lo - 0.5 * COINCIDENCE_TOL, lo - 2 * COINCIDENCE_TOL,
+                lo + 0.5 * COINCIDENCE_TOL, hi, hi - 0.5 * COINCIDENCE_TOL,
+            )))
+        if not b:  # d at or past the end of a
+            continue
+        if rng.random() < 0.3:
+            b[rng.randrange(len(b))] = rng.uniform(a[0], a[-1])
+        b = sorted(set(b))
+        i, j = rng.randrange(len(b)), rng.randrange(len(b))
+        pairs += [(a, b), (a, b[min(i, j) : max(i, j) + 2]), (a[rng.randrange(3):], b)]
+    return pairs
+
+
+class TestDetectShiftedReference:
+    @pytest.mark.parametrize("seed", (1, 2, 3))
+    def test_matches_forward_search(self, seed):
+        shifted = 0
+        for a, b in _shifted_pairs(seed):
+            for p, q in ((a, b), (b, a)):
+                if len(p) < 2 or len(q) < 2 or p[-1] <= q[0] or q[-1] <= p[0]:
+                    with pytest.raises(EmptyOverlapError):
+                        detect_shifted(p, q)
+                    continue
+                rep = detect_shifted(p, q)
+                assert (rep.shift_d, rep.window) == _forward_shift(p, q), (p, q)
+                shifted += rep.shift_d is not None
+        assert shifted >= 100  # the block exercises the shifted branch
+
+
 class TestVerifyChain:
     def test_single_link_values(self):
         # spot values for (nu=1, c=0.5, s=1), frozen from the reference
@@ -180,3 +250,92 @@ class TestVerifyChain:
             verify_chain(-0.5, 1.0, 5)
         with pytest.raises(DomainError):
             verify_chain(1.0, 1.5, 5)
+
+
+_LINKS = ("j' < y", "y < y_{+c}", "y_{+c} < y'", "y' < j", "j < j_{+c}", "j_{+c} < j'_{s+1}")
+
+
+def _chain_by_links(nu, seqs, n):
+    """(passed, checks, worst, counterexample) from a per-s table of the six
+    links, with the COINCIDENCE_TOL rule and the nu <= j'_{nu,1} check."""
+    jp, y, yc, yp, j, jc = seqs
+    worst, bad, checks = math.inf, None, 0
+    for s in range(n):
+        links = ((jp[s], y[s]), (y[s], yc[s]), (yc[s], yp[s]), (yp[s], j[s]), (j[s], jc[s]), (jc[s], jp[s + 1]))
+        for name, (lo, hi) in zip(_LINKS, links):
+            checks += 1
+            worst = min(worst, hi - lo)
+            if hi - lo < -COINCIDENCE_TOL and bad is None:
+                bad = {"s": s + 1, "link": name, "lower": lo, "upper": hi}
+    if nu > jp[0] and bad is None:
+        bad = {"link": "nu <= j'_{nu,1}", "nu": nu, "first_zero": jp[0]}
+    return bad is None, checks + 1, min(worst, jp[0] - nu), bad
+
+
+class TestVerifyChainFaults:
+    NU, C, N = 2.5, 0.5, 6
+
+    def _keys(self):
+        # the six sequences in chain order: j', y, y_{+c}, y', j, j_{+c}
+        nu, nc, half = self.NU, self.NU + self.C, math.pi / 2
+        f, d = EvalKind.FUNCTION, EvalKind.DERIVATIVE
+        return ((nu, 0.0, d), (nu, half, f), (nc, half, f), (nu, half, d), (nu, 0.0, f), (nc, 0.0, f))
+
+    def _inject(self, monkeypatch, q, i, value):
+        # find_zeros as verify_chain sees it, with zero i of sequence q moved
+        seqs = {}
+
+        def moved(spec, kind, n):
+            zs = list(find_zeros(spec, kind, n).zeros)
+            key = (spec.nu, spec.delta, kind)
+            if key == self._keys()[q]:
+                zs[i] = value
+            seqs[key] = zs
+            return SimpleNamespace(zeros=tuple(zs))
+
+        monkeypatch.setattr(cylfn.interlace, "find_zeros", moved)
+        return lambda: [seqs[k] for k in self._keys()]
+
+    def _true(self):
+        n = self.N
+        return [list(_zeros(nu, d, n + (q == 0), kind).zeros) for q, (nu, d, kind) in enumerate(self._keys())]
+
+    @pytest.mark.parametrize("q", range(6))
+    def test_zero_below_its_chain_predecessor(self, monkeypatch, q):
+        # zero s = 3 of sequence q moved 0.01 below the entry before it in
+        # the chain: the link into it at s = 3 is the first to fail
+        seqs = self._true()
+        prev = seqs[q - 1][2] if q else seqs[5][1]
+        self._inject(monkeypatch, q, 2, prev - 0.01)
+        rep = verify_chain(self.NU, self.C, self.N)
+        s, link = (3, _LINKS[q - 1]) if q else (2, _LINKS[5])
+        assert not rep.passed
+        assert rep.checks == 6 * self.N + 1
+        assert rep.counterexample == {"s": s, "link": link, "lower": prev, "upper": prev - 0.01}
+        assert rep.worst_residual == (prev - 0.01) - prev
+
+    def test_first_zero_of_j_prime_below_nu(self, monkeypatch):
+        self._inject(monkeypatch, 0, 0, self.NU - 0.5)
+        rep = verify_chain(self.NU, self.C, self.N)
+        assert not rep.passed and rep.checks == 6 * self.N + 1
+        assert rep.counterexample == {"link": "nu <= j'_{nu,1}", "nu": self.NU, "first_zero": self.NU - 0.5}
+        assert rep.worst_residual == -0.5
+
+    @pytest.mark.parametrize("seed", (1, 2))
+    def test_matches_link_table(self, monkeypatch, seed):
+        # one zero moved to a neighbour in the chain, nudged at +-COINCIDENCE_TOL
+        rng = random.Random(seed)
+        seqs = self._true()
+        chain = [seqs[q][s] for s in range(self.N) for q in range(6)] + [seqs[0][self.N]]
+        failing = 0
+        for _ in range(40):
+            k = rng.randrange(1, len(chain) - 1)
+            q, i = k % 6, k // 6
+            nudge = rng.choice((-0.01, 0.01, *(t * COINCIDENCE_TOL for t in (-2.0, -0.5, 0.0, 0.5, 2.0))))
+            value = chain[k + rng.choice((-1, 1))] + nudge
+            got = self._inject(monkeypatch, q, i, value)
+            rep = verify_chain(self.NU, self.C, self.N)
+            want = _chain_by_links(self.NU, got(), self.N)
+            assert (rep.passed, rep.checks, rep.worst_residual, rep.counterexample) == want, (k, value)
+            failing += not rep.passed
+        assert failing >= 5

@@ -32,6 +32,12 @@ class TestRecurrences:
         rep = verify_recurrences(7.0, math.pi / 2, [250.0, 399.0])
         assert rep.passed, rep.counterexample
 
+    def test_residual_outside_the_double_range_raises(self):
+        # (x^2 - nu(nu+1)) C'_32 overflows at x = 1.2e-8, so the derivative
+        # three-term residual is inf - inf; a NaN residual must not pass
+        with pytest.raises(OverflowError, match="derivative-three-term"):
+            verify_recurrences(30.0, math.pi / 2, [1.2e-8])
+
     @pytest.mark.parametrize("nu, grid", ((-5.0, GRID), (35.0, GRID), (1.0, [1.0, 500.0])))
     def test_inputs_outside_the_box_rejected(self, nu, grid):
         with pytest.raises(DomainError):

@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from cylfn.special_fn import CylinderSpec, EvalKind
+from cylfn.interlace import check_interlaced
+from cylfn.special_fn import CylinderSpec, EvalKind, bessel_j, bessel_y
 from cylfn.wronskian import (
     DegenerateSpecError,
     check_derivative_identity,
@@ -129,6 +130,32 @@ class TestProfile:
             ws = [wronskian_value(a, b, t) for t in ts]
             diffs = [w1 - w0 for w0, w1 in zip(ws, ws[1:])]
             assert all(d > 0 for d in diffs) or all(d < 0 for d in diffs)
+
+
+class TestCoincidentZero:
+    """C_b = cos(d) J_2 - sin(d) Y_2 with tan d = J_2(z)/Y_2(z) vanishes at
+    z = j_{1,3}, a zero of J_1: the two functions share a zero there."""
+
+    def _pair(self):
+        a = _spec(1.0, 0.0)
+        z = find_zeros(a, EvalKind.FUNCTION, 3).zeros[2]
+        return a, _spec(2.0, math.atan2(bessel_j(2.0, z), bessel_y(2.0, z))), z
+
+    def test_profile_merges_the_shared_zero(self):
+        a, b, z = self._pair()
+        p = wronskian_profile(a, b, 6)
+        assert p.coincident is True
+        assert len(p.extrema) == 11  # 12 zeros, two of them merged
+        (hit,) = [e for e in p.extrema if e[2] == "coincident"]
+        assert hit[0] == pytest.approx(z, rel=1e-12) and hit[1] == 0.0
+
+    def test_interlacing_and_equivalence(self):
+        a, b, _ = self._pair()
+        rep = check_interlaced(find_zeros(a, EvalKind.FUNCTION, 6), find_zeros(b, EvalKind.FUNCTION, 6))
+        assert rep.coincident is True and rep.interlaced is False
+        eq = interlace_wronskian_equivalence(a, b, 6)
+        assert eq.passed
+        assert eq.details == {"sign_changes": 1, "interlaced": False}
 
 
 class TestEquivalence:
