@@ -135,8 +135,8 @@ def _cmd_interlace(args) -> int:
     rep = check_interlaced(za, zb)
     shift = detect_shifted(za, zb)
     payload = {
-        "nu": args.nu,
-        "mu": args.mu,
+        "nu": za.spec.nu,
+        "mu": zb.spec.nu,
         "delta": za.spec.delta,
         "delta_bar": zb.spec.delta,
         "n": args.n,

@@ -3,19 +3,18 @@
 A cylinder function is C(x; nu, delta) = cos(delta) J_nu(x) - sin(delta) Y_nu(x).
 Supported domain: order 0 <= nu <= 30, argument 0 < x <= 400, double precision.
 
-Strategy, all in plain double arithmetic.  For x < 20, and for nu > x up to
-x = 30, one pass yields J, Y, J' and Y' together (the bessjy design of
+Strategy, all in plain double arithmetic, with one seam at x = 30.  For
+x <= 30 one pass yields J, Y, J' and Y' together (the bessjy design of
 Numerical Recipes): the continued fraction CF1 gives J_{nu+1}/J_nu, a
 recurrence on that ratio runs down to a base order mu, Temme's series
 (x < 2) or Steed's CF2 gives Y_mu and Y_{mu+1}, the Wronskian fixes the
-scale of J, and forward recurrence on Y climbs back to nu.  For x > 30, and
-for nu <= x from x = 20, one path serves J, Y and every mixing angle: C
-itself at the base orders frac(nu) and frac(nu) + 1 from the Hankel
-asymptotic P/Q sums, then forward recurrence on C up to nu, and
-C'_nu = -C_{nu+1} + (nu/x) C_nu.  The zero finder's H = J + iY and H' come
-from the same two paths.  No derivative comes from numerical
-differentiation.  Where |Y|, C or C' exceeds the double range (x -> 0),
-evaluation raises OverflowError.
+scale of J, and forward recurrence on Y climbs back to nu.  For x > 30 one
+path serves J, Y and every mixing angle: C itself at the base orders
+frac(nu) and frac(nu) + 1 from the Hankel asymptotic P/Q sums, then forward
+recurrence on C up to nu, and C'_nu = -C_{nu+1} + (nu/x) C_nu.  The zero
+finder's H = J + iY and H' come from the same two paths.  No derivative
+comes from numerical differentiation.  Where |Y|, C or C' exceeds the
+double range (x -> 0), evaluation raises OverflowError.
 """
 
 import math
@@ -41,7 +40,6 @@ __all__ = [
 NU_MAX = 30.0
 X_MAX = 400.0
 _X_SERIES = 30.0  # continued fractions below, Hankel sums above
-_X_HANKEL = 20.0  # Hankel sums also serve nu <= x from here up
 _ZERO_WEIGHT = 1e-15  # |cos(delta)| at most this skips J; pi - delta below it maps delta to 0
 
 
@@ -60,7 +58,7 @@ class Order(namedtuple("Order", "nu")):
     __slots__ = ()
 
     def __new__(cls, nu: float):
-        v = float(nu)
+        v = float(nu) + 0.0  # -0.0 becomes 0.0
         if not math.isfinite(v):
             raise DomainError(f"order must be finite, got {nu!r}")
         if v < 0.0 or v > NU_MAX:
@@ -86,7 +84,7 @@ class MixingAngle(namedtuple("MixingAngle", "delta")):
         d = float(delta)
         if not math.isfinite(d):
             raise DomainError(f"angle must be finite, got {delta!r}")
-        d = math.fmod(d, math.pi)
+        d = math.fmod(d, math.pi) + 0.0  # -0.0 becomes 0.0
         if d < 0.0:
             d += math.pi
         if d > math.pi - _ZERO_WEIGHT:
@@ -270,36 +268,32 @@ def _jy(nu: float, x: float):
 
 
 # ---------------------------------------------------------------------------
-# Large-x machinery (x > 30, and nu <= x from x = 20)
+# Large-x machinery (x > 30)
 # ---------------------------------------------------------------------------
 
 
 def _hankel_pq(mu: float, x: float):
     # P and Q sums of the Hankel expansion at order mu; for the base orders
-    # used here (0 <= mu < 2) the smallest term is below 6e-19 from x = 20
+    # used here (0 <= mu < 2) and x > 30 the terms fall below 1e-20 within
+    # 23 terms, long before they start to grow near k = 2x
     mu4 = 4.0 * mu * mu
     p = 1.0
     q = 0.0
     a = 1.0
-    prev = math.inf
     for k in range(1, 60):
         a *= (mu4 - (2.0 * k - 1.0) ** 2) / (8.0 * k * x)
-        aa = abs(a)
-        if aa >= prev:
-            break
-        prev = aa
         sgn = -1.0 if ((k // 2) & 1) else 1.0
         if k & 1:
             q += sgn * a
         else:
             p += sgn * a
-        if aa < 1e-20:
+        if abs(a) < 1e-20:
             break
     return p, q
 
 
 def _cyl_large(nu: float, delta: float, x: float, h: bool = False):
-    # (C, C') for x >= 20: Hankel sums at the base orders mu = frac(nu) and
+    # (C, C') for x > 30: Hankel sums at the base orders mu = frac(nu) and
     # mu + 1, then forward recurrence on C itself up to C_nu and C_{nu+1}.
     # With h, and delta = 0, (H, H') for H = J + iY: Y is C at delta = -pi/2,
     # so cos t and sin t below become e^{it} and -i e^{it}.
@@ -330,11 +324,9 @@ def _cyl_large(nu: float, delta: float, x: float, h: bool = False):
 def _cyl(nu: float, delta: float, x: float, h: bool = False):
     # (C, C') = cos(delta) (J, J') - sin(delta) (Y, Y'); with h, and delta =
     # 0, (H, H') for H = J + iY, which the zero finder takes.  C' is left to
-    # the callers that return it to check for overflow.  x > 30 is tested
-    # first, so that large-x calls pay one comparison.  From x = 20 the
-    # Hankel sums serve nu <= x within an ulp, where CF1 would accumulate
-    # 5-13 ulp.
-    if x > _X_SERIES or (x >= _X_HANKEL and nu <= x):
+    # the callers that return it to check for overflow.  The one regime
+    # test, x > 30, comes first, so that large-x calls pay one comparison.
+    if x > _X_SERIES:
         return _cyl_large(nu, delta, x, h)
     j, y, jp, yp = _jy(nu, x)
     if h:

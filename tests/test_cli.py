@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -242,6 +243,21 @@ class TestArtifacts:
         assert code == 0
         row = out.strip().splitlines()[1].split(",")
         assert float(row[3]) == float(row[4]) == math.pi / 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        (
+            ("eval", "--nu", "-0", "--delta", "-0", "--x", "1"),
+            ("sweep", "--family", "cylinder", "--nu", "-0", "--gaps", "1", "--n", "3", "--format", "json"),
+            ("sweep", "--family", "jvsy", "--nu", "-0", "--gaps", "1", "--n", "3", "--format", "csv"),
+            ("interlace", "--nu", "-0", "--mu", "1", "--delta", "-0", "--n", "3"),
+        ),
+    )
+    def test_negative_zero_orders_and_angles_print_as_zero(self, capsys, argv):
+        # an order or angle of -0.0 is stored as 0.0, so no artifact echoes it
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert re.search(r"(^|[\s,\[:])-0([\s,}\]]|$)", out) is None, out
 
     def test_out_file(self, tmp_path, capsys):
         target = tmp_path / "zeros.json"

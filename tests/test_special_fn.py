@@ -121,12 +121,17 @@ class TestAccuracyContract:
                 self._check(got, float(oracle_cylinder(nu, delta, x)))
 
     def test_regime_seams_are_continuous(self):
-        # series/backward-recurrence handoff near x = 30: values on both
-        # sides of the seam agree with the reference at full contract
+        # the one seam, continued fractions up to x = 30 and Hankel sums
+        # past it, for every order: J, Y, C and C' on both sides agree with
+        # the reference at full contract
         for nu in (0.4, 3.0, 17.2, 29.9):
             for x in (29.95, 30.0, 30.05):
                 self._check(bessel_j(nu, x), float(oracle_j(nu, x)))
                 self._check(bessel_y(nu, x), float(oracle_y(nu, x)))
+                for delta in (0.0, math.pi / 2, 2.2):
+                    c, cp = cylinder_and_prime(CylinderSpec.of(nu, delta), x)
+                    self._check(c, float(oracle_cylinder(nu, delta, x)))
+                    self._check(cp, float(oracle_cylinder_prime(nu, delta, x)))
 
     def test_y_near_integer_orders(self):
         # orders within 1e-7 of an integer, where Y by the reflection
@@ -136,11 +141,11 @@ class TestAccuracyContract:
                 self._check(bessel_y(nu, x), float(oracle_y(nu, x)))
 
     def test_large_x_value_and_derivative(self):
-        # past x = 30, and for nu <= x from x = 20, one path serves J, Y and
-        # mixed angles, for C and C' alike: the band 20 <= x <= 30 and its
-        # edges on the continued-fraction side (nu just above x, x just
-        # below 20), the seam band with orders up to the turning point, and
-        # the far end of the box
+        # J, Y and mixed angles, for C and C' alike, from the one-pass
+        # continued fractions up to x = 30 (20 <= x <= 30 with orders on
+        # both sides of the turning point) and from the Hankel sums past it
+        # (the seam band with orders up to the turning point, and the far
+        # end of the box)
         for nu, x in (
             (0.0, 20.0), (0.0, 23.2), (7.5, 24.0), (19.9, 20.0), (25.0, 25.0),
             (29.0, 29.5), (3.3, 30.0), (20.5, 20.0), (29.0, 28.5), (1.2, 19.99),
@@ -172,8 +177,8 @@ class TestAccuracyContract:
 
     def test_j_order_window_below_seam(self):
         # J_{-m} = cos(m pi) J_m - sin(m pi) Y_m = C_m(x; m pi), from the
-        # same paths as every C_m: the one-pass J, Y below x = 20, the Hankel
-        # sums above; order 31 through CF1 throughout
+        # same paths as every C_m: the one-pass J, Y up to x = 30, the
+        # Hankel sums above; order 31 through CF1 throughout
         for nu in (-1.0, -0.7, -0.3, 31.0) + self.BOUNDARY_ORDERS:
             for x in (1e-3, 0.5, 1.99, 2.0, 7.3, 19.99, 20.0, 26.5, 30.0):
                 self._check(bessel_j(nu, x), float(oracle_j(nu, x)))

@@ -235,7 +235,7 @@ class TestPhasePremises:
     @staticmethod
     def _grid(nu):
         # x -> 0 geometrically, then step 0.25, refined to 0.02 in the
-        # turning region and at the regime seams x = 20 and x = 30
+        # turning region, at the regime seam x = 30 and at x = 20
         xs = [1e-6 * 1.25**k for k in range(62)]
         x = 1.0
         while x < 400.0:
