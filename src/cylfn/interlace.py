@@ -13,7 +13,7 @@ import math
 from collections import namedtuple
 
 from .reports import VerificationReport
-from .special_fn import CylinderSpec, DomainError, EvalKind
+from .special_fn import CylinderSpec, DomainError, EvalKind, Order
 from .zeros import ZeroSequence, find_zeros
 
 __all__ = [
@@ -136,10 +136,8 @@ def verify_chain(nu: float, c: float, n: int) -> VerificationReport:
     for s = 1..n, plus nu <= j'_{nu,1}.  worst_residual is the smallest
     margin over all 6n strict inequalities (positive means all hold).
     """
-    nu = float(nu)
+    nu = Order(nu).nu
     c = float(c)
-    if nu < 0.0:
-        raise DomainError(f"chain requires nu >= 0, got {nu!r}")
     if not 0.0 < c <= 1.0:
         raise DomainError(f"chain requires 0 < c <= 1, got {c!r}")
     n = int(n)

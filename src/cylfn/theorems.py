@@ -131,11 +131,9 @@ def verify_recurrences(nu: float, delta: float, x_grid) -> VerificationReport:
 def verify_theorem1(nu: float, a: float, b: float, c: float, n: int) -> VerificationReport:
     """Known interlacing results: order gaps a (functions), b (derivatives),
     plus the inequality chain with gap c."""
-    nu = float(nu)
     if not (0.0 < a <= 2.0 and 0.0 < b <= 1.0 and 0.0 < c <= 1.0):
         raise DomainError("require 0 < a <= 2, 0 < b <= 1, 0 < c <= 1")
-    if nu < 0.0:
-        raise DomainError("require nu >= 0")
+    nu = Order(nu).nu
     checks = 0
     counterexample = None
     parts = [("a-functions", d, EvalKind.FUNCTION, a) for d in (0.0, math.pi / 4.0, _HALF_PI)]
@@ -191,9 +189,8 @@ def verify_theorem3(
     J against Y breaks down past gap 1, and breakdown_scan maps that."""
     if family is Family.JVSY:
         raise DomainError("theorem3 judges |nu - mu| <= 2, not J vs Y; use sweep --family jvsy")
-    nu = float(nu)
-    mu = float(mu)
-    name = f"theorem3({family.value}, nu={nu:g}, mu={mu:g}, delta={delta:g}, n={n})"
+    nu, mu = Order(nu).nu, Order(mu).nu
+    name = f"theorem3({family.value}, nu={nu:g}, mu={mu:g}, delta={MixingAngle(delta).delta:g}, n={n})"
     sa, sb, kind = _family_specs(family, nu, mu, delta)
     if nu == mu:
         return VerificationReport(

@@ -24,12 +24,13 @@ near an integer m the offset is read from f = |H| sin(pi u) instead, as u - m
 = asin((-1)^m f/|H|)/pi, with f = cos(delta) Re H - sin(delta) Im H from the
 same H: f's rounding scales with its own small terms, not with |H|.
 
-As x -> 0+, C > 0, and C' < 0 except for C' = J'_nu > 0 with nu > 0.  So at
-most one zero lies below x = 1e-6, exactly when f there has the other sign.
-It, or else C''s zero below nu, is where a/b = |tan delta| for the parts a, b
-> 0 of H (H') that f weighs; at delta = 0, J'_nu's, where nu J_nu = x J_{nu+1}.
-Both ratios are near powers of x, so the same Newton loop solves for their
-logs in log x; a zero below 1e-300 raises IterationError.
+As x -> 0+, C > 0, and C' < 0 except for C' = J'_nu > 0 with nu > 0.  J, -Y,
+J' and Y' are positive on (0, nu], where J/(-Y) and J'/Y' are monotone; so at
+most one zero lies below x0 = max(nu, 1e-6), exactly when f at x0 has the
+other sign, for C and C' alike.  It is where a/b = |tan delta| for the parts
+a, b > 0 of H (H') that f weighs; at delta = 0, J'_nu's, where nu J_nu = x
+J_{nu+1}.  Both ratios are near powers of x, so the same Newton loop solves
+for their logs in log x; a zero below 1e-300 raises IterationError.
 """
 
 import math
@@ -52,7 +53,7 @@ __all__ = ["ZeroSequence", "Trajectory", "IterationError", "find_zeros", "zero_t
 
 REL_TOL = 1e-12
 _MAX_ITER = 80
-_START = 1e-6  # a zero below here is sought in log x
+_START = 1e-6  # a zero below max(nu, 1e-6) is sought in log x, from here
 _X_FLOOR = 1e-300  # ... down to here
 
 
@@ -176,19 +177,20 @@ def _refine(phase, m, x, a, b):
     raise IterationError(f"zero refinement did not converge in {_MAX_ITER} steps on [{a}, {b}]")
 
 
-def _origin(spec: CylinderSpec, kind: EvalKind, lo, hi):
-    # the first zero from the origin (module docstring) on (lo, hi), by
-    # _refine at level 0 in t = log(x / X_MAX) <= 0, so that its step test is
-    # relative in x: r = log(a/b) - log|tan delta| for (a, b) = (J, -Y), (J',
-    # Y'), or (-J'_0, Y'_0) for C' at nu = 0 past pi/2; at delta = 0, r =
-    # log(x J_{nu+1} / (nu J_nu)) = -log1p(J'_nu / J_{nu+1}), near 2 log x
+def _origin(spec: CylinderSpec, kind: EvalKind, hi):
+    # the one zero below hi = max(nu, 1e-6) (module docstring), by _refine
+    # at level 0 in t = log(x / hi) <= 0, so that its step test is relative
+    # in x and t keeps x's last bits near hi: r = log(a/b) - log|tan delta|
+    # for (a, b) = (J, -Y), (J', Y'), or (-J'_0, Y'_0) for C' at nu = 0 past
+    # pi/2; at delta = 0, r = log(x J_{nu+1} / (nu J_nu)) = -log1p(J'_nu /
+    # J_{nu+1}), near 2 log x
     nu, derivative = spec.nu, kind is EvalKind.DERIVATIVE
     cos, sin = math.cos(spec.delta), math.sin(spec.delta)
     sa, sb = (math.copysign(1.0, cos), 1.0) if derivative else (1.0, -1.0)
     cos = abs(cos)
 
     def phase(t):
-        x = X_MAX * math.exp(t)
+        x = hi * math.exp(t)
         h = _cyl(nu, 0.0, x, h=True)
         if sin == 0.0:
             j, b = h[0].real, _cyl(nu + 1.0, 0.0, x)[0]
@@ -205,11 +207,11 @@ def _origin(spec: CylinderSpec, kind: EvalKind, lo, hi):
             r = math.log1p((cos * a - sin * b) / (sin * b))
         return r, (2.0 / math.pi) * (p / a) * (q / b), math.sin(math.pi * r)
 
-    a, t, b = (math.log(v / X_MAX) for v in (lo, _START, hi))
+    a, t, b = (math.log(v / hi) for v in (_X_FLOOR, _START, hi))
     t, tol, _ = _refine(phase, 0, t, a, b)
-    if lo == _X_FLOOR and t - a <= REL_TOL:
+    if t - a <= 2.0 * REL_TOL:  # _refine stops within REL_TOL of a, up to t's rounding
         raise IterationError(f"the first zero lies below x = {_X_FLOOR:g}")
-    return X_MAX * math.exp(t), tol
+    return hi * math.exp(t), tol
 
 
 def _zeros(spec: CylinderSpec, kind: EvalKind):
@@ -219,16 +221,12 @@ def _zeros(spec: CylinderSpec, kind: EvalKind):
     if derivative and nu == 0.0 and delta == 0.0:
         yield 0.0, REL_TOL  # x = 0 counts as the first zero of J'_0
     phase = _target(spec, kind)
-    fx = cylinder_and_prime(spec, _START)[1] if derivative else cylinder(spec, _START)
+    x = max(nu, _START)
+    fx = cylinder_and_prime(spec, x)[1] if derivative else cylinder(spec, x)
     # the sign as x -> 0+: C > 0; C' < 0, but J'_nu > 0 for nu > 0
-    below = (fx > 0.0) != (not derivative or (delta == 0.0 and nu > 0.0))
-    if below:
-        yield _origin(spec, kind, _X_FLOOR, _START)
-    x = nu if derivative and nu > _START else _START
+    if (fx > 0.0) != (not derivative or (delta == 0.0 and nu > 0.0)):
+        yield _origin(spec, kind, x)
     w, dw, _ = phase(x)
-    if x > _START and delta > 0.0 and not below and w < 1.0:
-        # C': u falls through 1 on (1e-6, nu), from 1 + delta/pi at 0+
-        yield _origin(spec, kind, _START, nu)
     kappa = 0.25 - 0.5 * nu + delta / math.pi + (0.5 if derivative else 0.0)
     for m in count(math.floor(w) + 1):
         # the bracket of the module docstring; find_zeros' bound on n keeps it below x = 400

@@ -251,13 +251,17 @@ class TestArtifacts:
             ("sweep", "--family", "cylinder", "--nu", "-0", "--gaps", "1", "--n", "3", "--format", "json"),
             ("sweep", "--family", "jvsy", "--nu", "-0", "--gaps", "1", "--n", "3", "--format", "csv"),
             ("interlace", "--nu", "-0", "--mu", "1", "--delta", "-0", "--n", "3"),
+            ("verify", "theorem3", "--nu", "-0", "--mu", "1", "--delta", "-0", "--n", "3"),
+            ("verify", "chain", "--nu", "-0", "--c", "1", "--n", "2"),
+            ("verify", "theorem1", "--nu", "-0", "--n", "2"),
         ),
     )
     def test_negative_zero_orders_and_angles_print_as_zero(self, capsys, argv):
-        # an order or angle of -0.0 is stored as 0.0, so no artifact echoes it
+        # an order or angle of -0.0 is stored as 0.0, so no artifact echoes
+        # it, report names included
         code, out, _ = run(capsys, *argv)
         assert code == 0
-        assert re.search(r"(^|[\s,\[:])-0([\s,}\]]|$)", out) is None, out
+        assert re.search(r"(^|[\s,\[:=])-0([\s,)}\]]|$)", out) is None, out
 
     def test_out_file(self, tmp_path, capsys):
         target = tmp_path / "zeros.json"

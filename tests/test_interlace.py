@@ -246,7 +246,7 @@ class TestVerifyChain:
         assert rep.passed, rep.counterexample
 
     def test_chain_preconditions(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="order must lie in"):
             verify_chain(-0.5, 1.0, 5)
         with pytest.raises(DomainError):
             verify_chain(1.0, 1.5, 5)

@@ -55,6 +55,8 @@ class TestTheorem1:
             verify_theorem1(1.0, 2.5, 1.0, 1.0, 10)
         with pytest.raises(DomainError):
             verify_theorem1(1.0, 2.0, 1.0, 1.2, 10)
+        with pytest.raises(DomainError, match="order must lie in"):
+            verify_theorem1(-0.5, 2.0, 1.0, 1.0, 10)
 
 
 class TestTheorem3:
@@ -150,6 +152,12 @@ class TestTransitivity:
         with pytest.raises(DomainError):
             verify_transitivity(
                 self.F, CylinderSpec.of(2.5, 0.0), self.H, EvalKind.FUNCTION, (5.0, 60.0)
+            )
+
+    def test_rejects_triple_at_different_angles(self):
+        with pytest.raises(DomainError, match="share the mixing angle"):
+            verify_transitivity(
+                self.F, CylinderSpec.of(2.0, 0.5), self.H, EvalKind.FUNCTION, (5.0, 60.0)
             )
 
 

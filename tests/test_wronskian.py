@@ -67,6 +67,12 @@ class TestDerivativeIdentity:
     def test_sample_pair(self):
         assert check_derivative_identity(_spec(1.0, 0.0), _spec(2.0, 0.0), 5.0) <= 1e-6
 
+    @pytest.mark.parametrize("x", (1e-4, 5e-5, 0.0))
+    def test_rejects_a_difference_reaching_x_le_0(self, x):
+        # the centered difference steps 1e-4 either side of x
+        with pytest.raises(ValueError, match="need x > 0.0001"):
+            check_derivative_identity(_spec(1.0, 0.0), _spec(2.0, 0.0), x)
+
     def test_extremum_at_zero_of_xi(self):
         a = _spec(1.0, 0.0)
         b = _spec(2.0, 0.0)

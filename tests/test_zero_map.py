@@ -4,11 +4,12 @@ Opt-in, as it adds a few minutes to a run on two vCPUs:
 
     python -m pytest -m slow tests/test_zero_map.py
 
-Requests (nu, delta, kind) in four strata: C' at delta_c(nu) -+ 1e-2 and
+Requests (nu, delta, kind) in five strata: C' at delta_c(nu) -+ 1e-2 and
 1e-4, where C' has a double zero at x = nu for delta_c(nu) = pi/2 -
 arg(J'_nu(nu) + i Y'_nu(nu)), so that two zeros straddle nu just below it;
 C at delta -> pi with nu < 1/2 and C' at delta -> 0+ with nu < 1/2, where the
-first zero lies below the library's start, x = 1e-6; and the whole box.  The
+first zero lies below the start, x = 1e-6; the whole box; and C at delta ->
+pi with nu in [2, 30], where the first zero lies between the start and nu.  The
 reference (tests/oracle.py) finds the first K zeros of each by itself: one
 below the start by bisection in log x, the others by a sign scan of step
 pi/16, refined to a step of 5e-3 within 1/4 of nu for C'.  The
@@ -55,6 +56,10 @@ def _derivative_near_0(rng):
     return rng.uniform(0.0, 0.5), 10.0 ** rng.uniform(-12.0, -1.0), EvalKind.DERIVATIVE
 
 
+def _function_below_the_order(rng):
+    return rng.uniform(2.0, 30.0), math.pi - 10.0 ** rng.uniform(-12.0, math.log10(0.32)), EvalKind.FUNCTION
+
+
 def _box(rng):
     delta = rng.choice((0.0, math.pi / 2, rng.uniform(0.0, math.pi)))
     return rng.uniform(0.0, 30.0), delta, rng.choice((EvalKind.FUNCTION, EvalKind.DERIVATIVE))
@@ -65,6 +70,7 @@ STRATA = {
     "C, delta->pi": _function_near_pi,
     "C', delta->0": _derivative_near_0,
     "box": _box,
+    "C below nu": _function_below_the_order,
 }
 
 

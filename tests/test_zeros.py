@@ -183,8 +183,13 @@ class TestNoSkippedZero:
         assert seq.refined_to == zeros.REL_TOL
 
     def test_zero_below_the_double_range_raises(self):
-        with pytest.raises(IterationError):
-            find_zeros(_spec(0.0, math.pi - 1e-3), EvalKind.FUNCTION, 3)
+        # C_0's first zero, where J_0/(-Y_0) = tan(pi - delta), lies below
+        # x = 1e-300 for pi - delta < 2e-3: a search that ends on the floor
+        # raises, and never returns the floor as a zero
+        rng = random.Random(20261024)
+        for eps in [1e-3] + [10.0 ** rng.uniform(-14.0, -3.0) for _ in range(100)]:
+            with pytest.raises(IterationError):
+                find_zeros(_spec(0.0, math.pi - eps), EvalKind.FUNCTION, 3)
 
     @pytest.mark.parametrize("nu, delta, error", (
         (0.5, 1e-250, OverflowError),  # the zero lies where |Y'| overflows
@@ -226,9 +231,12 @@ class TestPhasePremises:
                     assert 2.0 * (1.0 - (nu / x) ** 2) / (math.pi * x * (jp * jp + yp * yp)) <= 1.0
 
     def test_derivatives_positive_up_to_the_order(self):
-        # J'_nu > 0 and Y'_nu > 0 on (0, nu]: at most one zero of C' below nu
+        # J_nu, -Y_nu, J'_nu and Y'_nu > 0 on (0, nu]: at most one zero of C
+        # or C' below max(nu, 1e-6)
         for nu in (0.1, 0.5, 1.0, 3.3, 12.0, 30.0):
             for x in (nu * k / 16.0 for k in range(1, 17)):
+                assert cylinder(_spec(nu, 0.0), x) > 0.0
+                assert cylinder(_spec(nu, math.pi / 2), x) > 0.0
                 assert cylinder_and_prime(_spec(nu, 0.0), x)[1] > 0.0
                 assert cylinder_and_prime(_spec(nu, math.pi / 2), x)[1] < 0.0
 
@@ -319,7 +327,7 @@ class TestPassCount:
     def test_one_evaluation_of_f_per_request(self, monkeypatch):
         # every zero above the start comes from the phase, flat crossings at
         # a small effective angle included: f itself is evaluated once per
-        # request, for the sign test at x = 1e-6
+        # request, for the sign test at max(nu, 1e-6)
         calls = [0]
         for name in ("cylinder", "cylinder_and_prime"):
             def counted(*args, fn=getattr(zeros, name)):
@@ -355,29 +363,36 @@ class TestPassCount:
         return out
 
     def test_every_zero_from_one_solver(self, monkeypatch):
-        # the zero below the start and C''s below nu come from the same
-        # Newton loop as every other zero: one _refine call per zero
-        calls = [0]
-        refine = zeros._refine
+        # the zero below the start and C's or C''s below nu come from the
+        # same Newton loop as every other zero: one _refine call per zero,
+        # and one _origin call per zero below max(nu, 1e-6)
+        calls = {"_refine": 0, "_origin": 0}
+        for name in calls:
+            def counted(*args, name=name, fn=getattr(zeros, name)):
+                calls[name] += 1
+                return fn(*args)
 
-        def counted(*args):
-            calls[0] += 1
-            return refine(*args)
-
-        monkeypatch.setattr(zeros, "_refine", counted)
+            monkeypatch.setattr(zeros, name, counted)
         zeros._find_zeros_cached.cache_clear()
-        found = below = below_nu = 0
-        for spec, kind in self._origin_requests(random.Random(20261020), 600):
+        rng = random.Random(20261023)
+        below_c = [
+            (_spec(rng.uniform(2.0, 30.0), math.pi - 10.0 ** rng.uniform(-12.0, -0.5)), EvalKind.FUNCTION)
+            for _ in range(200)
+        ]
+        found = below = below_nu = below_nu_c = 0
+        for spec, kind in self._origin_requests(random.Random(20261020), 600) + below_c:
             seq = find_zeros(spec, kind, 2)
             found += len(seq)
             below += seq[0] < zeros._START
             below_nu += zeros._START < seq[0] < spec.nu
-        assert below >= 300 and below_nu >= 150
-        assert calls[0] == found
+            below_nu_c += zeros._START < seq[0] < spec.nu and kind is EvalKind.FUNCTION
+        assert below >= 300 and below_nu >= 150 and below_nu_c >= 100
+        assert calls == {"_refine": found, "_origin": below + below_nu}
 
-    def test_phase_passes_for_the_derivative_zero_below_the_order(self, monkeypatch):
-        # C''s first zero as delta -> 0+: log(J'/Y') is near linear in log x,
-        # where the phase creeps in x
+    @pytest.mark.parametrize("kind", tuple(EvalKind))
+    def test_phase_passes_for_the_zero_below_the_order(self, monkeypatch, kind):
+        # C's first zero as delta -> pi-, C''s as delta -> 0+: log(J/-Y) and
+        # log(J'/Y') are near linear in log x, where the phase creeps in x
         calls = [0]
         cyl = zeros._cyl
 
@@ -388,11 +403,13 @@ class TestPassCount:
         monkeypatch.setattr(zeros, "_cyl", counted)
         zeros._find_zeros_cached.cache_clear()
         rng = random.Random(20261021)
+        function = kind is EvalKind.FUNCTION
         counts = []
         for _ in range(600):
-            nu, delta = rng.uniform(0.3, 30.0), 10.0 ** rng.uniform(-12.0, math.log10(0.32))
+            nu = rng.uniform(2.0 if function else 0.3, 30.0)
+            eps = 10.0 ** rng.uniform(-12.0, math.log10(0.32))
             calls[0] = 0
-            find_zeros(_spec(nu, delta), EvalKind.DERIVATIVE, 1)
+            find_zeros(_spec(nu, math.pi - eps if function else eps), kind, 1)
             counts.append(calls[0])
         assert sum(counts) <= 8 * len(counts)
         assert max(counts) <= 12
@@ -438,3 +455,12 @@ class TestTrajectory:
         tr = zero_trajectory(MixingAngle(1.0), EvalKind.FUNCTION, 3, grid)
         assert tr.is_strictly_increasing()
         assert tr.max_slope() < 5.0
+
+    @pytest.mark.parametrize("s, grid, match", (
+        (0, [1.0, 2.0], "zero index must be >= 1"),
+        (1, [1.0, 3.0, 2.0], "strictly increasing"),
+        (1, [1.0, 1.0], "strictly increasing"),
+    ))
+    def test_rejects_bad_index_or_grid(self, s, grid, match):
+        with pytest.raises(DomainError, match=match):
+            zero_trajectory(MixingAngle(0.0), EvalKind.FUNCTION, s, grid)
