@@ -10,11 +10,11 @@ recurrence on that ratio runs down to a base order mu, Temme's series
 (x < 2) or Steed's CF2 gives Y_mu and Y_{mu+1}, the Wronskian fixes the
 scale of J, and forward recurrence on Y climbs back to nu.  For x > 30 one
 path serves J, Y and every mixing angle: C itself at the base orders
-frac(nu) and frac(nu) + 1 from the Hankel asymptotic P/Q sums, then forward
-recurrence on C up to nu, and C'_nu = -C_{nu+1} + (nu/x) C_nu.  The zero
-finder's H = J + iY and H' come from the same two paths.  No derivative
-comes from numerical differentiation.  Where |Y|, C or C' exceeds the
-double range (x -> 0), evaluation raises OverflowError.
+frac(nu) and frac(nu) + 1 from one pass of the Hankel P/Q sums for both
+base orders, then forward recurrence on C up to nu, and C'_nu = -C_{nu+1}
++ (nu/x) C_nu.  The zero finder's H = J + iY and H' come from the same two
+paths.  No derivative comes from numerical differentiation.  Where |Y|, C
+or C' exceeds the double range (x -> 0), evaluation raises OverflowError.
 """
 
 import math
@@ -272,31 +272,50 @@ def _jy(nu: float, x: float):
 # ---------------------------------------------------------------------------
 
 
+# Hankel term k multiplies the last by (4 mu^2 - (2k - 1)^2) / (8k x); in pairs
+# (odd k for Q, even k + 1 for P), k = 1, 3, ..., 59, with the even 8k negated
+# so that each term carries its slot's sign (+ - - + in turn).  All exact.
+_HANKEL_TERMS = tuple(
+    ((2.0 * k - 1.0) ** 2, 8.0 * k, (2.0 * k + 1.0) ** 2, -8.0 * (k + 1)) for k in range(1, 60, 2)
+)
+
+
 def _hankel_pq(mu: float, x: float):
-    # P and Q sums of the Hankel expansion at order mu; for the base orders
-    # used here (0 <= mu < 2) and x > 30 the terms fall below 1e-20 within
-    # 23 terms, long before they start to grow near k = 2x
-    mu4 = 4.0 * mu * mu
-    p = 1.0
-    q = 0.0
-    a = 1.0
-    for k in range(1, 60):
-        a *= (mu4 - (2.0 * k - 1.0) ** 2) / (8.0 * k * x)
-        sgn = -1.0 if ((k // 2) & 1) else 1.0
-        if k & 1:
-            q += sgn * a
-        else:
-            p += sgn * a
-        if abs(a) < 1e-20:
-            break
-    return p, q
+    # (P, Q) at orders mu and mu + 1 (0 <= mu < 1) in one pass; for x > 30 the
+    # terms fall below 1e-20 within 24, long before they grow near k = 2x.  Each
+    # order stops adding at its first term below 1e-20, as its own pass would:
+    # near mu = 1/2 later terms still move order mu's tiny Q.  Testing per pair
+    # suffices, as a term past one below 1e-20 is smaller and cannot move P ~ 1.
+    m0 = 4.0 * mu * mu
+    mu1 = mu + 1.0
+    m1 = 4.0 * mu1 * mu1
+    p0 = p1 = a0 = a1 = 1.0
+    q0 = q1 = 0.0
+    for wq, dq, wp, dp in _HANKEL_TERMS:
+        d = dq * x
+        a0 *= (m0 - wq) / d
+        a1 *= (m1 - wq) / d
+        q0 += a0
+        q1 += a1
+        d = dp * x
+        a0 *= (m0 - wp) / d
+        a1 *= (m1 - wp) / d
+        p0 += a0
+        p1 += a1
+        if abs(a0) < 1e-20:
+            if abs(a1) < 1e-20:
+                break
+            a0 = 0.0
+        elif abs(a1) < 1e-20:
+            a1 = 0.0
+    return p0, q0, p1, q1
 
 
 def _cyl_large(nu: float, delta: float, x: float, h: bool = False):
-    # (C, C') for x > 30: Hankel sums at the base orders mu = frac(nu) and
-    # mu + 1, then forward recurrence on C itself up to C_nu and C_{nu+1}.
-    # With h, and delta = 0, (H, H') for H = J + iY: Y is C at delta = -pi/2,
-    # so cos t and sin t below become e^{it} and -i e^{it}.
+    # (C, C') for x > 30: one pass of the Hankel sums for both base orders
+    # mu = frac(nu) and mu + 1, then forward recurrence on C itself up to C_nu
+    # and C_{nu+1}.  With h, and delta = 0, (H, H') for H = J + iY: Y is C at
+    # delta = -pi/2, so cos t and sin t below become e^{it} and -i e^{it}.
     steps = int(nu)
     mu = nu - steps
     amp = math.sqrt(2.0 / (math.pi * x))
@@ -309,11 +328,10 @@ def _cyl_large(nu: float, delta: float, x: float, h: bool = False):
     st = sx * cp + cx * sp
     if h:
         ct, st = complex(ct, st), complex(st, -ct)
-    p, q = _hankel_pq(mu, x)
-    c0 = amp * (p * ct - q * st)
+    p0, q0, p1, q1 = _hankel_pq(mu, x)
+    c0 = amp * (p0 * ct - q0 * st)
     # the phase of order mu + 1 is t - pi/2
-    p, q = _hankel_pq(mu + 1.0, x)
-    c1 = amp * (p * st + q * ct)
+    c1 = amp * (p1 * st + q1 * ct)
     order = mu + 1.0
     for _ in range(steps):
         c0, c1 = c1, (2.0 * order / x) * c1 - c0

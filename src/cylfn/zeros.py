@@ -208,10 +208,11 @@ def _origin(spec: CylinderSpec, kind: EvalKind, hi):
         return r, (2.0 / math.pi) * (p / a) * (q / b), math.sin(math.pi * r)
 
     a, t, b = (math.log(v / hi) for v in (_X_FLOOR, _START, hi))
-    t, tol, _ = _refine(phase, 0, t, a, b)
+    t, tol, (tl, _, _) = _refine(phase, 0, t, a, b)
     if t - a <= 2.0 * REL_TOL:  # _refine stops within REL_TOL of a, up to t's rounding
         raise IterationError(f"the first zero lies below x = {_X_FLOOR:g}")
-    return hi * math.exp(t), tol
+    xl = hi * math.exp(tl)  # as evaluated; hi * exp(t) would add a rounding of its own
+    return xl - xl * (tl - t), tol  # moved by the last step, to first order
 
 
 def _zeros(spec: CylinderSpec, kind: EvalKind):

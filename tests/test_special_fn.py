@@ -1,6 +1,7 @@
 """Evaluation accuracy and identity checks for the core function layer."""
 
 import math
+import random
 
 import mpmath as mp
 import pytest
@@ -18,6 +19,7 @@ from cylfn.special_fn import (
     cylinder_and_prime,
     cylinder_prime,
 )
+from cylfn.special_fn import _hankel_pq
 from oracle import oracle_cylinder, oracle_cylinder_prime, oracle_j, oracle_y
 
 # values frozen after reproduction by the in-repo reference implementation
@@ -156,6 +158,24 @@ class TestAccuracyContract:
                 c, cp = cylinder_and_prime(CylinderSpec.of(nu, delta), x)
                 self._check(c, float(oracle_cylinder(nu, delta, x)))
                 self._check(cp, float(oracle_cylinder_prime(nu, delta, x)))
+
+    def test_base_order_range_ends_past_the_seam(self):
+        # one pass of the Hankel sums serves both base orders frac(nu) and
+        # frac(nu) + 1: frac(nu) at 0, just below 1, and at and near 1/2,
+        # where the order-frac(nu) terms stop first; x just past the seam
+        # (the longest sums) and at 400 (the shortest).  J and Y at nu and
+        # nu + 1 give C and C' = -C_{nu+1} + (nu/x) C_nu at every angle.
+        for nu in (7.0, 7.5, 7.5 + 1e-12, 8.0 - 2.0**-40, 29.5):
+            for x in (math.nextafter(30.0, math.inf), 400.0):
+                jy = [(oracle_j(n, x), oracle_y(n, x)) for n in (nu, nu + 1.0)]
+                for delta in (0.0, math.pi / 2, 2.2):
+                    with mp.workdps(60):
+                        c, s = mp.cos(mp.mpf(delta)), mp.sin(mp.mpf(delta))
+                        c0, c1 = (c * j - s * y for j, y in jy)
+                        ref = (c0, -c1 + (mp.mpf(nu) / mp.mpf(x)) * c0)
+                    got = cylinder_and_prime(CylinderSpec.of(nu, delta), x)
+                    for g, r in zip(got, ref):
+                        self._check(g, float(r))
 
     def test_tiny_angle_keeps_the_y_part(self):
         # delta = 1e-16 weighs Y by 1e-16, yet Y' outgrows J' like 1/x as
@@ -321,6 +341,43 @@ class TestMixingAngle:
         a = cylinder(CylinderSpec.of(nu, d2 - math.pi), x)
         b = cylinder(CylinderSpec.of(nu, d2), x)
         assert b == pytest.approx(a, rel=1e-9, abs=1e-12)
+
+
+def _hankel_pq_at(mu, x):
+    # (P, Q) at one order, term by term, each term's sign and slot worked
+    # out from k: the reference for the one pass over both base orders
+    mu4 = 4.0 * mu * mu
+    p, q, a = 1.0, 0.0, 1.0
+    for k in range(1, 60):
+        a *= (mu4 - (2.0 * k - 1.0) ** 2) / (8.0 * k * x)
+        sgn = -1.0 if (k // 2) & 1 else 1.0
+        if k & 1:
+            q += sgn * a
+        else:
+            p += sgn * a
+        if abs(a) < 1e-20:
+            break
+    return p, q
+
+
+class TestHankelSums:
+    def test_one_pass_matches_each_order_bit_for_bit(self):
+        # a term added past either order's cutoff, or a pass cut short at
+        # the first order's, moves Q at orders near 1/2 (Q ~ 1e-18 there),
+        # not C past its contract: only an exact comparison sees it
+        rng = random.Random(20261026)
+        for i in range(4000):
+            if i % 2:
+                mu = rng.random()
+            else:
+                mu = 0.5 + rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-16.0, -1.0)
+            x = 30.0 + 10.0 ** rng.uniform(-14.0, math.log10(370.0))
+            ref = _hankel_pq_at(mu, x) + _hankel_pq_at(mu + 1.0, x)
+            assert repr(_hankel_pq(mu, x)) == repr(ref), (mu, x)
+        for mu in (0.0, 0.5, math.nextafter(0.5, 0.0), math.nextafter(1.0, 0.0)):
+            for x in (math.nextafter(30.0, math.inf), 400.0):
+                ref = _hankel_pq_at(mu, x) + _hankel_pq_at(mu + 1.0, x)
+                assert repr(_hankel_pq(mu, x)) == repr(ref), (mu, x)
 
 
 class TestSignAtOrigin:

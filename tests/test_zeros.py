@@ -11,6 +11,8 @@ from cylfn.special_fn import (
     DomainError,
     EvalKind,
     MixingAngle,
+    bessel_j,
+    bessel_y,
     cylinder,
     cylinder_and_prime,
 )
@@ -289,6 +291,25 @@ class TestPhasePremises:
         # is skipped or repeated over the whole box
         z = find_zeros(_spec(nu, delta), kind, 110).zeros[-1]
         assert abs(z - ((110 + 0.5 * nu + c) * math.pi - delta)) < math.pi / 4
+
+    @pytest.mark.parametrize("kind", tuple(EvalKind))
+    def test_complex_path_matches_the_real_path(self, kind):
+        # the phase's f/|H|, from H = J + iY (H' for C'), is the C (C') that
+        # users see over hypot(J, Y) (hypot(J', Y')): ties the zero finder's
+        # H and H' to the real values, mostly where x > 30
+        rng = random.Random(20261025)
+        for i in range(600):
+            nu, delta = rng.uniform(0.0, 30.0), rng.uniform(0.0, math.pi)
+            x = rng.uniform(1.0, 30.0) if i % 10 == 0 else rng.uniform(30.0, 400.0)
+            spec = _spec(nu, delta)
+            got = zeros._target(spec, kind)(x)[2]
+            if kind is EvalKind.FUNCTION:
+                ref = cylinder(spec, x) / math.hypot(bessel_j(nu, x), bessel_y(nu, x))
+            else:
+                jp = cylinder_and_prime(_spec(nu, 0.0), x)[1]
+                yp = cylinder_and_prime(_spec(nu, math.pi / 2), x)[1]
+                ref = cylinder_and_prime(spec, x)[1] / math.hypot(jp, yp)
+            assert abs(got - ref) <= 4e-15, (nu, delta, x)
 
 
 class TestPassCount:
