@@ -12,17 +12,43 @@ the Debye term sqrt(x^2 - nu^2) - nu arccos(nu/x) - pi/4 (-pi/4 for x <= nu;
 + pi/2 for phi): within pi/4 below nu, and tested above.
 
 By Nicholson's formula (Watson 13.73), theta' <= 1 with theta convex for nu
->= 1/2, theta' >= 1 with theta concave below, and u - x/pi -> kappa = 1/4 -
+>= 1/2, theta' >= 1 with theta concave below, and u - x/pi -> omega = 1/4 -
 nu/2 + delta/pi.  So the zero at u = m lies between x + pi (m - u(x)), for
-any x below it, and pi (m - kappa); for C' above nu too, with kappa + 1/2, as
-phi' <= 1 there.  Seeded by a Newton step from the previous zero, iterates
-fall from the right of a convex phase and rise from the left of a concave
-one; a step that leaves the bracket bisects it.  u is rounded to about
-2e-16 absolute, which moves x by that over x u': too far where the crossing
-is flat (the first zero of C' as delta -> 0+, of C as delta -> pi-).  So
-near an integer m the offset is read from f = |H| sin(pi u) instead, as u - m
-= asin((-1)^m f/|H|)/pi, with f = cos(delta) Re H - sin(delta) Im H from the
-same H: f's rounding scales with its own small terms, not with |H|.
+any x below it, and pi (m - omega); for C' above nu too, with omega + 1/2, as
+phi' <= 1 there.  Iterates fall from the right of a convex phase and rise
+from the left of a concave one; a step that leaves the bracket bisects it.
+u is rounded to about 2e-16 absolute, which moves x by that over x u': too
+far where the crossing is flat (the first zero of C' as delta -> 0+, of C as
+delta -> pi-).  So near an integer m the offset is read from f = |H| sin(pi
+u) instead, as u - m = asin((-1)^m f/|H|)/pi, with f = cos(delta) Re H -
+sin(delta) Im H from the same H: f's rounding scales with its own small
+terms, not with |H|.
+
+The same pass gives kappa = u''/(2u'): u''/u' = -1/x - 2 Re(conj(H) H')/|H|^2
+for C, and with H'' = -H'/x - (1 - nu^2/x^2) H, 1/x + 2 (1 - nu^2/x^2)
+Re(conj(H') H)/|H'|^2 + (2 nu^2/x^3)/(1 - nu^2/x^2) for C', undefined at x =
+nu, where phi' = 0 (and there it is neither seed nor halt).  Each zero is
+seeded from the last pass of the one before at x + s0 - kappa s0^2, s0 = (m -
+u)/u', the root of u + u' (d + kappa d^2) = m to second order, clamped to the
+bracket.  Newton from x ends on x - s once the step s falls below REL_TOL
+max(1, x).  It ends on a larger step, without the pass that would confirm it,
+when |s| <= 1e-3 max(1, x) and a certified bound on the Newton error |z - (x -
+s)| is below u's rounding, 2e-16 max(1, x).  The bound: with w = pi u', kappa
+= w'/(2w) obeys the Riccati equation kappa' = Q + kappa^2 - w^2 of the phase's
+amplitude, with Q = 1 - (nu^2 - 1/4)/x^2 for C (the normal form of Bessel's
+equation) and Q = 1 - nu^2/x^2 - (3x^4 + 10 nu^2 x^2 - nu^4)/(4x^2 (x^2 -
+nu^2)^2) for C' (from (a v')' + v/x = 0, a = x/(x^2 - nu^2), which x H'
+solves).  On I = [x - 2|s|, x + 2|s|], which must lie above 0 (above nu for
+C', so that w > 0), |Q| <= q, its bound 1 + |nu^2 - 1/4|/y^2 (1 + (3y^4 + 10
+nu^2 y^2 + nu^4)/(4y^2 (y^2 - nu^2)^2)), which falls with y, at y = x - 2|s|.
+Let c = |kappa(x)| + sqrt(q) + w(x) and 128 |s| c <= 1.  While |kappa| <= 2c
+on I, w^2 <= e^(1/8) w(x)^2 there, so |kappa'| <= 6.2 c^2 and |kappa| <= 1.1
+c: it holds on all of I, and then |kappa'| <= 2.35 c^2 and |kappa| <= K =
+|kappa(x)| + 5 |s| c^2.  By Taylor's theorem with u'' = 2 kappa u', and u'
+within a factor e^(2K|t - x|) of u'(x), the one zero of u - m on I lies within
+e^(6K|s|) K s^2 <= 1.06 K s^2 of x - s.  kappa(x) and w(x) carry the
+evaluation's error, which moves the bound by far less than its own 5.3 |s|^3
+c^2 floor.
 
 As x -> 0+, C > 0, and C' < 0 except for C' = J'_nu > 0 with nu > 0.  J, -Y,
 J' and Y' are positive on (0, nu], where J/(-Y) and J'/Y' are monotone; so at
@@ -35,7 +61,7 @@ for their logs in log x; a zero below 1e-300 raises IterationError.
 
 import math
 from collections import namedtuple
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import count, islice
 
 from .special_fn import (
@@ -55,6 +81,8 @@ REL_TOL = 1e-12
 _MAX_ITER = 80
 _START = 1e-6  # a zero below max(nu, 1e-6) is sought in log x, from here
 _X_FLOOR = 1e-300  # ... down to here
+_HALT_STEP = 1e-3  # a Newton step ends the search only below this, relative to max(1, x)
+_ROUNDING = 2e-16  # ... and where its certified error is below u's rounding, likewise
 
 
 class IterationError(RuntimeError):
@@ -125,35 +153,67 @@ class Trajectory(namedtuple("Trajectory", "s kind angle samples")):
 
 
 def _target(spec: CylinderSpec, kind: EvalKind):
-    # the phase evaluator x -> (u, u', f/|H|) of the module docstring, from
-    # one (H, H') evaluation
+    # the phase evaluator x -> (u, u', f/|H|, kappa) of the module docstring,
+    # from one (H, H') evaluation; kappa = u''/(2u'), 0 where u' = 0 (C' at
+    # x = nu), where it is undefined and no step uses it
     nu, lift = spec.nu, spec.delta / math.pi + 0.5
     cos, sin = math.cos(spec.delta), math.sin(spec.delta)
     derivative = kind is EvalKind.DERIVATIVE
 
     def phase(x):
-        h = _cyl(nu, 0.0, x, h=True)[derivative]
-        re, im = h.real, h.imag
-        rate = (2.0 / (math.pi * math.pi * x)) * (1.0 - (nu / x) ** 2 if derivative else 1.0)
+        h, hp = _cyl(nu, 0.0, x, h=True)
+        j, y, jp, yp = h.real, h.imag, hp.real, hp.imag
+        re, im = (jp, yp) if derivative else (j, y)
+        g = 1.0 - (nu / x) ** 2 if derivative else 1.0
+        rate = (2.0 / (math.pi * math.pi * x)) * g
         t = math.atan2(im, re) / math.pi
         est = 0.25 if derivative else -0.25  # the Debye term, in units of pi
         if x > nu:
             est += (math.sqrt(x * x - nu * nu) - nu * math.acos(nu / x)) / math.pi
         t += 2.0 * round(0.5 * (est - t))
         hh = re * re + im * im
-        return t + lift, rate / hh, (cos * re - sin * im) / math.sqrt(hh)
+        dot = (j * jp + y * yp) / hh
+        if not derivative:
+            kappa = -0.5 / x - dot
+        elif g:
+            kappa = 0.5 / x + g * dot + nu * nu / (x * x * x * g)
+        else:
+            kappa = 0.0
+        return t + lift, rate / hh, (cos * re - sin * im) / math.sqrt(hh), kappa
 
     return phase
 
 
-def _refine(phase, m, x, a, b):
+def _newton_bound(nu, derivative, x, s, kappa, dw):
+    # the certified bound on |z - (x - s)| of the module docstring, from the
+    # pass at x with u' = dw and u''/(2u') = kappa; inf where it does not hold
+    r = 2.0 * abs(s)
+    lo, n2 = x - r, nu * nu
+    if derivative:
+        if not lo > nu:
+            return math.inf
+        d = lo * lo - n2
+        q = 1.0 + (3.0 * lo**4 + 10.0 * n2 * lo * lo + n2 * n2) / (4.0 * lo * lo * d * d)
+    elif lo > 0.0:
+        q = 1.0 + abs(n2 - 0.25) / (lo * lo)
+    else:
+        return math.inf
+    c = abs(kappa) + math.sqrt(q) + math.pi * dw
+    if 64.0 * r * c > 1.0:
+        return math.inf
+    return 1.06 * (abs(kappa) + 2.5 * r * c * c) * s * s
+
+
+def _refine(phase, m, x, a, b, bound=None):
     # Newton on u(x) = m from x, u - m changing sign once between a (u < m)
     # and b (u > m), in either order; a step that leaves the bracket bisects
     # it.  Near m, u - m is read from f/|H| (module docstring), except where
-    # |H|^2 overflows: there u' = 0 and f/|H| reads 0.  Returns the zero, the
-    # tolerance achieved and the last (x, u, u').
+    # |H|^2 overflows: there u' = 0 and f/|H| reads 0.  Ends on a step below
+    # REL_TOL, or, with bound(x, step, kappa, u'), on one whose certified
+    # Newton error is below u's rounding.  Returns the zero, the tolerance
+    # achieved and the last (x, u, u', kappa).
     for _ in range(_MAX_ITER):
-        w, dw, s = phase(x)
+        w, dw, s, k = phase(x)
         e = w - m
         if abs(e) < 0.25 and dw:
             e = math.asin(-s if m & 1 else s) / math.pi
@@ -163,17 +223,21 @@ def _refine(phase, m, x, a, b):
             b = x
         step = e / dw if dw else math.inf
         xn = x - step
-        if abs(step) > REL_TOL * max(1.0, x):
+        scale = max(1.0, x)
+        if abs(step) > REL_TOL * scale:
             if not min(a, b) < xn < max(a, b):
                 xn = 0.5 * (a + b)
+            elif (bound is not None and abs(step) <= _HALT_STEP * scale
+                  and bound(x, step, k, dw) <= _ROUNDING * scale):
+                return xn, REL_TOL, (x, w, dw, k)
             if abs(xn - x) > REL_TOL * max(1.0, xn):
                 x = xn
                 continue
-        return xn, REL_TOL, (x, w, dw)
+        return xn, REL_TOL, (x, w, dw, k)
     hi = max(1.0, a, b)
     if abs(b - a) <= 1e-9 * hi:
         # bracket midpoint: off the zero by at most half the bracket
-        return 0.5 * (a + b), 0.5 * abs(b - a) / hi, (x, w, dw)
+        return 0.5 * (a + b), 0.5 * abs(b - a) / hi, (x, w, dw, k)
     raise IterationError(f"zero refinement did not converge in {_MAX_ITER} steps on [{a}, {b}]")
 
 
@@ -197,7 +261,7 @@ def _origin(spec: CylinderSpec, kind: EvalKind, hi):
             r = math.log(b / j) - math.log(nu / x)
             if abs(r) < 0.25:
                 r = -math.log1p(h[1].real / b)
-            return r, x * (j / b + b / j) - 2.0 * nu, math.sin(math.pi * r)
+            return r, x * (j / b + b / j) - 2.0 * nu, math.sin(math.pi * r), None
         a, b = sa * h[derivative].real, sb * h[derivative].imag
         if not (a > 0.0 and b < math.inf):
             raise OverflowError(f"|H| leaves the double range at nu={nu!r}, x={x!r}")
@@ -205,10 +269,10 @@ def _origin(spec: CylinderSpec, kind: EvalKind, hi):
         r = math.log(a) - math.log(b) + math.log(cos / sin)
         if abs(r) < 0.25:  # from f's own difference, not from two large logs
             r = math.log1p((cos * a - sin * b) / (sin * b))
-        return r, (2.0 / math.pi) * (p / a) * (q / b), math.sin(math.pi * r)
+        return r, (2.0 / math.pi) * (p / a) * (q / b), math.sin(math.pi * r), None
 
     a, t, b = (math.log(v / hi) for v in (_X_FLOOR, _START, hi))
-    t, tol, (tl, _, _) = _refine(phase, 0, t, a, b)
+    t, tol, (tl, *_) = _refine(phase, 0, t, a, b)
     if t - a <= 2.0 * REL_TOL:  # _refine stops within REL_TOL of a, up to t's rounding
         raise IterationError(f"the first zero lies below x = {_X_FLOOR:g}")
     xl = hi * math.exp(tl)  # as evaluated; hi * exp(t) would add a rounding of its own
@@ -227,14 +291,18 @@ def _zeros(spec: CylinderSpec, kind: EvalKind):
     # the sign as x -> 0+: C > 0; C' < 0, but J'_nu > 0 for nu > 0
     if (fx > 0.0) != (not derivative or (delta == 0.0 and nu > 0.0)):
         yield _origin(spec, kind, x)
-    w, dw, _ = phase(x)
-    kappa = 0.25 - 0.5 * nu + delta / math.pi + (0.5 if derivative else 0.0)
+    w, dw, _, k = phase(x)
+    bound = partial(_newton_bound, nu, derivative)
+    omega = 0.25 - 0.5 * nu + delta / math.pi + (0.5 if derivative else 0.0)
     for m in count(math.floor(w) + 1):
         # the bracket of the module docstring; find_zeros' bound on n keeps it below x = 400
-        lo, hi = sorted((x + math.pi * (m - w), math.pi * (m - kappa)))
+        lo, hi = sorted((x + math.pi * (m - w), math.pi * (m - omega)))
         lo = max(lo, x)
-        seed = x + (m - w) / dw if dw > 0.0 else hi
-        z, tol, (x, w, dw) = _refine(phase, m, min(max(seed, lo), hi), lo, hi)
+        seed = hi
+        if dw > 0.0:  # u(x + d) = w + u' (d + kappa d^2) = m, to second order
+            s0 = (m - w) / dw
+            seed = x + (s0 - k * s0 * s0)
+        z, tol, (x, w, dw, k) = _refine(phase, m, min(max(seed, lo), hi), lo, hi, bound)
         yield z, tol
 
 

@@ -4,20 +4,23 @@ Opt-in, as it adds a few minutes to a run on two vCPUs:
 
     python -m pytest -m slow tests/test_zero_map.py
 
-Requests (nu, delta, kind) in five strata: C' at delta_c(nu) -+ 1e-2 and
+Requests (nu, delta, kind) in six strata: C' at delta_c(nu) -+ 1e-2 and
 1e-4, where C' has a double zero at x = nu for delta_c(nu) = pi/2 -
 arg(J'_nu(nu) + i Y'_nu(nu)), so that two zeros straddle nu just below it;
 C at delta -> pi with nu < 1/2 and C' at delta -> 0+ with nu < 1/2, where the
-first zero lies below the start, x = 1e-6; the whole box; and C at delta ->
-pi with nu in [2, 30], where the first zero lies between the start and nu.  The
-reference (tests/oracle.py) finds the first K zeros of each by itself: one
+first zero lies below the start, x = 1e-6; the whole box; C at delta -> pi
+with nu in [2, 30], where the first zero lies between the start and nu; and
+the whole box at zero indices 30 to 110.  The reference (tests/oracle.py)
+finds the first K zeros of each request of the first five by itself: one
 below the start by bisection in log x, the others by a sign scan of step
 pi/16, refined to a step of 5e-3 within 1/4 of nu for C'.  The
 library must return the zeros in the same order and count: each zero below
 the start within 1e-9 relative of the reference, each other one inside its
 reference bracket with a certified sign change within 1e-12 * max(1, z).
-The worst error, a Newton correction on the reference, is printed per
-stratum, and the worst relative error below the start.
+At the high indices, where a scan would take too long, each of HIGH zeros
+per request must have a certified sign change within 1e-12 z.  The worst
+error, a Newton correction on the reference, is printed per stratum, and the
+worst relative error below the start.
 """
 
 import math
@@ -33,6 +36,7 @@ from oracle import bisect_zero_log, certify_sign_change, oracle_cylinder, oracle
 SEED = 20261018
 PER_STRATUM = 16
 K = 3
+HIGH = 8  # zeros per request of the high-index stratum
 STEP = math.pi / 16  # the reference scan's step
 FLOOR = mp.mpf("1e-300")
 
@@ -65,17 +69,24 @@ def _box(rng):
     return rng.uniform(0.0, 30.0), delta, rng.choice((EvalKind.FUNCTION, EvalKind.DERIVATIVE))
 
 
+def _high_index(rng):
+    # the whole box again, at zero indices 30 to 110 (x up to about 380),
+    # where most Newton searches end on the certified halt
+    return _box(rng) + (sorted(rng.sample(range(30, 111), HIGH)),)
+
+
 STRATA = {
     "straddle": _straddle,
     "C, delta->pi": _function_near_pi,
     "C', delta->0": _derivative_near_0,
     "box": _box,
     "C below nu": _function_below_the_order,
+    "high index": _high_index,  # last, so that the strata above draw the same requests
 }
 
 
-def _reference(nu, delta, kind):
-    # (f, f'/f correction, zeros below start, brackets above it, start)
+def _correction(nu, delta, kind):
+    # (f, the Newton correction f/f')
     if kind is EvalKind.FUNCTION:
         def f(x):
             return oracle_cylinder(nu, delta, x)
@@ -91,6 +102,12 @@ def _reference(nu, delta, kind):
             d = f(x)
             return d / (-d / x - (1 - (nu / x) ** 2) * oracle_cylinder(nu, delta, x))
 
+    return f, newton
+
+
+def _reference(nu, delta, kind):
+    # (f, f/f' correction, zeros below start, brackets above it, start)
+    f, newton = _correction(nu, delta, kind)
     start = mp.mpf("1e-6")
     if kind is EvalKind.DERIVATIVE and delta == 0.0:
         start = max(start, mp.mpf(nu) * (1 - mp.mpf("1e-9")))
@@ -119,9 +136,17 @@ def test_zero_map(capsys):
     for name, draw in STRATA.items():
         top = (0.0, None)
         for _ in range(PER_STRATUM):
-            nu, delta, kind = draw(rng)
+            nu, delta, kind, *high = draw(rng)
             spec = CylinderSpec.of(nu, delta)
             nu, delta = spec.nu, spec.delta
+            if high:
+                # no reference scan this far: each zero alone, by its sign change
+                zs = find_zeros(spec, kind, high[0][-1]).zeros
+                f, newton = _correction(nu, delta, kind)
+                for z in (zs[i - 1] for i in high[0]):
+                    assert certify_sign_change(f, z, eps=mp.mpf(1e-12 * z)), (nu, delta, kind, z)
+                    top = max(top, (abs(float(newton(z))) / z, (nu, delta, kind.value, z)))
+                continue
             try:
                 zs = list(find_zeros(spec, kind, K).zeros)
             except IterationError:
