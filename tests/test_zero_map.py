@@ -72,7 +72,7 @@ def _box(rng):
 def _high_index(rng):
     # the whole box again, at zero indices 30 to 110 (x up to about 380),
     # where most Newton searches end on the certified halt
-    return _box(rng) + (sorted(rng.sample(range(30, 111), HIGH)),)
+    return _box(rng) + tuple(sorted(rng.sample(range(30, 111), HIGH)))
 
 
 STRATA = {
@@ -141,9 +141,9 @@ def test_zero_map(capsys):
             nu, delta = spec.nu, spec.delta
             if high:
                 # no reference scan this far: each zero alone, by its sign change
-                zs = find_zeros(spec, kind, high[0][-1]).zeros
+                zs = find_zeros(spec, kind, high[-1]).zeros
                 f, newton = _correction(nu, delta, kind)
-                for z in (zs[i - 1] for i in high[0]):
+                for z in (zs[i - 1] for i in high):
                     assert certify_sign_change(f, z, eps=mp.mpf(1e-12 * z)), (nu, delta, kind, z)
                     top = max(top, (abs(float(newton(z))) / z, (nu, delta, kind.value, z)))
                 continue
