@@ -11,7 +11,8 @@ file also holds:
 
 - zero-search counts on the zeros-cold mix, in process: phase passes (calls
   of the phase from `zeros._target`) and `zeros._cyl` calls per zero, over
-  the first --requests requests of perfbench's `ZerosCold` at seed 1;
+  the first REQUESTS = 300 requests of perfbench's `ZerosCold` at seed 1,
+  fixed so that the counts compare from one BENCH file to the next;
 - the tier-1 wall time and pytest's summary line;
 - the `src/` line count (all lines of `src/**/*.py`).
 
@@ -32,6 +33,7 @@ import subprocess
 import sys
 import time
 
+REQUESTS = 300  # zeros-cold requests counted in process
 BETTER = {"setup_s": "lower", "ops_per_s": "higher", "op_p50_ms": "lower", "op_tail_ms": "lower"}
 
 COUNT_CODE = """\
@@ -74,8 +76,8 @@ def bench_run(root: str, workload: str, seed: int, seconds: float) -> dict:
     return _last_json(out.stdout)
 
 
-def zero_counts(root: str, requests: int) -> dict:
-    out = subprocess.run([sys.executable, "-c", COUNT_CODE, os.path.abspath(root), str(requests)],
+def zero_counts(root: str) -> dict:
+    out = subprocess.run([sys.executable, "-c", COUNT_CODE, os.path.abspath(root), str(REQUESTS)],
                          capture_output=True, text=True, check=True)
     return _last_json(out.stdout)
 
@@ -137,7 +139,6 @@ def main(argv=None) -> int:
     ap.add_argument("--workloads", nargs="+", required=True)
     ap.add_argument("--seeds", nargs="+", type=int, required=True)
     ap.add_argument("--seconds", type=float, default=20.0)
-    ap.add_argument("--requests", type=int, default=300, help="zeros-cold requests counted in process")
     ap.add_argument("--out", required=True)
     args = ap.parse_args(argv)
     roots = dict(spec.split("=", 1) for spec in args.checkout)
@@ -156,7 +157,7 @@ def main(argv=None) -> int:
     record = {
         "harness": "bench/record.py",
         "checkout_order": names,
-        "requests": args.requests,
+        "requests": REQUESTS,
         "machine": {"nproc": os.cpu_count(), "python": platform.python_version(), "platform": platform.platform()},
         "seconds": args.seconds,
         "seeds": args.seeds,
@@ -167,7 +168,7 @@ def main(argv=None) -> int:
         record["checkouts"][n] = {
             "commit": commit(root),
             "src_lines": src_lines(root),
-            "zeros_cold_counts": zero_counts(root, args.requests),
+            "zeros_cold_counts": zero_counts(root),
             "tier1": tier1(root),
             "runs": runs[n],
         }

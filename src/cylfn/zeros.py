@@ -32,23 +32,24 @@ seeded from the last pass of the one before at x + s0 - kappa s0^2, s0 = (m -
 u)/u', the root of u + u' (d + kappa d^2) = m to second order, clamped to the
 bracket.  Newton from x ends on x - s once the step s falls below REL_TOL
 max(1, x).  It ends on a larger step, without the pass that would confirm it,
-when |s| <= 1e-3 max(1, x) and a certified bound on the Newton error |z - (x -
-s)| is below u's rounding, 2e-16 max(1, x).  The bound: with w = pi u', kappa
-= w'/(2w) obeys the Riccati equation kappa' = Q + kappa^2 - w^2 of the phase's
-amplitude, with Q = 1 - (nu^2 - 1/4)/x^2 for C (the normal form of Bessel's
-equation) and Q = 1 - nu^2/x^2 - (3x^4 + 10 nu^2 x^2 - nu^4)/(4x^2 (x^2 -
-nu^2)^2) for C' (from (a v')' + v/x = 0, a = x/(x^2 - nu^2), which x H'
-solves).  On I = [x - 2|s|, x + 2|s|], which must lie above 0 (above nu for
-C', so that w > 0), |Q| <= q, its bound 1 + |nu^2 - 1/4|/y^2 (1 + (3y^4 + 10
-nu^2 y^2 + nu^4)/(4y^2 (y^2 - nu^2)^2)), which falls with y, at y = x - 2|s|.
-Let c = |kappa(x)| + sqrt(q) + w(x) and 128 |s| c <= 1.  While |kappa| <= 2c
-on I, w^2 <= e^(1/8) w(x)^2 there, so |kappa'| <= 6.2 c^2 and |kappa| <= 1.1
-c: it holds on all of I, and then |kappa'| <= 2.35 c^2 and |kappa| <= K =
-|kappa(x)| + 5 |s| c^2.  By Taylor's theorem with u'' = 2 kappa u', and u'
-within a factor e^(2K|t - x|) of u'(x), the one zero of u - m on I lies within
-e^(6K|s|) K s^2 <= 1.06 K s^2 of x - s.  kappa(x) and w(x) carry the
-evaluation's error, which moves the bound by far less than its own 5.3 |s|^3
-c^2 floor.
+when a certified bound on the Newton error |z - (x - s)| is below u's
+rounding, 2e-16 max(1, x).  The bound: with w = pi u', kappa = w'/(2w) obeys
+the Riccati equation kappa' = Q + kappa^2 - w^2 of the phase's amplitude, with
+Q = 1 - (nu^2 - 1/4)/x^2 for C (the normal form of Bessel's equation) and Q =
+g - T, g = 1 - nu^2/x^2, T = (3x^4 + 10 nu^2 x^2 - nu^4)/(4x^2 (x^2 - nu^2)^2)
+for C' (from (a v')' + v/x = 0, a = x/(x^2 - nu^2), which x H' solves).  On I
+= [x - 2|s|, x + 2|s|], which must lie above 0 (above nu for C', so that w >
+0), |Q| <= q, with q taken at y = x - 2|s| from a bound that falls with y: for
+C, q = 1 + |nu^2 - 1/4|/y^2; for C', where 0 <= g < 1 and T >= 0, so |Q| <= 1
++ T, q = 1 + (3y^4 + 10 nu^2 y^2 + nu^4)/(4y^2 (y^2 - nu^2)^2).  Let c =
+|kappa(x)| + sqrt(q) + w(x) and 128 |s| c <= 1.  While |kappa| <= 2c on I, w^2
+<= e^(1/8) w(x)^2 there, so |kappa'| <= 6.2 c^2 and |kappa| <= 1.1 c: it holds
+on all of I, and then |kappa'| <= 2.35 c^2 and |kappa| <= K = |kappa(x)| + 5
+|s| c^2.  By Taylor's theorem with u'' = 2 kappa u', and u' within a factor
+e^(2K|t - x|) of u'(x), the one zero of u - m on I lies within e^(6K|s|) K s^2
+<= 1.06 K s^2 of x - s.  kappa(x) and w(x) carry the evaluation's error, which
+moves the bound by far less than its own 5.3 |s|^3 c^2 floor.  As c >= 1, that
+floor alone keeps a halting step below 3.4e-6 max(1, x)^(1/3).
 
 As x -> 0+, C > 0, and C' < 0 except for C' = J'_nu > 0 with nu > 0.  J, -Y,
 J' and Y' are positive on (0, nu], where J/(-Y) and J'/Y' are monotone; so at
@@ -81,8 +82,8 @@ REL_TOL = 1e-12
 _MAX_ITER = 80
 _START = 1e-6  # a zero below max(nu, 1e-6) is sought in log x, from here
 _X_FLOOR = 1e-300  # ... down to here
-_HALT_STEP = 1e-3  # a Newton step ends the search only below this, relative to max(1, x)
-_ROUNDING = 2e-16  # ... and where its certified error is below u's rounding, likewise
+_ROUNDING = 2e-16  # u's rounding: a Newton step whose certified error is below this,
+                   # relative to max(1, x), ends the search
 
 
 class IterationError(RuntimeError):
@@ -227,8 +228,7 @@ def _refine(phase, m, x, a, b, bound=None):
         if abs(step) > REL_TOL * scale:
             if not min(a, b) < xn < max(a, b):
                 xn = 0.5 * (a + b)
-            elif (bound is not None and abs(step) <= _HALT_STEP * scale
-                  and bound(x, step, k, dw) <= _ROUNDING * scale):
+            elif bound is not None and bound(x, step, k, dw) <= _ROUNDING * scale:
                 return xn, REL_TOL, (x, w, dw, k)
             if abs(xn - x) > REL_TOL * max(1.0, xn):
                 x = xn
