@@ -18,7 +18,7 @@ from .special_fn import (
     _cyl,
 )
 from .wronskian import wronskian_profile
-from .zeros import find_zeros
+from .zeros import find_zeros, zero_count
 
 __all__ = [
     "Family",
@@ -234,11 +234,11 @@ def verify_transitivity(
     coefficients' roots; f-g and g-h interlaced there) are confirmed first;
     premise failure is reported as such, with no conclusion asserted.  A
     confirmed-premise conclusion failure would falsify the transitivity lemma
-    and fails loudly.
+    and fails loudly.  Every zero in the probe (lo, hi), 0 < lo < hi <= 400, is judged.
     """
     lo, hi = float(coeff_probe[0]), float(coeff_probe[1])
-    if not 0.0 < lo < hi:
-        raise DomainError("probe interval must satisfy 0 < lo < hi")
+    if not 0.0 < lo < hi <= X_MAX:
+        raise DomainError(f"probe interval must satisfy 0 < lo < hi <= {X_MAX:g}")
     nu = fspec.nu
     if abs(gspec.nu - nu - 1.0) > 1e-12 or abs(hspec.nu - nu - 2.0) > 1e-12:
         raise DomainError("triple must have orders nu, nu+1, nu+2")
@@ -265,12 +265,8 @@ def verify_transitivity(
                 return premise_failure(0, coefficient_root=r)
 
     def window_zeros(spec):
-        # enough zeros to pass hi, within find_zeros' limit n pi + nu + 20 <= X_MAX
-        n_max = max(1, int((min(hi + 20.0, X_MAX - 20.0) - spec.nu) / math.pi))
-        zs = find_zeros(spec, kind, n_max).zeros
-        if zs[-1] < hi:
-            raise DomainError(f"probe ({lo:g}, {hi:g}) reaches past the zeros of nu={spec.nu:g} in the box")
-        return [z for z in zs if lo < z < hi]
+        n = zero_count(spec, kind, hi)
+        return [z for z in (find_zeros(spec, kind, n).zeros if n else ()) if lo < z < hi]
 
     zf = window_zeros(fspec)
     zg = window_zeros(gspec)

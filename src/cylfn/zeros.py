@@ -63,7 +63,7 @@ for their logs in log x; a zero below 1e-300 raises IterationError.
 import math
 from collections import namedtuple
 from functools import lru_cache, partial
-from itertools import count, islice
+from itertools import count, islice, takewhile
 
 from .special_fn import (
     CylinderSpec,
@@ -71,12 +71,13 @@ from .special_fn import (
     EvalKind,
     MixingAngle,
     X_MAX,
+    _check_x,
     _cyl,
     cylinder,
     cylinder_and_prime,
 )
 
-__all__ = ["ZeroSequence", "Trajectory", "IterationError", "find_zeros", "zero_trajectory"]
+__all__ = ["ZeroSequence", "Trajectory", "IterationError", "find_zeros", "zero_count", "zero_trajectory"]
 
 REL_TOL = 1e-12
 _MAX_ITER = 80
@@ -279,6 +280,13 @@ def _origin(spec: CylinderSpec, kind: EvalKind, hi):
     return xl - xl * (tl - t), tol  # moved by the last step, to first order
 
 
+def _below(spec: CylinderSpec, kind: EvalKind, x):
+    # whether a zero lies below x <= max(nu, 1e-6): f(x) has the other sign than at 0+
+    derivative = kind is EvalKind.DERIVATIVE
+    fx = cylinder_and_prime(spec, x)[1] if derivative else cylinder(spec, x)
+    return (fx > 0.0) != (not derivative or (spec.delta == 0.0 and spec.nu > 0.0))
+
+
 def _zeros(spec: CylinderSpec, kind: EvalKind):
     # yields (zero, relative tolerance achieved) in increasing order
     nu, delta = spec.nu, spec.delta
@@ -287,15 +295,13 @@ def _zeros(spec: CylinderSpec, kind: EvalKind):
         yield 0.0, REL_TOL  # x = 0 counts as the first zero of J'_0
     phase = _target(spec, kind)
     x = max(nu, _START)
-    fx = cylinder_and_prime(spec, x)[1] if derivative else cylinder(spec, x)
-    # the sign as x -> 0+: C > 0; C' < 0, but J'_nu > 0 for nu > 0
-    if (fx > 0.0) != (not derivative or (delta == 0.0 and nu > 0.0)):
+    if _below(spec, kind, x):
         yield _origin(spec, kind, x)
     w, dw, _, k = phase(x)
     bound = partial(_newton_bound, nu, derivative)
     omega = 0.25 - 0.5 * nu + delta / math.pi + (0.5 if derivative else 0.0)
     for m in count(math.floor(w) + 1):
-        # the bracket of the module docstring; find_zeros' bound on n keeps it below x = 400
+        # the bracket of the module docstring, past x = 400 only for a request beyond the box
         lo, hi = sorted((x + math.pi * (m - w), math.pi * (m - omega)))
         lo = max(lo, x)
         seed = hi
@@ -309,23 +315,41 @@ def _zeros(spec: CylinderSpec, kind: EvalKind):
 @lru_cache(maxsize=4096)
 def _find_zeros_cached(spec: CylinderSpec, kind: EvalKind, n: int):
     # (zeros, worst relative tolerance achieved over them)
-    zeros, tols = zip(*islice(_zeros(spec, kind), n))
+    zeros, tols = zip(*islice(takewhile(lambda zt: zt[0] <= X_MAX, _zeros(spec, kind)), n))
+    if len(zeros) < n:
+        raise DomainError(f"n={n} zeros at nu={spec.nu:g} would leave the box x <= {X_MAX:g}")
     return zeros, max(REL_TOL, *tols)
 
 
 def find_zeros(spec: CylinderSpec, kind: EvalKind, n: int) -> ZeroSequence:
     """Return the first n positive zeros of C (or C') for the given spec.
 
-    Requires n >= 1 and n*pi + nu + 20 <= 400 so that the zeros lie inside
-    the evaluation box.
+    Requires n >= 1 and the n-th zero inside x <= 400: n <= zero_count(spec, kind, 400).
     """
     n = int(n)
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
-    if n * math.pi + spec.nu + 20.0 > X_MAX:
-        raise DomainError(f"n={n} zeros at nu={spec.nu:g} would leave the box x <= {X_MAX:g}")
     zs, tol = _find_zeros_cached(spec, kind, n)
     return ZeroSequence(spec=spec, kind=kind, zeros=zs, refined_to=tol)
+
+
+def zero_count(spec: CylinderSpec, kind: EvalKind, x: float) -> int:
+    """The number of zeros of C (or C') in (0, x], for 0 < x <= 400.
+
+    x = 0 counts for J'_0, as in find_zeros.  It is the walk's sign test at
+    min(x, x0), x0 = max(nu, 1e-6), plus floor(u(x)) - floor(u(x0)) of its
+    phase u above x0, u's side of a near integer read from f as the walk
+    does.  Below where C overflows it raises OverflowError, as evaluation does.
+    """
+    x, x0 = _check_x(x), max(spec.nu, _START)
+    n = (kind is EvalKind.DERIVATIVE and spec.nu == spec.delta == 0.0) + _below(spec, kind, min(x, x0))
+    if x > x0:
+        phase = _target(spec, kind)
+        w, _, s, _ = phase(x)
+        m = round(w)  # f = |H| sin(pi u): u - m has the sign of (-1)^m f
+        w = m - ((-s if m & 1 else s) < 0.0) if abs(w - m) < 0.25 else w
+        n += math.floor(w) - math.floor(phase(x0)[0])
+    return n
 
 
 def zero_trajectory(angle: MixingAngle, kind: EvalKind, s: int, nu_grid) -> Trajectory:

@@ -54,6 +54,13 @@ class TestExitCodes:
         code, out, _ = run(capsys, "zeros", "--nu", "0", "--n", "3")
         assert code == 0
 
+    def test_zeros_up_to_the_last_one_in_the_box(self, capsys):
+        # C_30 has 112 zeros at x <= 400, the 112th near 397.06
+        assert run(capsys, "zeros", "--nu", "30", "--n", "112")[0] == 0
+        code, out, err = run(capsys, "zeros", "--nu", "30", "--n", "113")
+        assert (code, out) == (1, "")
+        assert "would leave the box" in err
+
     def test_usage_error_bad_domain(self, capsys):
         code, _, err = run(capsys, "zeros", "--nu", "-2")
         assert code == 1

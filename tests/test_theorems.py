@@ -125,14 +125,15 @@ class TestTransitivity:
         assert verify_transitivity(*specs, kind, clear[-1]).details == {"status": "ok"}
 
     def test_probe_up_to_the_last_zero_in_the_box(self):
-        # hi + 20 - nu over pi zeros would pass x = 400 at hi = 370: the count
-        # is capped at find_zeros' limit, whose last zeros still lie above hi
+        # the window holds the first zero_count(spec, kind, hi) zeros: any
+        # probe inside the box is judged, one past it is refused
         specs = [CylinderSpec.of(5.0 + k, 0.0) for k in range(3)]
-        assert verify_transitivity(*specs, EvalKind.FUNCTION, (5.0, 370.0)).details == {
-            "status": "ok"
-        }
-        with pytest.raises(DomainError, match=r"probe \(5, 390\)"):
-            verify_transitivity(*specs, EvalKind.FUNCTION, (5.0, 390.0))
+        for hi in (370.0, 390.0, 399.0):
+            assert verify_transitivity(*specs, EvalKind.FUNCTION, (5.0, hi)).details == {
+                "status": "ok"
+            }
+        with pytest.raises(DomainError, match="probe interval must satisfy"):
+            verify_transitivity(*specs, EvalKind.FUNCTION, (5.0, 410.0))
 
     def test_probe_below_every_zero_is_premise_failure(self):
         # at nu = 28 a probe ending at 5 asks for no zeros at all

@@ -1,5 +1,6 @@
 """Zero enumeration and trajectory tests."""
 
+import bisect
 import math
 import random
 
@@ -17,7 +18,7 @@ from cylfn.special_fn import (
     cylinder_and_prime,
 )
 from cylfn import zeros
-from cylfn.zeros import IterationError, Trajectory, find_zeros, zero_trajectory
+from cylfn.zeros import IterationError, Trajectory, find_zeros, zero_count, zero_trajectory
 from oracle import (
     bisect_zero_log,
     certify_sign_change,
@@ -551,6 +552,68 @@ class TestCertifiedHalt:
                 xn = mp.mpf(x) - self._exact_step(spec, kind, x, m)
                 assert certify_sign_change(lambda t: f(spec.nu, spec.delta, t), xn, eps=mp.mpf(bound))
                 assert abs(xn - z) <= 4e-15 * max(1.0, z)
+
+
+class TestZeroCount:
+    @staticmethod
+    def _cases(rng, count):
+        # (spec, kind) over both kinds, nu uniform, integer, below 1e-3, 1e-13
+        # and 0 (J'_0 at delta = 0), delta at 0, pi/2, uniform and near 0 or pi
+        for _ in range(count):
+            nu = rng.choice((rng.uniform(0.0, 30.0), float(rng.randint(0, 30)),
+                             rng.uniform(0.0, 1e-3), 1e-13, 0.0))
+            near = 10.0 ** rng.uniform(-12.0, -1.0)
+            delta = rng.choice((0.0, math.pi / 2, rng.uniform(0.0, math.pi), near, math.pi - near))
+            for kind in EvalKind:
+                yield _spec(nu, delta), kind
+
+    def test_count_matches_enumeration(self):
+        # N(x) is the number of enumerated zeros in (0, x], J'_0's zero at
+        # x = 0 included, at probes x0/2, x0 = max(nu, 1e-6), either side of
+        # the first zero, uniform in (x0, 400] and at 400; the box holds
+        # exactly N(400) zeros
+        rng = random.Random(20261025)
+        probes = 0
+        for spec, kind in self._cases(rng, 30):
+            total = zero_count(spec, kind, 400.0)
+            try:
+                zs = find_zeros(spec, kind, total).zeros
+            except IterationError:  # the first zero lies below 1e-300
+                continue
+            with pytest.raises(DomainError, match="would leave the box"):
+                find_zeros(spec, kind, total + 1)
+            x0 = max(spec.nu, zeros._START)
+            first = next(z for z in zs if z > 0.0)
+            xs = [0.5 * x0, x0, first * (1.0 - 1e-9), first * (1.0 + 1e-9), 400.0]
+            xs += [rng.uniform(x0, 400.0) for _ in range(10)]
+            for x in xs:
+                assert zero_count(spec, kind, x) == bisect.bisect_right(zs, x), (spec, kind, x)
+            probes += len(xs)
+        assert probes > 600
+
+    @pytest.mark.parametrize("x", (0.0, -1.0, 400.5, math.inf, math.nan))
+    def test_rejects_x_outside_the_box(self, x):
+        with pytest.raises(DomainError):
+            zero_count(_spec(1.0, 0.0), EvalKind.FUNCTION, x)
+
+    @pytest.mark.parametrize("nu, kind, total", (
+        (0.0, EvalKind.FUNCTION, 127),
+        (0.0, EvalKind.DERIVATIVE, 128),
+        (30.0, EvalKind.FUNCTION, 112),
+        (30.0, EvalKind.DERIVATIVE, 113),
+    ))
+    def test_every_zero_in_the_box_is_found(self, nu, kind, total):
+        # the n-th zero is returned exactly when it lies at x <= 400; the
+        # last one lies in (380, 400], past what the bound n pi + nu + 20 <=
+        # 400 once allowed (120, 120, 111 and 111 zeros)
+        spec = _spec(nu, 0.0)
+        assert zero_count(spec, kind, 400.0) == total
+        z = find_zeros(spec, kind, total)[-1]
+        assert 380.0 < z <= 400.0
+        f = oracle_cylinder if kind is EvalKind.FUNCTION else oracle_cylinder_prime
+        assert certify_sign_change(lambda t: f(nu, 0.0, t), z, eps=mp.mpf(z) * mp.mpf("1e-12"))
+        with pytest.raises(DomainError, match="would leave the box"):
+            find_zeros(spec, kind, total + 1)
 
 
 class TestTrajectory:
