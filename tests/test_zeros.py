@@ -596,6 +596,12 @@ class TestZeroCount:
         with pytest.raises(DomainError):
             zero_count(_spec(1.0, 0.0), EvalKind.FUNCTION, x)
 
+    @pytest.mark.parametrize("kind", tuple(EvalKind))
+    def test_overflow_below_the_start_raises(self, kind):
+        # the sign test evaluates f at x itself, as evaluation would raise
+        with pytest.raises(OverflowError):
+            zero_count(_spec(30.0, 0.3), kind, 1e-9)
+
     @pytest.mark.parametrize("nu, kind, total", (
         (0.0, EvalKind.FUNCTION, 127),
         (0.0, EvalKind.DERIVATIVE, 128),
