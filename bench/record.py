@@ -13,6 +13,8 @@ file also holds:
   of the phase from `zeros._target`) and `zeros._cyl` calls per zero, over
   the first REQUESTS = 300 requests of perfbench's `ZerosCold` at seed 1,
   fixed so that the counts compare from one BENCH file to the next;
+- the wall time of `python -m cylfn.cli verify all` as a fresh process,
+  the minimum of VERIFY_ALL_RUNS = 5 runs, with its exit status;
 - the tier-1 wall time and pytest's summary line;
 - the `src/` line count (all lines of `src/**/*.py`).
 
@@ -34,6 +36,7 @@ import sys
 import time
 
 REQUESTS = 300  # zeros-cold requests counted in process
+VERIFY_ALL_RUNS = 5  # `verify all` runs per checkout; the fastest is kept
 BETTER = {"setup_s": "lower", "ops_per_s": "higher", "op_p50_ms": "lower", "op_tail_ms": "lower"}
 
 COUNT_CODE = """\
@@ -82,8 +85,24 @@ def zero_counts(root: str) -> dict:
     return _last_json(out.stdout)
 
 
+def _src_env() -> dict:
+    # the checkout's own package first, for a process started from its root
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")])))
+
+
+def verify_all(root: str) -> dict:
+    walls, code = [], 0
+    for _ in range(VERIFY_ALL_RUNS):
+        t0 = time.perf_counter()
+        out = subprocess.run([sys.executable, "-m", "cylfn.cli", "verify", "all"], cwd=root, env=_src_env(),
+                             capture_output=True)
+        walls.append(time.perf_counter() - t0)
+        code = code or out.returncode
+    return {"min_s": round(min(walls), 4), "runs": VERIFY_ALL_RUNS, "returncode": code}
+
+
 def tier1(root: str) -> dict:
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")])))
+    env = _src_env()
     t0 = time.perf_counter()
     out = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
                           "--continue-on-collection-errors"], cwd=root, env=env, capture_output=True, text=True)
@@ -169,6 +188,7 @@ def main(argv=None) -> int:
             "commit": commit(root),
             "src_lines": src_lines(root),
             "zeros_cold_counts": zero_counts(root),
+            "verify_all": verify_all(root),
             "tier1": tier1(root),
             "runs": runs[n],
         }

@@ -85,11 +85,15 @@ def _fmt(value) -> str:
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def emit_json(obj) -> str:
-    return _fmt(obj) + "\n"
+def _csv(header: str, rows) -> str:
+    # a cell as _fmt writes it, but None empty and a string bare
+    lines = [",".join("" if v is None else v if isinstance(v, str) else _fmt(v) for v in row) for row in rows]
+    return "\n".join([header, *lines]) + "\n"
 
 
-def _write(args, text: str):
+def _write(args, artifact):
+    # a string as it is, any other artifact as canonical JSON
+    text = artifact if isinstance(artifact, str) else _fmt(artifact) + "\n"
     if args.out:
         try:
             with open(args.out, "w") as fh:
@@ -114,17 +118,13 @@ def _cmd_eval(args) -> int:
         payload.update(kind=args.kind, value=cylinder(spec, args.x))
     else:
         payload.update(kind=args.kind, value=cylinder_and_prime(spec, args.x)[1])
-    _write(args, emit_json(payload))
+    _write(args, payload)
     return 0
 
 
 def _cmd_zeros(args) -> int:
     seq = find_zeros(CylinderSpec.of(args.nu, args.delta), EvalKind(args.kind), args.n)
-    if args.format == "csv":
-        lines = ["s,zero"] + [f"{i + 1},{z:.17g}" for i, z in enumerate(seq.zeros)]
-        _write(args, "\n".join(lines) + "\n")
-    else:
-        _write(args, emit_json(seq.zeros))
+    _write(args, _csv("s,zero", enumerate(seq.zeros, 1)) if args.format == "csv" else seq.zeros)
     return 0
 
 
@@ -147,7 +147,7 @@ def _cmd_interlace(args) -> int:
         "shift_d": shift.shift_d,
         "shift_window": shift.window,
     }
-    _write(args, emit_json(payload))
+    _write(args, payload)
     return 0
 
 
@@ -167,7 +167,7 @@ def _cmd_wronskian(args) -> int:
             tail_value=prof.tail_value,
             extrema=prof.extrema,
         )
-    _write(args, emit_json(payload))
+    _write(args, payload)
     return 0
 
 
@@ -177,15 +177,11 @@ def _cmd_sweep(args) -> int:
     m = breakdown_scan(family, args.nu, gaps, args.delta, args.n)
     if args.format == "csv":
         delta, delta_bar = m.angles()
-        rows = ["family,nu,mu,delta,delta_bar,n,interlaced,first_violation,sign_changes,proviso"]
-        for c in m.cells:
-            fv = "" if c.first_violation is None else f"{c.first_violation[0]}:{c.first_violation[1]}"
-            pv = "" if c.proviso is None else str(c.proviso).lower()
-            rows.append(
-                f"{family.value},{c.nu:.17g},{c.mu:.17g},{delta:.17g},{delta_bar:.17g},"
-                f"{m.n},{str(c.interlaced).lower()},{fv},{c.sign_changes},{pv}"
-            )
-        _write(args, "\n".join(rows) + "\n")
+        rows = [(family.value, c.nu, c.mu, delta, delta_bar, m.n, c.interlaced,
+                 c.first_violation and "{}:{}".format(*c.first_violation), c.sign_changes, c.proviso)
+                for c in m.cells]
+        header = "family,nu,mu,delta,delta_bar,n,interlaced,first_violation,sign_changes,proviso"
+        _write(args, _csv(header, rows))
     else:
         payload = {
             "family": family.value,
@@ -194,7 +190,7 @@ def _cmd_sweep(args) -> int:
             "consistent": m.consistent(),
             "cells": [c._asdict() for c in m.cells],
         }
-        _write(args, emit_json(payload))
+        _write(args, payload)
     return 0
 
 
@@ -280,7 +276,7 @@ def _cmd_verify(args) -> int:
         reports = _verify_all_reports()
     passed = all(r.passed for r in reports)
     payload = {"passed": passed, "reports": [r.to_schema() for r in reports]}
-    _write(args, emit_json(payload))
+    _write(args, payload)
     return 0 if passed else _VERIFY_FAILED
 
 

@@ -14,7 +14,7 @@ from collections import namedtuple
 
 from .reports import VerificationReport
 from .special_fn import CylinderSpec, DomainError, EvalKind, Order
-from .zeros import ZeroSequence, find_zeros
+from .zeros import find_zeros
 
 __all__ = [
     "InterlaceReport",
@@ -62,12 +62,6 @@ class ShiftReport(namedtuple("ShiftReport", "shift_d window")):
     __slots__ = ()
 
 
-def _as_zeros(seq) -> list:
-    if isinstance(seq, ZeroSequence):
-        return list(seq.zeros)
-    return [float(v) for v in seq]
-
-
 def check_interlaced(A, B) -> InterlaceReport:
     """Decide interlacing of two strictly increasing zero sequences.
 
@@ -75,8 +69,7 @@ def check_interlaced(A, B) -> InterlaceReport:
     reach are judged.  Coincident zeros (within COINCIDENCE_TOL) are
     violations and are flagged, since in-scope zeros are simple and distinct.
     """
-    a = _as_zeros(A)
-    b = _as_zeros(B)
+    a, b = [float(v) for v in A], [float(v) for v in B]
     if len(a) < 2 or len(b) < 2:
         raise EmptyOverlapError("need at least two zeros in each sequence")
     if a[-1] <= b[0] or b[-1] <= a[0]:
@@ -112,8 +105,7 @@ def detect_shifted(A, B) -> ShiftReport:
     Searches |d| <= 3 and reports the maximal suffix window of 1-based B
     indices on which A[s+d] <= B[s] < A[s+d+1] holds.
     """
-    a = _as_zeros(A)
-    b = _as_zeros(B)
+    a, b = [float(v) for v in A], [float(v) for v in B]
     if check_interlaced(a, b).interlaced:
         return ShiftReport(None, None)
     for ad in range(1, _MAX_SHIFT + 1):

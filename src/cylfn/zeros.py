@@ -22,7 +22,9 @@ far where the crossing is flat (the first zero of C' as delta -> 0+, of C as
 delta -> pi-).  So near an integer m the offset is read from f = |H| sin(pi
 u) instead, as u - m = asin((-1)^m f/|H|)/pi, with f = cos(delta) Re H -
 sin(delta) Im H from the same H: f's rounding scales with its own small
-terms, not with |H|.
+terms, not with |H|.  Every integer level floor(u), the walk's first index
+included, is read the same way: within a quarter of m, u >= m where (-1)^m f
+>= 0.
 
 The same pass gives kappa = u''/(2u'): u''/u' = -1/x - 2 Re(conj(H) H')/|H|^2
 for C, and with H'' = -H'/x - (1 - nu^2/x^2) H, 1/x + 2 (1 - nu^2/x^2)
@@ -51,11 +53,15 @@ e^(2K|t - x|) of u'(x), the one zero of u - m on I lies within e^(6K|s|) K s^2
 moves the bound by far less than its own 5.3 |s|^3 c^2 floor.  As c >= 1, that
 floor alone keeps a halting step below 3.4e-6 max(1, x)^(1/3).
 
-As x -> 0+, C > 0, and C' < 0 except for C' = J'_nu > 0 with nu > 0.  J, -Y,
-J' and Y' are positive on (0, nu], where J/(-Y) and J'/Y' are monotone; so at
-most one zero lies below x0 = max(nu, 1e-6), exactly when f at x0 has the
-other sign, for C and C' alike.  It is where a/b = |tan delta| for the parts
-a, b > 0 of H (H') that f weighs; at delta = 0, J'_nu's, where nu J_nu = x
+As x -> 0+, C > 0, and C' < 0 except for C' = J'_nu > 0 with nu > 0.  J and
+-Y are positive on (0, x0], x0 = max(nu, 1e-6), where u - delta/pi rises
+within (0, 1/2); J' and Y' are positive on (0, nu], where J'/Y' is monotone.
+So at most one zero of C lies in (0, x0] and of C' in (0, nu], there exactly
+when f at x0 has lost its sign at 0+.  This sign test and the start index
+read f from the same values.  For nu < 1e-6 the phase of C' rises again on
+(nu, 1e-6] and can cross back: two zeros then lie below x0, and the sign
+test sees neither.  The zero is where a/b = |tan delta| for the parts a, b
+> 0 of H (H') that f weighs; at delta = 0, J'_nu's, where nu J_nu = x
 J_{nu+1}.  Both ratios are near powers of x, so the same Newton loop solves
 for their logs in log x; a zero below 1e-300 raises IterationError.
 """
@@ -280,6 +286,13 @@ def _origin(spec: CylinderSpec, kind: EvalKind, hi):
     return xl - xl * (tl - t), tol  # moved by the last step, to first order
 
 
+def _level(w, s):
+    # floor(u) from a pass (u, u', f/|H|, kappa): within a quarter of an
+    # integer m, u - m has the sign of (-1)^m f/|H|, u at m where f = 0
+    m = round(w)
+    return m - ((-s if m & 1 else s) < 0.0) if abs(w - m) < 0.25 else math.floor(w)
+
+
 def _below(spec: CylinderSpec, kind: EvalKind, x):
     # whether a zero lies below x <= max(nu, 1e-6): f(x) has the other sign than at 0+
     derivative = kind is EvalKind.DERIVATIVE
@@ -297,10 +310,10 @@ def _zeros(spec: CylinderSpec, kind: EvalKind):
     x = max(nu, _START)
     if _below(spec, kind, x):
         yield _origin(spec, kind, x)
-    w, dw, _, k = phase(x)
+    w, dw, s, k = phase(x)
     bound = partial(_newton_bound, nu, derivative)
     omega = 0.25 - 0.5 * nu + delta / math.pi + (0.5 if derivative else 0.0)
-    for m in count(math.floor(w) + 1):
+    for m in count(_level(w, s) + 1):
         # the bracket of the module docstring, past x = 400 only for a request beyond the box
         lo, hi = sorted((x + math.pi * (m - w), math.pi * (m - omega)))
         lo = max(lo, x)
@@ -338,17 +351,15 @@ def zero_count(spec: CylinderSpec, kind: EvalKind, x: float) -> int:
 
     x = 0 counts for J'_0, as in find_zeros.  It is the walk's sign test at
     min(x, x0), x0 = max(nu, 1e-6), plus floor(u(x)) - floor(u(x0)) of its
-    phase u above x0, u's side of a near integer read from f as the walk
-    does.  Below where C overflows it raises OverflowError, as evaluation does.
+    phase u above x0, u's side of a near integer read from f at x and at x0
+    as the walk does.  Below where C overflows it raises OverflowError, as
+    evaluation does.
     """
     x, x0 = _check_x(x), max(spec.nu, _START)
     n = (kind is EvalKind.DERIVATIVE and spec.nu == spec.delta == 0.0) + _below(spec, kind, min(x, x0))
     if x > x0:
-        phase = _target(spec, kind)
-        w, _, s, _ = phase(x)
-        m = round(w)  # f = |H| sin(pi u): u - m has the sign of (-1)^m f
-        w = m - ((-s if m & 1 else s) < 0.0) if abs(w - m) < 0.25 else w
-        n += math.floor(w) - math.floor(phase(x0)[0])
+        (w, _, s, _), (w0, _, s0, _) = map(_target(spec, kind), (x, x0))
+        n += _level(w, s) - _level(w0, s0)
     return n
 
 

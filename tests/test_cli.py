@@ -327,6 +327,18 @@ class TestArtifactFields:
         assert cells[1]["first_violation"] is None
         assert isinstance(cells[2]["first_violation"], list) and len(cells[2]["first_violation"]) == 2
 
+    def test_zero_on_the_start_interlaces(self, capsys):
+        # C_0.23's first zero lies on x0 = 0.23 at this angle, within rounding
+        delta = "2.6677946479201045"
+        code, out, _ = run(capsys, "verify", "theorem3", "--nu", "0.23", "--mu", "1.5",
+                           "--family", "cylinder", "--delta", delta, "--n", "10")
+        assert code == 0
+        assert json.loads(out)["passed"] is True
+        code, out, _ = run(capsys, "interlace", "--nu", "0.23", "--mu", "1.5", "--delta", delta,
+                           "--delta-bar", delta, "--n", "10")
+        assert code == 0
+        assert json.loads(out)["interlaced"] is True
+
     @pytest.mark.parametrize("argv", (
         ["verify", "theorem1", "--nu", "1", "--n", "8"],
         ["verify", "equivalence", "--nu", "1", "--mu", "2", "--n", "10"],

@@ -192,6 +192,28 @@ class TestNoSkippedZero:
         )
         assert seq.refined_to == zeros.REL_TOL
 
+    def test_first_zero_on_the_start(self):
+        # C's zero put on x0 = max(nu, 1e-6), at angles a few ulps apart:
+        # the start index and the sign test read u's side of 1 from the same
+        # f, so the first zero is found once, neither repeated nor skipped
+        rng = random.Random(20261027)
+        nus = [0.0, 1e-12, 1e-7] + [30.0 * (1.0 - rng.random()) for _ in range(40)]
+        for nu in nus:
+            x0 = max(nu, zeros._START)
+            d0 = math.atan2(bessel_j(nu, x0), bessel_y(nu, x0)) % math.pi  # C(x0) = 0
+            for k in range(-3, 4):
+                spec = _spec(nu, d0 + k * 2.2e-16 * max(1.0, d0))
+                zs = find_zeros(spec, EvalKind.FUNCTION, 3).zeros
+                assert all(a < b for a, b in zip(zs, zs[1:])), (spec, zs)
+                z = zs[0]
+                assert abs(z - x0) <= 1e-12 * x0, (spec, zs)
+                assert certify_sign_change(
+                    lambda t: oracle_cylinder(nu, spec.delta, t), z, eps=mp.mpf(z) * mp.mpf("1e-12")
+                )
+                # x0 itself is not probed: either count is right within rounding of the zero
+                assert zero_count(spec, EvalKind.FUNCTION, x0 * (1.0 - 1e-9)) == 0, spec
+                assert zero_count(spec, EvalKind.FUNCTION, x0 * (1.0 + 1e-9)) == 1, spec
+
     def test_zero_below_the_double_range_raises(self):
         # C_0's first zero, where J_0/(-Y_0) = tan(pi - delta), lies below
         # x = 1e-300 for pi - delta < 2e-3: a search that ends on the floor
