@@ -13,6 +13,16 @@ file also holds:
   of the phase from `zeros._target`) and `zeros._cyl` calls per zero, over
   the first REQUESTS = 300 requests of perfbench's `ZerosCold` at seed 1,
   fixed so that the counts compare from one BENCH file to the next;
+- L0 µs per call of `cylinder` and of `cylinder_and_prime` in each regime
+  that perfbench's `tracing.regime` names, over the eval-small-x and
+  eval-large-x pools at seed 1;
+- the ms of one iff cell (`verify_theorem3` on the theorem3 jobs) and of one
+  scan cell (`breakdown_scan`'s time over its cells, on the sweep jobs) of
+  the first CELL_CYCLES = 4 cycles of verify-jobs at seed 1, the zero cache
+  cleared before each call; the L0 and cell timings are each the fastest of
+  TIMING_PASSES = 5 passes, a fresh process each, with the checkouts taking
+  turns from one pass to the next, so that a slow spell of the machine falls
+  on both;
 - the wall time of `python -m cylfn.cli verify all` as a fresh process,
   the minimum of VERIFY_ALL_RUNS = 5 runs, with its exit status;
 - the tier-1 wall time and pytest's summary line;
@@ -37,6 +47,8 @@ import time
 
 REQUESTS = 300  # zeros-cold requests counted in process
 VERIFY_ALL_RUNS = 5  # `verify all` runs per checkout; the fastest is kept
+TIMING_PASSES = 5  # passes of the L0 and cell timings per checkout; the fastest is kept
+CELL_CYCLES = 4  # verify-jobs cycles whose theorem3 and sweep jobs are timed in process
 BETTER = {"setup_s": "lower", "ops_per_s": "higher", "op_p50_ms": "lower", "op_tail_ms": "lower"}
 
 COUNT_CODE = """\
@@ -65,6 +77,46 @@ print(json.dumps({"requests": int(sys.argv[2]), "zeros": found,
                   "cyl_calls_per_zero": counts["cyl"] / found}))
 """
 
+TIMING_CODE = """\
+import json, random, sys, time, types
+root, cycles = sys.argv[1], int(sys.argv[2])
+sys.path[:0] = [root + "/perfbench", root + "/src", root + "/tests"]
+import itertools, tracing, workloads
+from cylfn import special_fn, zeros
+from cylfn.cli import build_parser
+from cylfn.theorems import Family, breakdown_scan, verify_theorem3
+
+def per_call(calls, fn):
+    # seconds per call of fn over calls, the zero cache cleared before each
+    total = 0.0
+    for args in calls:
+        zeros._find_zeros_cached.cache_clear()
+        t0 = time.perf_counter()
+        fn(*args)
+        total += time.perf_counter() - t0
+    return total / len(calls)
+
+l0 = {}
+for name in ("eval-small-x", "eval-large-x"):
+    for pair, spec, x in workloads.make(name, random.Random(name + ":1"), None).pool:
+        fn = "cylinder_and_prime" if pair else "cylinder"
+        l0.setdefault(fn, {}).setdefault(tracing.regime(spec.nu, spec.delta, x), []).append((spec, x))
+l0_us = {fn: {r: {"us": round(1e6 * per_call(calls, getattr(special_fn, fn)), 3), "calls": len(calls)}
+              for r, calls in sorted(regimes.items())} for fn, regimes in l0.items()}
+jobs = workloads.VerifyJobs(random.Random("verify-jobs:1"), types.SimpleNamespace(nproc=1)).ops()
+parser, iff, scan = build_parser(), [], []
+for key, argv, _ in itertools.islice(jobs, cycles * len(workloads._CYCLE)):
+    a = parser.parse_args(argv)
+    if key == "verify.theorem3":
+        iff.append((a.nu, a.mu, Family(a.family), a.delta, a.n))
+    elif key == "sweep":
+        scan.append((Family(a.family), a.nu, [float(g) for g in a.gaps.split(",")], a.delta, a.n))
+cells = sum(len(s[2]) for s in scan)
+print(json.dumps({"l0_us": l0_us, "cells": {
+    "iff_cell_ms": round(1e3 * per_call(iff, verify_theorem3), 3), "iff_cells": len(iff),
+    "scan_cell_ms": round(1e3 * per_call(scan, breakdown_scan) * len(scan) / cells, 3), "scan_cells": cells}}))
+"""
+
 
 def _last_json(stdout: str) -> dict:
     return json.loads(stdout.strip().splitlines()[-1])
@@ -83,6 +135,21 @@ def zero_counts(root: str) -> dict:
     out = subprocess.run([sys.executable, "-c", COUNT_CODE, os.path.abspath(root), str(REQUESTS)],
                          capture_output=True, text=True, check=True)
     return _last_json(out.stdout)
+
+
+def timing_pass(root: str) -> dict:
+    out = subprocess.run([sys.executable, "-c", TIMING_CODE, os.path.abspath(root), str(CELL_CYCLES)],
+                         capture_output=True, text=True, check=True)
+    return _last_json(out.stdout)
+
+
+def keep_min(best: dict, new: dict) -> None:
+    # best holds, key by key, the smallest number seen; counts are the same in every pass
+    for key, value in new.items():
+        if isinstance(value, dict):
+            keep_min(best.setdefault(key, {}), value)
+        else:
+            best[key] = min(best.get(key, value), value)
 
 
 def _src_env() -> dict:
@@ -173,6 +240,11 @@ def main(argv=None) -> int:
                 runs[n][workload].append(run)
                 print(f"{workload} seed {seed} {n}: {json.dumps(run.get('metrics', run))}", flush=True)
 
+    timing = {n: {} for n in names}
+    for i in range(TIMING_PASSES):
+        for n in names if i % 2 == 0 else names[::-1]:
+            keep_min(timing[n], timing_pass(roots[n]))
+
     record = {
         "harness": "bench/record.py",
         "checkout_order": names,
@@ -188,6 +260,7 @@ def main(argv=None) -> int:
             "commit": commit(root),
             "src_lines": src_lines(root),
             "zeros_cold_counts": zero_counts(root),
+            **timing[n],
             "verify_all": verify_all(root),
             "tier1": tier1(root),
             "runs": runs[n],

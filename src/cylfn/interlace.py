@@ -14,7 +14,7 @@ from collections import namedtuple
 
 from .reports import VerificationReport
 from .special_fn import CylinderSpec, DomainError, EvalKind, Order
-from .zeros import find_zeros
+from .zeros import _count, find_zeros
 
 __all__ = [
     "InterlaceReport",
@@ -132,7 +132,7 @@ def verify_chain(nu: float, c: float, n: int) -> VerificationReport:
     c = float(c)
     if not 0.0 < c <= 1.0:
         raise DomainError(f"chain requires 0 < c <= 1, got {c!r}")
-    n = int(n)
+    n = _count(n, "need n >= 1")
     half = math.pi / 2.0
     jp = find_zeros(CylinderSpec.of(nu, 0.0), EvalKind.DERIVATIVE, n + 1).zeros
     y = find_zeros(CylinderSpec.of(nu, half), EvalKind.FUNCTION, n).zeros

@@ -5,7 +5,8 @@ local extrema exactly at the merged zeros of the two cylinder functions, is
 strictly monotone in between, and tends to (2/pi) sin((mu - nu) pi/2 +
 delta_a - delta_b) at infinity.  Interlacing of the zeros is equivalent to W
 keeping one sign beyond the first zero, so sign changes are counted from the
-extremum values alone.
+extremum values alone, by one rule: over every extremum for the profile, up
+to the last zero of each side for the equivalence check.
 """
 
 import math
@@ -104,50 +105,43 @@ def check_derivative_identity(spec_a: CylinderSpec, spec_b: CylinderSpec, x: flo
     return abs(num - rhs) / max(1.0, abs(rhs))
 
 
+def _sign_changes(extrema, top=math.inf):
+    # (sign changes, signs counted) over the extrema at x <= top; coincident or 0 has no sign
+    signs = [v > 0.0 for (z, v, t) in extrema if t != "coincident" and v != 0.0 and z <= top]
+    return sum(s0 != s1 for s0, s1 in zip(signs, signs[1:])), len(signs)
+
+
 def wronskian_profile(spec_a: CylinderSpec, spec_b: CylinderSpec, n: int) -> WronskianProfile:
     """Extremum positions/values of W from the first n zeros of each function.
 
-    Extremum values use the closed forms -xi_a'(z) xi_b(z) at zeros of C_a and
-    +xi_a(z) xi_b'(z) at zeros of C_b; no extremum search is performed.
-    extrema and sign_changes run over every merged zero (window), past the
-    range both sequences cover, which is all that check_interlaced judges.
+    Each extremum value is wronskian_value at the merged zero, where W is the
+    closed form -xi_a'(z) xi_b(z) (a zero of C_a) or xi_a(z) xi_b'(z) (of C_b);
+    no extremum search is performed.  extrema and sign_changes run over every
+    merged zero (window), past the range both sequences cover, which is all
+    that check_interlaced judges.
     """
     if spec_a == spec_b:
         raise DegenerateSpecError("wronskian profile of a spec against itself is identically 0")
     za = find_zeros(spec_a, EvalKind.FUNCTION, n).zeros
     zb = find_zeros(spec_b, EvalKind.FUNCTION, n).zeros
     merged = sorted([(z, "A-zero") for z in za] + [(z, "B-zero") for z in zb])
-    extrema = []
-    coincident = False
-    i = 0
-    while i < len(merged):
-        z, tag = merged[i]
-        if i + 1 < len(merged) and merged[i + 1][0] - z <= COINCIDENCE_TOL and merged[i + 1][1] != tag:
-            extrema.append((z, 0.0, "coincident"))
-            coincident = True
-            i += 2
-            continue
-        if tag == "A-zero":
-            val = -xi_prime(spec_a, z) * xi(spec_b, z)
+    points = []
+    for z, tag in merged:
+        if points and z - points[-1][0] <= COINCIDENCE_TOL and points[-1][1] not in (tag, "coincident"):
+            points[-1] = (points[-1][0], "coincident")
         else:
-            val = xi(spec_a, z) * xi_prime(spec_b, z)
-        extrema.append((z, val, tag))
-        i += 1
-    signs = [v > 0.0 for (_, v, t) in extrema if t != "coincident" and v != 0.0]
-    sign_changes = sum(1 for s0, s1 in zip(signs, signs[1:]) if s0 != s1)
-    x_lo = merged[0][0]
+            points.append((z, tag))
+    extrema = tuple((z, 0.0 if t == "coincident" else wronskian_value(spec_a, spec_b, z), t) for z, t in points)
     x_hi = merged[-1][0]
-    tail_x = min(x_hi + 10.0 * math.pi, X_MAX)
-    tail = wronskian_value(spec_a, spec_b, tail_x)
     return WronskianProfile(
         spec_a=spec_a,
         spec_b=spec_b,
-        extrema=tuple(extrema),
-        sign_changes=sign_changes,
+        extrema=extrema,
+        sign_changes=_sign_changes(extrema)[0],
         asymptote=wronskian_asymptote(spec_a, spec_b),
-        window=(x_lo, x_hi),
-        tail_value=tail,
-        coincident=coincident,
+        window=(merged[0][0], x_hi),
+        tail_value=wronskian_value(spec_a, spec_b, min(x_hi + 10.0 * math.pi, X_MAX)),
+        coincident=any(t == "coincident" for _, _, t in extrema),
     )
 
 
@@ -157,7 +151,8 @@ def interlace_wronskian_equivalence(
     """Test: W root-free beyond its first extremum <=> zeros interlaced.
 
     Both sides are evaluated on the common covered window of the two n-term
-    zero sequences; passed means the two verdicts agree.
+    zero sequences, sign changes by the profile's rule over the extrema
+    there; passed means the two verdicts agree.
     """
     if spec_a == spec_b:
         raise DegenerateSpecError("equivalence needs two distinct functions")
@@ -165,8 +160,7 @@ def interlace_wronskian_equivalence(
     za = find_zeros(spec_a, EvalKind.FUNCTION, n)
     zb = find_zeros(spec_b, EvalKind.FUNCTION, n)
     x_hi = min(za.zeros[-1], zb.zeros[-1])
-    signs = [v > 0.0 for (z, v, t) in prof.extrema if t != "coincident" and v != 0.0 and z <= x_hi]
-    sc = sum(1 for s0, s1 in zip(signs, signs[1:]) if s0 != s1)
+    sc, counted = _sign_changes(prof.extrema, x_hi)
     rep = check_interlaced(za, zb)
     agree = (sc == 0) == rep.interlaced
     name = (
@@ -184,7 +178,7 @@ def interlace_wronskian_equivalence(
     return VerificationReport(
         name=name,
         passed=agree,
-        checks=len(signs) + rep.pairs_checked,
+        checks=counted + rep.pairs_checked,
         worst_residual=float(sc),
         counterexample=counterexample,
         details={"sign_changes": sc, "interlaced": rep.interlaced},

@@ -62,8 +62,9 @@ read f from the same values.  For nu < 1e-6 the phase of C' rises again on
 (nu, 1e-6] and can cross back: two zeros then lie below x0, and the sign
 test sees neither.  The zero is where a/b = |tan delta| for the parts a, b
 > 0 of H (H') that f weighs; at delta = 0, J'_nu's, where nu J_nu = x
-J_{nu+1}.  Both ratios are near powers of x, so the same Newton loop solves
-for their logs in log x; a zero below 1e-300 raises IterationError.
+J_{nu+1}, with J_{nu+1} = (nu/x) J_nu - J'_nu from the same pass.  Both
+ratios are near powers of x, so the same Newton loop solves for their logs
+in log x; a zero below 1e-300 raises IterationError.
 """
 
 import math
@@ -254,7 +255,7 @@ def _origin(spec: CylinderSpec, kind: EvalKind, hi):
     # in x and t keeps x's last bits near hi: r = log(a/b) - log|tan delta|
     # for (a, b) = (J, -Y), (J', Y'), or (-J'_0, Y'_0) for C' at nu = 0 past
     # pi/2; at delta = 0, r = log(x J_{nu+1} / (nu J_nu)) = -log1p(J'_nu /
-    # J_{nu+1}), near 2 log x
+    # J_{nu+1}), near 2 log x, with J_{nu+1} = (nu/x) J_nu - J'_nu
     nu, derivative = spec.nu, kind is EvalKind.DERIVATIVE
     cos, sin = math.cos(spec.delta), math.sin(spec.delta)
     sa, sb = (math.copysign(1.0, cos), 1.0) if derivative else (1.0, -1.0)
@@ -264,7 +265,7 @@ def _origin(spec: CylinderSpec, kind: EvalKind, hi):
         x = hi * math.exp(t)
         h = _cyl(nu, 0.0, x, h=True)
         if sin == 0.0:
-            j, b = h[0].real, _cyl(nu + 1.0, 0.0, x)[0]
+            j, b = h[0].real, (nu / x) * h[0].real - h[1].real
             r = math.log(b / j) - math.log(nu / x)
             if abs(r) < 0.25:
                 r = -math.log1p(h[1].real / b)
@@ -325,6 +326,14 @@ def _zeros(spec: CylinderSpec, kind: EvalKind):
         yield z, tol
 
 
+def _count(n, rule):
+    # a count of zeros or a zero's index: n == int(n) >= 1 (3.0 is 3), never truncated
+    whole = n % 1 == 0  # False for nan and inf; exact for any int
+    if not (whole and n >= 1):
+        raise DomainError(f"{rule}{'' if whole else ' and an integer'}, got {n!r}")
+    return int(n)
+
+
 @lru_cache(maxsize=4096)
 def _find_zeros_cached(spec: CylinderSpec, kind: EvalKind, n: int):
     # (zeros, worst relative tolerance achieved over them)
@@ -339,10 +348,7 @@ def find_zeros(spec: CylinderSpec, kind: EvalKind, n: int) -> ZeroSequence:
 
     Requires n >= 1 and the n-th zero inside x <= 400: n <= zero_count(spec, kind, 400).
     """
-    n = int(n)
-    if n < 1:
-        raise DomainError(f"need n >= 1, got {n}")
-    zs, tol = _find_zeros_cached(spec, kind, n)
+    zs, tol = _find_zeros_cached(spec, kind, _count(n, "need n >= 1"))
     return ZeroSequence(spec=spec, kind=kind, zeros=zs, refined_to=tol)
 
 
@@ -365,9 +371,7 @@ def zero_count(spec: CylinderSpec, kind: EvalKind, x: float) -> int:
 
 def zero_trajectory(angle: MixingAngle, kind: EvalKind, s: int, nu_grid) -> Trajectory:
     """Track the s-th zero as a function of the order over nu_grid."""
-    s = int(s)
-    if s < 1:
-        raise DomainError(f"zero index must be >= 1, got {s}")
+    s = _count(s, "zero index must be >= 1")
     grid = [float(v) for v in nu_grid]
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise DomainError("nu_grid must be strictly increasing")

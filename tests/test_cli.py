@@ -189,6 +189,75 @@ class TestExitCodes:
         assert code == 3
         assert json.loads(out)["passed"] is False
 
+    @staticmethod
+    def _not_interlaced(a, b):
+        from cylfn.interlace import InterlaceReport
+
+        return InterlaceReport(False, (1, 2), 1, False, "A")
+
+    @pytest.mark.parametrize("module, name, fake, argv, keys", (
+        ("theorems", "_cyl", lambda nu, delta, x: (1.0, 1.0),
+         ["recurrences", "--nu", "0.5", "--grid", "0.5"], ["identity", "x", "residual"]),
+        ("theorems", "check_interlaced", _not_interlaced,
+         ["theorem1", "--nu", "1", "--n", "6"], ["part", "delta", "violation"]),
+        ("theorems", "check_interlaced", _not_interlaced,
+         ["theorem3", "--nu", "1", "--mu", "2", "--n", "10"], ["interlaced", "predicate", "first_violation"]),
+        ("wronskian", "check_interlaced", _not_interlaced,
+         ["equivalence", "--nu", "1", "--mu", "2", "--n", "15"],
+         ["sign_changes", "interlaced", "first_violation", "window_hi"]),
+    ), ids=("recurrences", "theorem1", "theorem3", "equivalence"))
+    def test_counterexample_exits_3(self, capsys, monkeypatch, module, name, fake, argv, keys):
+        import importlib
+
+        monkeypatch.setattr(importlib.import_module("cylfn." + module), name, fake)
+        code, out, _ = run(capsys, "verify", *argv)
+        assert code == 3
+        payload = json.loads(out)
+        assert payload["passed"] is False
+        (rep,) = payload["reports"]
+        assert rep["passed"] is False and list(rep["counterexample"]) == keys
+
+    def test_verify_all_derivative_identity_counterexample_exits_3(self, capsys, monkeypatch):
+        import cylfn.cli as cli
+
+        monkeypatch.setattr(cli, "check_derivative_identity", lambda a, b, x: 1.0)
+        code, out, _ = run(capsys, "verify", "all")
+        assert code == 3
+        reports = json.loads(out)["reports"]
+        assert [r["passed"] for r in reports] == [True] * (len(reports) - 1) + [False]
+        assert list(reports[-1]["counterexample"]) == ["nu", "mu", "delta", "delta_bar", "x", "residual"]
+        assert reports[-1]["worst_residual"] == 1.0
+
+    def test_verify_all_transitivity_conclusion_exits_3(self, capsys, monkeypatch):
+        import cylfn.theorems as th
+
+        # only verify_transitivity passes lists; its third check is the conclusion
+        real, lists = th.check_interlaced, []
+
+        def fake(a, b):
+            if isinstance(a, list):
+                lists.append(a)
+                if len(lists) == 3:
+                    return self._not_interlaced(a, b)
+            return real(a, b)
+
+        monkeypatch.setattr(th, "check_interlaced", fake)
+        code, out, _ = run(capsys, "verify", "all")
+        assert code == 3
+        failed = [r for r in json.loads(out)["reports"] if not r["passed"]]
+        assert [r["name"][:13] for r in failed] == ["transitivity("]
+        assert list(failed[0]["counterexample"]) == ["conclusion", "first_violation"]
+
+    def test_non_finite_artifact_value_exits_2(self, capsys, monkeypatch):
+        import cylfn.cli as cli
+        from cylfn.reports import VerificationReport
+
+        monkeypatch.setattr(cli, "verify_chain", lambda nu, c, n: VerificationReport(
+            name="chain(injected)", passed=True, checks=1, worst_residual=math.nan))
+        code, out, err = run(capsys, "verify", "chain", "--nu", "1", "--n", "5")
+        assert code == 2 and out == ""
+        assert "non-finite value nan in artifact" in err
+
 
 class TestArtifacts:
     def test_zeros_json_anchor(self, capsys):

@@ -194,3 +194,88 @@ class TestBreakdownScan:
         with pytest.raises(DomainError):
             verify_theorem3(1.0, 1.0, family, delta=0.7, n=5)
         assert breakdown_scan(family, 1.0, [1.0], delta=math.pi, n=5).delta == 0.0
+
+
+class TestCounterexamples:
+    """Report shapes of failed checks, reached by fault injection on the
+    names the harness calls."""
+
+    @staticmethod
+    def _broken(real, when=lambda a, b: True):
+        # check_interlaced, failing (first_violation (1, 2)) where when(a, b)
+        from cylfn.interlace import InterlaceReport
+
+        return lambda a, b: InterlaceReport(False, (1, 2), 1, False, "A") if when(a, b) else real(a, b)
+
+    def test_recurrence_counterexample(self, monkeypatch):
+        import cylfn.theorems as th
+
+        # C = C' = 1 at every order breaks the three-term recurrence first
+        monkeypatch.setattr(th, "_cyl", lambda nu, delta, x: (1.0, 1.0))
+        rep = verify_recurrences(0.5, 0.0, [0.5])
+        assert rep.passed is False
+        assert list(rep.counterexample) == ["identity", "x", "residual"]
+        assert rep.counterexample["identity"] == "three-term"
+
+    @pytest.mark.parametrize("kind, part, keys", (
+        (EvalKind.FUNCTION, "a-functions", ["part", "delta", "violation"]),
+        (EvalKind.DERIVATIVE, "a-jprime", ["part", "violation"]),
+    ))
+    def test_theorem1_part_counterexample(self, monkeypatch, kind, part, keys):
+        import cylfn.theorems as th
+
+        monkeypatch.setattr(th, "check_interlaced", self._broken(th.check_interlaced, lambda a, b: a.kind is kind))
+        rep = verify_theorem1(1.0, 1.0, 0.5, 1.0, 6)
+        assert rep.passed is False
+        assert list(rep.counterexample) == keys
+        assert rep.counterexample["part"] == part and rep.counterexample["violation"] == (1, 2)
+
+    def test_theorem1_chain_counterexample(self, monkeypatch):
+        import cylfn.theorems as th
+        from cylfn.reports import VerificationReport
+
+        bad = VerificationReport(name="chain(injected)", passed=False, checks=1, worst_residual=-1.0,
+                                 counterexample={"link": "injected"})
+        monkeypatch.setattr(th, "verify_chain", lambda nu, c, n: bad)
+        rep = verify_theorem1(1.0, 1.0, 0.5, 1.0, 6)
+        assert rep.passed is False
+        assert rep.counterexample == {"part": "b-chain", "violation": {"link": "injected"}}
+
+    def test_unknown_family_rejected(self):
+        with pytest.raises(DomainError, match="unknown family 'cylinder'"):
+            breakdown_scan("cylinder", 1.0, [1.0], n=5)
+
+    def test_theorem3_disagreement_counterexample(self, monkeypatch):
+        import cylfn.theorems as th
+
+        monkeypatch.setattr(th, "check_interlaced", self._broken(th.check_interlaced))
+        rep = verify_theorem3(1.0, 2.0, Family.CYLINDER, n=10)
+        assert rep.passed is False
+        assert rep.counterexample == {"interlaced": False, "predicate": True, "first_violation": (1, 2)}
+        assert rep.worst_residual == 1.0
+
+    def test_transitivity_premise_failure_on_a_pair(self, monkeypatch):
+        import cylfn.theorems as th
+
+        monkeypatch.setattr(th, "check_interlaced", self._broken(th.check_interlaced))
+        F, G, H = TestTransitivity.F, TestTransitivity.G, TestTransitivity.H
+        rep = verify_transitivity(F, G, H, EvalKind.FUNCTION, (5.0, 60.0))
+        assert rep.passed is True and rep.counterexample is None
+        assert rep.details == {"status": "premise-failure", "pair": "f-g", "violation": (1, 2)}
+
+    def test_transitivity_conclusion_failure(self, monkeypatch):
+        import cylfn.theorems as th
+
+        calls = []  # f-g, g-h, then the conclusion f-h
+
+        def third(a, b):
+            calls.append(1)
+            return len(calls) == 3
+
+        monkeypatch.setattr(th, "check_interlaced", self._broken(th.check_interlaced, third))
+        F, G, H = TestTransitivity.F, TestTransitivity.G, TestTransitivity.H
+        rep = verify_transitivity(F, G, H, EvalKind.FUNCTION, (5.0, 60.0))
+        assert rep.passed is False
+        assert list(rep.counterexample) == ["conclusion", "first_violation"]
+        assert rep.counterexample["first_violation"] == (1, 2)
+        assert rep.details == {"status": "conclusion-failure"}

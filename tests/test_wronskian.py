@@ -119,13 +119,16 @@ class TestProfile:
         assert [z for (z, _, _) in p.extrema] == merged
 
     def test_closed_form_matches_direct_value(self):
+        # each extremum value is W at the zero, where it is the closed form
         a = _spec(1.0, math.pi / 4)
         b = _spec(3.3, 1.9)
         p = wronskian_profile(a, b, 8)
         for z, v, tag in p.extrema:
             if tag == "coincident":
                 continue
-            assert abs(wronskian_value(a, b, z) - v) <= 1e-8
+            assert v == wronskian_value(a, b, z)
+            closed = -xi_prime(a, z) * xi(b, z) if tag == "A-zero" else xi(a, z) * xi_prime(b, z)
+            assert v == pytest.approx(closed, rel=1e-12)
 
     def test_monotone_between_extrema(self):
         p = wronskian_profile(_spec(1.0, 0.0), _spec(2.0, 0.0), 6)
@@ -154,6 +157,23 @@ class TestCoincidentZero:
         assert len(p.extrema) == 11  # 12 zeros, two of them merged
         (hit,) = [e for e in p.extrema if e[2] == "coincident"]
         assert hit[0] == pytest.approx(z, rel=1e-12) and hit[1] == 0.0
+
+    def test_two_evaluations_per_extremum_none_at_the_pair(self, monkeypatch):
+        # W at each extremum from one (C, C') pair per side, 2 more for the
+        # tail, and nothing at the coincident pair, whose value is 0
+        import cylfn.wronskian as wr
+
+        a, b, z = self._pair()
+        xs = []
+
+        def counted(spec, x, fn=wr.cylinder_and_prime):
+            xs.append(x)
+            return fn(spec, x)
+
+        monkeypatch.setattr(wr, "cylinder_and_prime", counted)
+        p = wronskian_profile(a, b, 6)
+        assert len(xs) == 2 * (len(p.extrema) - 1) + 2
+        assert all(abs(x - z) > 1e-6 for x in xs)
 
     def test_interlacing_and_equivalence(self):
         a, b, _ = self._pair()
@@ -193,3 +213,19 @@ class TestEquivalence:
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateSpecError):
             interlace_wronskian_equivalence(_spec(2.0, 1.0), _spec(2.0, 1.0), 5)
+
+    def test_disagreement_counterexample(self, monkeypatch):
+        import cylfn.wronskian as wr
+        from cylfn.interlace import InterlaceReport
+
+        # an interlaced pair (no sign change) judged broken
+        monkeypatch.setattr(wr, "check_interlaced", lambda a, b: InterlaceReport(False, (1, 2), 1, False, "A"))
+        rep = interlace_wronskian_equivalence(_spec(1.0, 0.0), _spec(2.0, 0.0), 15)
+        assert rep.passed is False
+        assert list(rep.counterexample) == ["sign_changes", "interlaced", "first_violation", "window_hi"]
+        za = find_zeros(_spec(1.0, 0.0), EvalKind.FUNCTION, 15).zeros
+        zb = find_zeros(_spec(2.0, 0.0), EvalKind.FUNCTION, 15).zeros
+        assert rep.counterexample == {
+            "sign_changes": 0, "interlaced": False, "first_violation": (1, 2), "window_hi": min(za[-1], zb[-1]),
+        }
+        assert rep.worst_residual == 0.0

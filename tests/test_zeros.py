@@ -148,6 +148,32 @@ class TestStructure:
             find_zeros(_spec(30.0, 0.0), EvalKind.FUNCTION, 200)
 
 
+class TestCountArgument:
+    """A count of zeros or a zero's index is an integer >= 1: 3.0 is 3, and
+    2.7 raises instead of being truncated to 2."""
+
+    @staticmethod
+    def _calls(k):
+        from cylfn.interlace import verify_chain
+
+        return (
+            lambda: find_zeros(_spec(1.0, 0.0), EvalKind.FUNCTION, k),
+            lambda: zero_trajectory(MixingAngle(0.0), EvalKind.FUNCTION, k, [1.0, 2.0]),
+            lambda: verify_chain(1.0, 0.5, k),
+        )
+
+    @pytest.mark.parametrize("k", (2.7, 1.9, 2.9, 0.5, math.nan, math.inf))
+    def test_non_integer_raises(self, k):
+        for call in self._calls(k):
+            with pytest.raises(DomainError, match=f"an integer, got {k!r}"):
+                call()
+
+    def test_integral_float_accepted(self):
+        for whole, exact in zip(self._calls(3.0), self._calls(3)):
+            assert whole() == exact()
+        assert self._calls(3.0)[2]().name == "chain(nu=1, c=0.5, n=3)"
+
+
 class TestNoSkippedZero:
     @pytest.mark.parametrize("nu, delta", sorted(STRADDLING))
     def test_derivative_zeros_straddling_the_order(self, nu, delta):
@@ -483,6 +509,42 @@ class TestPassCount:
             counts.append(calls[0])
         assert sum(counts) <= 8 * len(counts)
         assert max(counts) <= 12
+
+    def test_one_evaluation_per_origin_pass(self, monkeypatch):
+        # J'_nu's zero below 1e-6 (nu < 5e-13) is sought at delta = 0, on
+        # J_{nu+1} / J_nu: J_{nu+1} comes from the pass that gives J_nu and
+        # J'_nu, so each _origin pass is one _cyl call
+        counts = {"passes": 0, "_cyl": 0}
+        inside = [False]
+        cyl, refine, origin = zeros._cyl, zeros._refine, zeros._origin
+
+        def counted_cyl(*args, **kwargs):
+            counts["_cyl"] += inside[0]
+            return cyl(*args, **kwargs)
+
+        def counted_refine(phase, *args):
+            def counted(t):
+                counts["passes"] += inside[0]
+                return phase(t)
+
+            return refine(counted, *args)
+
+        def counted_origin(*args):
+            inside[0] = True
+            try:
+                return origin(*args)
+            finally:
+                inside[0] = False
+
+        for name, fn in (("_cyl", counted_cyl), ("_refine", counted_refine), ("_origin", counted_origin)):
+            monkeypatch.setattr(zeros, name, fn)
+        zeros._find_zeros_cached.cache_clear()
+        rng = random.Random(7)
+        for _ in range(100):
+            seq = find_zeros(_spec(10.0 ** rng.uniform(-16.0, -12.4), 0.0), EvalKind.DERIVATIVE, 2)
+            assert seq[0] < zeros._START
+        assert counts["passes"] >= 100
+        assert counts["_cyl"] == counts["passes"]
 
     def test_one_evaluation_of_f_below_the_start(self, monkeypatch):
         # the zero below x = 1e-6 costs no evaluation of f past the sign test
