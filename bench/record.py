@@ -1,37 +1,34 @@
 """Record one BENCH file: the benchmark, zero-search counts, tier-1 time and size, per checkout.
 
     python3 bench/record.py --checkout parent=../parent --checkout change=. \\
-        --workloads zeros-cold eval-small-x --seeds 1 2 3 --seconds 20 --out BENCH_16.json
+        --workloads zeros-cold eval-small-x --seeds 1 2 3 --seconds 20 --out BENCH_20.json
 
-Each --checkout NAME=PATH names the root of a checkout.  For every workload
-and seed, `perfbench/run.py --trace 0` runs once in each checkout, from its
-root, and the last stdout line, one JSON object, is kept.  The checkouts
-alternate which runs first from one seed to the next.  For each checkout the
-file also holds:
+Each --checkout NAME=PATH names the root of a checkout.  One loop does all
+the timing: for every seed and workload, `perfbench/run.py --trace 0` runs
+once in each checkout, then `--trace 1` once in each, every run from its
+checkout's root, and the last stdout line of each, one JSON object, is kept.
+The checkouts alternate which runs first from one seed to the next, so that
+a slow spell of the machine falls on both.
 
-- zero-search counts on the zeros-cold mix, in process: phase passes (calls
-  of the phase from `zeros._target`) and `zeros._cyl` calls per zero, over
+The file holds, besides the machine, the arguments and each checkout's commit:
+
+- `checkouts.NAME.runs`: every run's JSON line with its seed and trace mode;
+  a run that exits non-zero keeps its exit status and the end of its stderr;
+- `checkouts.NAME.zeros_cold_counts`: phase passes (calls of the phase from
+  `zeros._target`) and `zeros._cyl` calls per zero, counted in process over
   the first REQUESTS = 300 requests of perfbench's `ZerosCold` at seed 1,
   fixed so that the counts compare from one BENCH file to the next;
-- L0 µs per call of `cylinder` and of `cylinder_and_prime` in each regime
-  that perfbench's `tracing.regime` names, over the eval-small-x and
-  eval-large-x pools at seed 1;
-- the ms of one iff cell (`verify_theorem3` on the theorem3 jobs) and of one
-  scan cell (`breakdown_scan`'s time over its cells, on the sweep jobs) of
-  the first CELL_CYCLES = 4 cycles of verify-jobs at seed 1, the zero cache
-  cleared before each call; the L0 and cell timings are each the fastest of
-  TIMING_PASSES = 5 passes, a fresh process each, with the checkouts taking
-  turns from one pass to the next, so that a slow spell of the machine falls
-  on both;
-- the wall time of `python -m cylfn.cli verify all` as a fresh process,
-  the minimum of VERIFY_ALL_RUNS = 5 runs, with its exit status;
-- the tier-1 wall time and pytest's summary line;
-- the `src/` line count (all lines of `src/**/*.py`).
+  perfbench's trace cannot see the phase pass;
+- `checkouts.NAME.tier1`: the tier-1 wall time and pytest's summary line;
+- `checkouts.NAME.src_lines`: all lines of `src/**/*.py`;
+- `summary.WORKLOAD.METRIC.NAME`: for every end-to-end metric (`--trace 0`)
+  and every per-layer metric (`--trace 1`) of BENCHMARK.json, the median
+  and quartiles over the seeds and, for each checkout after the first (the
+  base), in how many seeds it did better than the base, in the direction
+  that BENCHMARK.json gives.  A run that failed counts in no median and no
+  win count.
 
-With two or more checkouts, the first is the base: for each end-to-end metric
-on each workload the file gives every checkout's median and quartiles, and
-in how many seeds each later checkout did better than the base.  Standard
-library only; run.py needs mpmath for its output checks.
+Standard library only; run.py needs mpmath for its output checks.
 """
 
 from __future__ import annotations
@@ -46,10 +43,7 @@ import sys
 import time
 
 REQUESTS = 300  # zeros-cold requests counted in process
-VERIFY_ALL_RUNS = 5  # `verify all` runs per checkout; the fastest is kept
-TIMING_PASSES = 5  # passes of the L0 and cell timings per checkout; the fastest is kept
-CELL_CYCLES = 4  # verify-jobs cycles whose theorem3 and sweep jobs are timed in process
-BETTER = {"setup_s": "lower", "ops_per_s": "higher", "op_p50_ms": "lower", "op_tail_ms": "lower"}
+BENCHMARK = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "BENCHMARK.json")
 
 COUNT_CODE = """\
 import json, random, sys
@@ -77,54 +71,21 @@ print(json.dumps({"requests": int(sys.argv[2]), "zeros": found,
                   "cyl_calls_per_zero": counts["cyl"] / found}))
 """
 
-TIMING_CODE = """\
-import json, random, sys, time, types
-root, cycles = sys.argv[1], int(sys.argv[2])
-sys.path[:0] = [root + "/perfbench", root + "/src", root + "/tests"]
-import itertools, tracing, workloads
-from cylfn import special_fn, zeros
-from cylfn.cli import build_parser
-from cylfn.theorems import Family, breakdown_scan, verify_theorem3
 
-def per_call(calls, fn):
-    # seconds per call of fn over calls, the zero cache cleared before each
-    total = 0.0
-    for args in calls:
-        zeros._find_zeros_cached.cache_clear()
-        t0 = time.perf_counter()
-        fn(*args)
-        total += time.perf_counter() - t0
-    return total / len(calls)
-
-l0 = {}
-for name in ("eval-small-x", "eval-large-x"):
-    for pair, spec, x in workloads.make(name, random.Random(name + ":1"), None).pool:
-        fn = "cylinder_and_prime" if pair else "cylinder"
-        l0.setdefault(fn, {}).setdefault(tracing.regime(spec.nu, spec.delta, x), []).append((spec, x))
-l0_us = {fn: {r: {"us": round(1e6 * per_call(calls, getattr(special_fn, fn)), 3), "calls": len(calls)}
-              for r, calls in sorted(regimes.items())} for fn, regimes in l0.items()}
-jobs = workloads.VerifyJobs(random.Random("verify-jobs:1"), types.SimpleNamespace(nproc=1)).ops()
-parser, iff, scan = build_parser(), [], []
-for key, argv, _ in itertools.islice(jobs, cycles * len(workloads._CYCLE)):
-    a = parser.parse_args(argv)
-    if key == "verify.theorem3":
-        iff.append((a.nu, a.mu, Family(a.family), a.delta, a.n))
-    elif key == "sweep":
-        scan.append((Family(a.family), a.nu, [float(g) for g in a.gaps.split(",")], a.delta, a.n))
-cells = sum(len(s[2]) for s in scan)
-print(json.dumps({"l0_us": l0_us, "cells": {
-    "iff_cell_ms": round(1e3 * per_call(iff, verify_theorem3), 3), "iff_cells": len(iff),
-    "scan_cell_ms": round(1e3 * per_call(scan, breakdown_scan) * len(scan) / cells, 3), "scan_cells": cells}}))
-"""
+def directions(path: str = BENCHMARK) -> dict:
+    # {metric: "higher" or "lower"}, end-to-end metrics first, in BENCHMARK.json's order
+    with open(path, encoding="utf-8") as fh:
+        spec = json.load(fh)
+    return {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
 
 
 def _last_json(stdout: str) -> dict:
     return json.loads(stdout.strip().splitlines()[-1])
 
 
-def bench_run(root: str, workload: str, seed: int, seconds: float) -> dict:
+def bench_run(root: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(seconds), "--trace", str(trace)]
     out = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     if out.returncode:
         return {"returncode": out.returncode, "stderr": out.stderr[-2000:]}
@@ -137,39 +98,9 @@ def zero_counts(root: str) -> dict:
     return _last_json(out.stdout)
 
 
-def timing_pass(root: str) -> dict:
-    out = subprocess.run([sys.executable, "-c", TIMING_CODE, os.path.abspath(root), str(CELL_CYCLES)],
-                         capture_output=True, text=True, check=True)
-    return _last_json(out.stdout)
-
-
-def keep_min(best: dict, new: dict) -> None:
-    # best holds, key by key, the smallest number seen; counts are the same in every pass
-    for key, value in new.items():
-        if isinstance(value, dict):
-            keep_min(best.setdefault(key, {}), value)
-        else:
-            best[key] = min(best.get(key, value), value)
-
-
-def _src_env() -> dict:
-    # the checkout's own package first, for a process started from its root
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")])))
-
-
-def verify_all(root: str) -> dict:
-    walls, code = [], 0
-    for _ in range(VERIFY_ALL_RUNS):
-        t0 = time.perf_counter()
-        out = subprocess.run([sys.executable, "-m", "cylfn.cli", "verify", "all"], cwd=root, env=_src_env(),
-                             capture_output=True)
-        walls.append(time.perf_counter() - t0)
-        code = code or out.returncode
-    return {"min_s": round(min(walls), 4), "runs": VERIFY_ALL_RUNS, "returncode": code}
-
-
 def tier1(root: str) -> dict:
-    env = _src_env()
+    # the checkout's own package first, for a process started from its root
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")])))
     t0 = time.perf_counter()
     out = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
                           "--continue-on-collection-errors"], cwd=root, env=env, capture_output=True, text=True)
@@ -200,20 +131,25 @@ def quartiles(values: list) -> dict:
     return {"median": q2, "q1": q1, "q3": q3}
 
 
-def summarise(names: list, runs: dict) -> dict:
-    # runs[name][workload] = [run per seed, in seed order]
+def by_seed(runs: list, metric: str) -> dict:
+    # {seed: value} over the runs that report the metric; a failed run reports none
+    return {r["seed"]: r["metrics"][metric]["value"] for r in runs if metric in r.get("metrics", {})}
+
+
+def summarise(names: list, runs: dict, better: dict) -> dict:
+    # runs[name][workload] = that checkout's runs of the workload, both trace modes
     base = names[0]
     out = {}
     for workload in runs[base]:
         rows = {}
-        for metric, better in BETTER.items():
-            per = {n: [r["metrics"][metric]["value"] if "metrics" in r else None
-                       for r in runs[n][workload]] for n in names}
-            row = {n: quartiles([v for v in vals if v is not None]) for n, vals in per.items()}
+        for metric, direction in better.items():
+            per = {n: by_seed(runs[n][workload], metric) for n in names}
+            row = {n: quartiles(list(values.values())) for n, values in per.items()}
             for n in names[1:]:
-                pairs = [(a, b) for a, b in zip(per[base], per[n]) if a is not None and b is not None]
-                wins = sum((b > a) if better == "higher" else (b < a) for a, b in pairs)
-                row[n]["better_than_" + base] = f"{wins} of {len(pairs)}"
+                seeds = [s for s in per[base] if s in per[n]]
+                wins = sum((per[n][s] > per[base][s]) if direction == "higher" else (per[n][s] < per[base][s])
+                           for s in seeds)
+                row[n]["better_than_" + base] = f"{wins} of {len(seeds)}"
             rows[metric] = row
         out[workload] = rows
     return out
@@ -229,21 +165,19 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     roots = dict(spec.split("=", 1) for spec in args.checkout)
     names = list(roots)
+    better = directions()
 
     runs = {n: {w: [] for w in args.workloads} for n in names}
     for i, seed in enumerate(args.seeds):
         order = names if i % 2 == 0 else names[::-1]
         for workload in args.workloads:
-            for n in order:
-                run = bench_run(roots[n], workload, seed, args.seconds)
-                run["seed"] = seed
-                runs[n][workload].append(run)
-                print(f"{workload} seed {seed} {n}: {json.dumps(run.get('metrics', run))}", flush=True)
-
-    timing = {n: {} for n in names}
-    for i in range(TIMING_PASSES):
-        for n in names if i % 2 == 0 else names[::-1]:
-            keep_min(timing[n], timing_pass(roots[n]))
+            for trace in (0, 1):
+                for n in order:
+                    run = bench_run(roots[n], workload, seed, args.seconds, trace)
+                    run.update(seed=seed, trace=trace)
+                    runs[n][workload].append(run)
+                    print(f"{workload} seed {seed} trace {trace} {n}:", json.dumps(run.get("metrics", run)),
+                          flush=True)
 
     record = {
         "harness": "bench/record.py",
@@ -260,13 +194,11 @@ def main(argv=None) -> int:
             "commit": commit(root),
             "src_lines": src_lines(root),
             "zeros_cold_counts": zero_counts(root),
-            **timing[n],
-            "verify_all": verify_all(root),
             "tier1": tier1(root),
             "runs": runs[n],
         }
         print(f"{n}: {json.dumps({k: v for k, v in record['checkouts'][n].items() if k != 'runs'})}", flush=True)
-    record["summary"] = summarise(names, runs)
+    record["summary"] = summarise(names, runs, better)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=1, sort_keys=False)
         fh.write("\n")

@@ -70,7 +70,7 @@ in log x; a zero below 1e-300 raises IterationError.
 import math
 from collections import namedtuple
 from functools import lru_cache, partial
-from itertools import count, islice, takewhile
+from itertools import count, takewhile
 
 from .special_fn import (
     CylinderSpec,
@@ -336,8 +336,8 @@ def _count(n, rule):
 
 @lru_cache(maxsize=4096)
 def _find_zeros_cached(spec: CylinderSpec, kind: EvalKind, n: int):
-    # (zeros, worst relative tolerance achieved over them)
-    zeros, tols = zip(*islice(takewhile(lambda zt: zt[0] <= X_MAX, _zeros(spec, kind)), n))
+    walk = takewhile(lambda zt: zt[0] <= X_MAX, _zeros(spec, kind))  # (zero, relative tolerance achieved)
+    zeros, tols = zip(*(zt for _, zt in zip(range(n), walk)))  # islice refuses n > sys.maxsize
     if len(zeros) < n:
         raise DomainError(f"n={n} zeros at nu={spec.nu:g} would leave the box x <= {X_MAX:g}")
     return zeros, max(REL_TOL, *tols)

@@ -1,0 +1,99 @@
+"""The BENCH recorder's summary rule, on synthetic runs: medians, quartiles and
+per-seed wins against the base checkout, each metric's direction read from
+BENCHMARK.json.  bench/record.py is loaded by path; no benchmark is run."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture(scope="module")
+def record():
+    spec = importlib.util.spec_from_file_location("bench_record", ROOT / "bench" / "record.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _run(seed, trace, **values):
+    # one run's JSON line as perfbench/run.py prints it, with the seed and mode the recorder adds
+    metrics = {name.replace("__", "."): {"value": v, "unit": "ms"} for name, v in values.items()}
+    return {"correct": True, "attempted": 10, "failed": 0, "metrics": metrics, "seed": seed, "trace": trace}
+
+
+CELL = "theorems.theorem3_cell_ms"
+RUNS = {
+    "parent": {"zeros-cold": [
+        _run(1, 0, ops_per_s=100.0, op_p50_ms=2.0), _run(1, 1, theorems__theorem3_cell_ms=5.0),
+        _run(2, 0, ops_per_s=110.0, op_p50_ms=1.8), _run(2, 1, theorems__theorem3_cell_ms=4.0),
+        _run(3, 0, ops_per_s=120.0, op_p50_ms=1.6), _run(3, 1, theorems__theorem3_cell_ms=6.0),
+    ]},
+    "change": {"zeros-cold": [
+        _run(1, 0, ops_per_s=105.0, op_p50_ms=2.1), _run(1, 1, theorems__theorem3_cell_ms=4.5),
+        {"returncode": 1, "stderr": "Traceback ...", "seed": 2, "trace": 0},  # a failed run
+        _run(2, 1, theorems__theorem3_cell_ms=4.5),
+        _run(3, 0, ops_per_s=130.0, op_p50_ms=1.5), _run(3, 1, theorems__theorem3_cell_ms=5.0),
+    ]},
+}
+NAMES = ["parent", "change"]
+METRICS = ("ops_per_s", "op_p50_ms", CELL)
+
+
+def _summary(record, path=None):
+    better = record.directions(path) if path else record.directions()
+    return record.summarise(NAMES, RUNS, {m: better[m] for m in METRICS})["zeros-cold"]
+
+
+class TestDirections:
+    def test_every_metric_in_benchmark_order(self, record):
+        spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+        names = [m["name"] for m in spec["end_to_end"] + spec["per_layer"]]
+        better = record.directions()
+        assert list(better) == names
+        assert (better["ops_per_s"], better["op_p50_ms"], better[CELL]) == ("higher", "lower", "lower")
+
+    def test_direction_comes_from_the_file(self, record, tmp_path):
+        spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+        for m in spec["end_to_end"] + spec["per_layer"]:
+            m["better"] = {"higher": "lower", "lower": "higher"}[m["better"]]
+        path = tmp_path / "BENCHMARK.json"
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        rows = _summary(record, str(path))
+        assert [rows[m]["change"]["better_than_parent"] for m in METRICS] == ["0 of 2", "1 of 2", "1 of 3"]
+
+
+class TestSummary:
+    def test_medians_and_quartiles(self, record):
+        rows = _summary(record)
+        expect = {
+            "ops_per_s": {"parent": (110.0, 105.0, 115.0), "change": (117.5, 111.25, 123.75)},
+            "op_p50_ms": {"parent": (1.8, 1.7, 1.9), "change": (1.8, 1.65, 1.95)},
+            CELL: {"parent": (5.0, 4.5, 5.5), "change": (4.5, 4.5, 4.75)},
+        }
+        for metric, sides in expect.items():
+            for name, (median, q1, q3) in sides.items():
+                got = rows[metric][name]
+                assert (got["median"], got["q1"], got["q3"]) == pytest.approx((median, q1, q3)), (metric, name)
+
+    def test_wins_against_the_base_in_each_direction(self, record):
+        rows = _summary(record)
+        # higher is better: 105 > 100 and 130 > 120; lower is better: only 1.5 < 1.6, and 4.5 < 5, 5 < 6
+        assert [rows[m]["change"]["better_than_parent"] for m in METRICS] == ["2 of 2", "1 of 2", "2 of 3"]
+        assert all("better_than_parent" not in rows[m]["parent"] for m in METRICS)
+
+    def test_failed_run_is_skipped_not_counted(self, record):
+        rows = _summary(record)
+        assert record.by_seed(RUNS["change"]["zeros-cold"], "ops_per_s") == {1: 105.0, 3: 130.0}
+        assert rows["ops_per_s"]["change"]["better_than_parent"].endswith("of 2")
+        assert rows[CELL]["change"]["better_than_parent"].endswith("of 3")
+
+    def test_every_metric_of_the_file_is_summarised(self, record):
+        rows = record.summarise(NAMES, RUNS, record.directions())["zeros-cold"]
+        assert list(rows) == list(record.directions())
+        # a metric that no run reports: no median and no seed to compare
+        assert rows["setup_s"] == {"parent": {"median": None},
+                                   "change": {"median": None, "better_than_parent": "0 of 0"}}

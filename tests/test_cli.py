@@ -61,6 +61,12 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert "would leave the box" in err
 
+    @pytest.mark.parametrize("n", ("9000000000000000000", "10000000000000000000"))
+    def test_count_beyond_maxsize_exits_1_with_the_box_message(self, capsys, n):
+        code, out, err = run(capsys, "zeros", "--nu", "1", "--n", n)
+        assert (code, out) == (1, "")
+        assert err == f"cylfn: error: n={n} zeros at nu=1 would leave the box x <= 400\n"
+
     def test_usage_error_bad_domain(self, capsys):
         code, _, err = run(capsys, "zeros", "--nu", "-2")
         assert code == 1

@@ -173,6 +173,13 @@ class TestCountArgument:
             assert whole() == exact()
         assert self._calls(3.0)[2]().name == "chain(nu=1, c=0.5, n=3)"
 
+    @pytest.mark.parametrize("k", (2**63 - 1, 2**63, 10**19))
+    def test_count_beyond_maxsize_gets_the_box_message(self, k):
+        # sys.maxsize = 2**63 - 1: a larger count is refused for the box, like any count too large
+        for call in self._calls(k):
+            with pytest.raises(DomainError, match="would leave the box x <= 400"):
+                call()
+
 
 class TestNoSkippedZero:
     @pytest.mark.parametrize("nu, delta", sorted(STRADDLING))
