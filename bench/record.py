@@ -1,4 +1,4 @@
-"""Record one BENCH file: the benchmark, zero-search counts, tier-1 time and size, per checkout.
+"""Record one BENCH file: the benchmark, zero-search counts, the slow maps, tier-1 time and size, per checkout.
 
     python3 bench/record.py --checkout parent=../parent --checkout change=. \\
         --workloads zeros-cold eval-small-x --seeds 1 2 3 --seconds 20 --out BENCH_20.json
@@ -17,8 +17,12 @@ The file holds, besides the machine, the arguments and each checkout's commit:
 - `checkouts.NAME.zeros_cold_counts`: phase passes (calls of the phase from
   `zeros._target`) and `zeros._cyl` calls per zero, counted in process over
   the first REQUESTS = 300 requests of perfbench's `ZerosCold` at seed 1,
-  fixed so that the counts compare from one BENCH file to the next;
-  perfbench's trace cannot see the phase pass;
+  fixed so that the counts compare from one BENCH file to the next, and the
+  phase passes per zero for each request size n; perfbench's trace cannot
+  see the phase pass;
+- `checkouts.NAME.slow_maps`: the `-m slow` zero and accuracy maps' worst
+  error over its bound per stratum, with where it lies, as the maps print
+  them under `-s`, and pytest's summary line;
 - `checkouts.NAME.tier1`: the tier-1 wall time and pytest's summary line;
 - `checkouts.NAME.src_lines`: all lines of `src/**/*.py`;
 - `summary.WORKLOAD.METRIC.NAME`: for every end-to-end metric (`--trace 0`)
@@ -37,6 +41,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -65,11 +70,24 @@ def counted_cyl(*args, **kwargs):
 zeros._target, zeros._cyl = counted_target, counted_cyl
 zeros._find_zeros_cached.cache_clear()
 ops = workloads.ZerosCold(random.Random("zeros-cold:1")).ops()
-found = sum(len(zeros.find_zeros(*next(ops))) for _ in range(int(sys.argv[2])))
+by_n = {}  # n: [phase passes, zeros]
+for _ in range(int(sys.argv[2])):
+    spec, kind, n = next(ops)
+    before = counts["passes"]
+    row = by_n.setdefault(n, [0, 0])
+    row[1] += len(zeros.find_zeros(spec, kind, n))
+    row[0] += counts["passes"] - before
+found = sum(z for _, z in by_n.values())
 print(json.dumps({"requests": int(sys.argv[2]), "zeros": found,
                   "phase_passes_per_zero": counts["passes"] / found,
-                  "cyl_calls_per_zero": counts["cyl"] / found}))
+                  "cyl_calls_per_zero": counts["cyl"] / found,
+                  "phase_passes_per_zero_by_n": {n: p / z for n, (p, z) in sorted(by_n.items())}}))
 """
+
+# a worst-case line that tests/test_zero_map.py or tests/test_accuracy_map.py prints under -s
+MAP_LINE = re.compile(r"^(zero map|accuracy map) (.+?):? +worst (?:error/max\(1, z\)|error/bound|relative error)"
+                      r" (\S+) at (.*)$")
+MAPS = ("tests/test_zero_map.py", "tests/test_accuracy_map.py")
 
 
 def directions(path: str = BENCHMARK) -> dict:
@@ -98,12 +116,33 @@ def zero_counts(root: str) -> dict:
     return _last_json(out.stdout)
 
 
-def tier1(root: str) -> dict:
+def map_worsts(text: str) -> dict:
+    # {map: {stratum: {"worst": value, "at": where}}} from the maps' -s output
+    out = {}
+    for line in text.splitlines():
+        m = MAP_LINE.match(line.strip())
+        if m:
+            out.setdefault(m[1], {})[m[2]] = {"worst": float(m[3]), "at": m[4]}
+    return out
+
+
+def _src_env() -> dict:
     # the checkout's own package first, for a process started from its root
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")])))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")])))
+
+
+def slow_maps(root: str) -> dict:
+    # the -m slow zero and accuracy maps: each stratum's worst error over its bound
+    out = subprocess.run([sys.executable, "-m", "pytest", "-q", "-s", "-m", "slow", "-p", "no:cacheprovider", *MAPS],
+                         cwd=root, env=_src_env(), capture_output=True, text=True)
+    lines = out.stdout.strip().splitlines()
+    return {"returncode": out.returncode, "summary": lines[-1] if lines else "", **map_worsts(out.stdout)}
+
+
+def tier1(root: str) -> dict:
     t0 = time.perf_counter()
     out = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-                          "--continue-on-collection-errors"], cwd=root, env=env, capture_output=True, text=True)
+                          "--continue-on-collection-errors"], cwd=root, env=_src_env(), capture_output=True, text=True)
     wall = time.perf_counter() - t0
     lines = out.stdout.strip().splitlines()
     return {"wall_s": round(wall, 2), "returncode": out.returncode, "summary": lines[-1] if lines else ""}
@@ -194,6 +233,7 @@ def main(argv=None) -> int:
             "commit": commit(root),
             "src_lines": src_lines(root),
             "zeros_cold_counts": zero_counts(root),
+            "slow_maps": slow_maps(root),
             "tier1": tier1(root),
             "runs": runs[n],
         }

@@ -10,6 +10,7 @@ than COINCIDENCE_TOL are coincident.
 """
 
 import math
+from bisect import bisect_right
 from collections import namedtuple
 
 from .reports import VerificationReport
@@ -27,7 +28,6 @@ __all__ = [
 ]
 
 COINCIDENCE_TOL = 1e-9
-_MAX_SHIFT = 3
 _CHAIN_LINKS = ("j' < y", "y < y_{+c}", "y_{+c} < y'", "y' < j", "j < j_{+c}", "j_{+c} < j'_{s+1}")
 
 
@@ -53,10 +53,11 @@ class InterlaceReport(namedtuple("InterlaceReport", _INTERLACE_FIELDS, defaults=
 class ShiftReport(namedtuple("ShiftReport", "shift_d window")):
     """Shifted-interlacing detection result.
 
-    shift_d = d means the entries of B fall one pair later/earlier in A after
-    re-indexing: A[s+d] <= B[s] < A[s+d+1] for every s in the (1-based,
-    suffix) window.  None when no |d| <= 3 works or the pair interlaces
-    ordinarily (d = 0 is ordinary interlacing and is excluded).
+    shift_d = d means the entries of B fall d pairs later in A (earlier for
+    d < 0) after re-indexing: A[s+d] <= B[s] < A[s+d+1] for every s in the
+    (1-based, suffix) window of two or more indices.  None when no shift has
+    such a window or the pair interlaces ordinarily (d = 0 is ordinary
+    interlacing and is excluded).
     """
 
     __slots__ = ()
@@ -102,22 +103,31 @@ def check_interlaced(A, B) -> InterlaceReport:
 def detect_shifted(A, B) -> ShiftReport:
     """Find the smallest nonzero re-indexing shift that restores interlacing.
 
-    Searches |d| <= 3 and reports the maximal suffix window of 1-based B
-    indices on which A[s+d] <= B[s] < A[s+d+1] holds.
+    Reports the maximal suffix window of 1-based B indices on which A[s+d]
+    <= B[s] < A[s+d+1] holds, for any shift d.  That holds exactly when s +
+    d lies between the number of zeros of A below B[s] and the number at or
+    below B[s] + COINCIDENCE_TOL, so one bisection pass gives each s its
+    shifts: one, or two where a zero of A lies just above B[s].  A window
+    for d runs down from its top, s = min(len(B), len(A) - d - 1), the last
+    index that A covers.
     """
     a, b = [float(v) for v in A], [float(v) for v in B]
     if check_interlaced(a, b).interlaced:
         return ShiftReport(None, None)
-    for ad in range(1, _MAX_SHIFT + 1):
-        for d in (ad, -ad):
-            # 1-based condition A[s+d] <= B[s] < A[s+d+1]; 0-based indices
-            # are s-1+d and s+d.  The window runs down from the top s.
-            top = s = min(len(b), len(a) - d - 1)
-            while s >= max(1, 1 - d) and a[s - 1 + d] - COINCIDENCE_TOL <= b[s - 1] < a[s + d]:
-                s -= 1
-            if top - s >= 2:
-                return ShiftReport(d, (s + 1, top))
-    return ShiftReport(None, None)
+    # the lowest and highest shift at each s, with A[s+d] and A[s+d+1] in A
+    span = [(max(bisect_right(a, v), 1) - s, min(bisect_right(a, v + COINCIDENCE_TOL), len(a) - 1) - s)
+            for s, v in enumerate(b, 1)]
+    found = {}  # each shift's window
+    for top, (lo, hi) in enumerate(span, 1):
+        for d in range(lo, hi + 1):
+            if d and top == min(len(b), len(a) - d - 1):
+                s = top
+                while s and span[s - 1][0] <= d <= span[s - 1][1]:
+                    s -= 1
+                if top - s >= 2:
+                    found[d] = (s + 1, top)
+    d = min(found, key=lambda d: (abs(d), -d), default=None)
+    return ShiftReport(d, found.get(d))
 
 
 def verify_chain(nu: float, c: float, n: int) -> VerificationReport:

@@ -29,29 +29,36 @@ included, is read the same way: within a quarter of m, u >= m where (-1)^m f
 The same pass gives kappa = u''/(2u'): u''/u' = -1/x - 2 Re(conj(H) H')/|H|^2
 for C, and with H'' = -H'/x - (1 - nu^2/x^2) H, 1/x + 2 (1 - nu^2/x^2)
 Re(conj(H') H)/|H'|^2 + (2 nu^2/x^3)/(1 - nu^2/x^2) for C', undefined at x =
-nu, where phi' = 0 (and there it is neither seed nor halt).  Each zero is
-seeded from the last pass of the one before at x + s0 - kappa s0^2, s0 = (m -
-u)/u', the root of u + u' (d + kappa d^2) = m to second order, clamped to the
-bracket.  Newton from x ends on x - s once the step s falls below REL_TOL
-max(1, x).  It ends on a larger step, without the pass that would confirm it,
-when a certified bound on the Newton error |z - (x - s)| is below u's
-rounding, 2e-16 max(1, x).  The bound: with w = pi u', kappa = w'/(2w) obeys
-the Riccati equation kappa' = Q + kappa^2 - w^2 of the phase's amplitude, with
-Q = 1 - (nu^2 - 1/4)/x^2 for C (the normal form of Bessel's equation) and Q =
-g - T, g = 1 - nu^2/x^2, T = (3x^4 + 10 nu^2 x^2 - nu^4)/(4x^2 (x^2 - nu^2)^2)
-for C' (from (a v')' + v/x = 0, a = x/(x^2 - nu^2), which x H' solves).  On I
-= [x - 2|s|, x + 2|s|], which must lie above 0 (above nu for C', so that w >
-0), |Q| <= q, with q taken at y = x - 2|s| from a bound that falls with y: for
-C, q = 1 + |nu^2 - 1/4|/y^2; for C', where 0 <= g < 1 and T >= 0, so |Q| <= 1
-+ T, q = 1 + (3y^4 + 10 nu^2 y^2 + nu^4)/(4y^2 (y^2 - nu^2)^2).  Let c =
-|kappa(x)| + sqrt(q) + w(x) and 128 |s| c <= 1.  While |kappa| <= 2c on I, w^2
-<= e^(1/8) w(x)^2 there, so |kappa'| <= 6.2 c^2 and |kappa| <= 1.1 c: it holds
-on all of I, and then |kappa'| <= 2.35 c^2 and |kappa| <= K = |kappa(x)| + 5
-|s| c^2.  By Taylor's theorem with u'' = 2 kappa u', and u' within a factor
-e^(2K|t - x|) of u'(x), the one zero of u - m on I lies within e^(6K|s|) K s^2
-<= 1.06 K s^2 of x - s.  kappa(x) and w(x) carry the evaluation's error, which
-moves the bound by far less than its own 5.3 |s|^3 c^2 floor.  As c >= 1, that
-floor alone keeps a halting step below 3.4e-6 max(1, x)^(1/3).
+nu, where phi' = 0 (and there it is neither seed nor halt).  The inverse phase
+x(u) is nonoscillatory and smooth, and a pass gives x' = 1/u' and x'' = -2
+kappa/u'^2 on it.  So each zero from the third on is seeded at u = m on the
+quintic Hermite interpolant of x(u) through the last passes of the two zeros
+before.  The first zero above the start is seeded where the Debye term reaches
+it, at the root x > nu of sqrt(x^2 - nu^2) - nu arccos(nu/x) = pi (m - omega -
+nu/2), if that right side is positive.  Any other zero, the second included,
+is seeded from the last pass at x + s0 - kappa s0^2, s0 = (m - u)/u', the root
+of u + u' (d + kappa d^2) = m to second order, or at the bracket's top where
+u' = 0.  Every seed is clamped to the bracket.  Newton from x ends on x - s
+once the step s falls below REL_TOL max(1, x).  It ends on a larger step,
+without the pass that would confirm it, when a certified bound on the Newton
+error |z - (x - s)| is below u's rounding, 2e-16 max(1, x).  The bound: with w
+= pi u', kappa = w'/(2w) obeys the Riccati equation kappa' = Q + kappa^2 - w^2
+of the phase's amplitude, with Q = 1 - (nu^2 - 1/4)/x^2 for C (the normal form
+of Bessel's equation) and Q = g - T, g = 1 - nu^2/x^2, T = (3x^4 + 10 nu^2 x^2
+- nu^4)/(4x^2 (x^2 - nu^2)^2) for C' (from (a v')' + v/x = 0, a = x/(x^2 -
+nu^2), which x H' solves).  On I = [x - 2|s|, x + 2|s|], which must lie above
+0 (above nu for C', so that w > 0), |Q| <= q, with q taken at y = x - 2|s|
+from a bound that falls with y: for C, q = 1 + |nu^2 - 1/4|/y^2; for C', where
+0 <= g < 1 and T >= 0, so |Q| <= 1 + T, q = 1 + (3y^4 + 10 nu^2 y^2 +
+nu^4)/(4y^2 (y^2 - nu^2)^2).  Let c = |kappa(x)| + sqrt(q) + w(x) and 128 |s|
+c <= 1.  While |kappa| <= 2c on I, w^2 <= e^(1/8) w(x)^2 there, so |kappa'| <=
+6.2 c^2 and |kappa| <= 1.1 c: it holds on all of I, and then |kappa'| <= 2.35
+c^2 and |kappa| <= K = |kappa(x)| + 5 |s| c^2.  By Taylor's theorem with u'' =
+2 kappa u', and u' within a factor e^(2K|t - x|) of u'(x), the one zero of u -
+m on I lies within e^(6K|s|) K s^2 <= 1.06 K s^2 of x - s.  kappa(x) and w(x)
+carry the evaluation's error, which moves the bound by far less than its own
+5.3 |s|^3 c^2 floor.  As c >= 1, that floor alone keeps a halting step below
+3.4e-6 max(1, x)^(1/3).
 
 As x -> 0+, C > 0, and C' < 0 except for C' = J'_nu > 0 with nu > 0.  J and
 -Y are positive on (0, x0], x0 = max(nu, 1e-6), where u - delta/pi rises
@@ -301,6 +308,35 @@ def _below(spec: CylinderSpec, kind: EvalKind, x):
     return (fx > 0.0) != (not derivative or (spec.delta == 0.0 and spec.nu > 0.0))
 
 
+def _debye(nu, t):
+    # the root x > nu of sqrt(x^2 - nu^2) - nu arccos(nu/x) = t > 0, by Newton
+    # from x = t + pi nu/2, right of it: the left side is convex and increasing,
+    # and exceeds x - pi nu/2, so the iterates fall to the root.  arccos(nu/x)
+    # is taken as atan2(r, nu), which keeps its digits as x -> nu
+    x = t + 0.5 * math.pi * nu
+    while True:
+        r = math.sqrt((x - nu) * (x + nu))
+        step = (r - nu * math.atan2(r, nu) - t) * x / r
+        x -= step
+        if step <= 1e-12 * x:
+            return x
+
+
+def _hermite(x0, u0, d0, k0, x1, u1, d1, k1, m):
+    # x(m) on the quintic Hermite interpolant of the inverse phase x(u)
+    # through two passes (x, u, u', kappa), where x' = 1/u' and x''/2 =
+    # -kappa/u'^2: the Newton form on the nodes u1, u1, u1, u0, u0, u0
+    h = u1 - u0
+    a0, a1 = 1.0 / d0, 1.0 / d1
+    b0, b1 = -k0 * a0 * a0, -k1 * a1 * a1
+    f01 = (x1 - x0) / h
+    f001, f011 = (f01 - a0) / h, (a1 - f01) / h
+    f0001, f0011, f0111 = (f001 - b0) / h, (f011 - f001) / h, (b1 - f011) / h
+    f00011, f00111 = (f0011 - f0001) / h, (f0111 - f0011) / h
+    d, e = m - u1, m - u0
+    return x1 + d * (a1 + d * (b1 + d * (f0111 + e * (f00111 + e * (f00111 - f00011) / h))))
+
+
 def _zeros(spec: CylinderSpec, kind: EvalKind):
     # yields (zero, relative tolerance achieved) in increasing order
     nu, delta = spec.nu, spec.delta
@@ -314,15 +350,24 @@ def _zeros(spec: CylinderSpec, kind: EvalKind):
     w, dw, s, k = phase(x)
     bound = partial(_newton_bound, nu, derivative)
     omega = 0.25 - 0.5 * nu + delta / math.pi + (0.5 if derivative else 0.0)
-    for m in count(_level(w, s) + 1):
+    first = _level(w, s) + 1
+    t = math.pi * (first - omega - 0.5 * nu)  # the Debye term at the first zero
+    before = None  # the last pass of the zero before the one before m
+    for m in count(first):
         # the bracket of the module docstring, past x = 400 only for a request beyond the box
         lo, hi = sorted((x + math.pi * (m - w), math.pi * (m - omega)))
         lo = max(lo, x)
         seed = hi
-        if dw > 0.0:  # u(x + d) = w + u' (d + kappa d^2) = m, to second order
+        if m == first and t > 0.0:
+            seed = _debye(nu, t)
+        elif before and before[2] > 0.0 and dw > 0.0:
+            seed = _hermite(*before, x, w, dw, k, m)
+        elif dw > 0.0:  # u(x + d) = w + u' (d + kappa d^2) = m, to second order
             s0 = (m - w) / dw
             seed = x + (s0 - k * s0 * s0)
-        z, tol, (x, w, dw, k) = _refine(phase, m, min(max(seed, lo), hi), lo, hi, bound)
+        z, tol, last = _refine(phase, m, min(max(seed, lo), hi), lo, hi, bound)
+        before = None if m == first else (x, w, dw, k)
+        x, w, dw, k = last
         yield z, tol
 
 

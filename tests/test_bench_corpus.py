@@ -1,0 +1,73 @@
+"""The artifact corpus's diff rule, on synthetic outputs: what differs, and the
+largest relative difference among the numbers; and the corpus's reach over
+the command line.  bench/corpus.py is loaded by path; no argv is run."""
+
+import importlib.util
+import shlex
+from pathlib import Path
+
+import pytest
+
+from cylfn.cli import build_parser
+from cylfn.theorems import Family
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    spec = importlib.util.spec_from_file_location("bench_corpus", ROOT / "bench" / "corpus.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+ZEROS = '{"zeros": [2.4048255576957729, 5.5200781102863106], "refined_to": 1e-12}\n'
+
+
+class TestCompare:
+    def test_identical_outputs(self, corpus):
+        assert corpus.compare((0, ZEROS, ""), (0, ZEROS, "")) is None
+
+    def test_ulps_in_one_number(self, corpus):
+        moved = ZEROS.replace("5.5200781102863106", "5.5200781102863115")
+        diff = corpus.compare((0, ZEROS, ""), (0, moved, ""))
+        assert diff["differs"] == ["stdout"]
+        assert diff["largest_rel"] == pytest.approx(9e-16 / 5.52, rel=1e-3)
+
+    def test_largest_of_several_and_exponent_forms(self, corpus):
+        a = "x,c\n1e-5,-0.5\n30,0.25\n"
+        b = "x,c\n1.00000000000000008e-05,-0.50000000000000011\n30,0.25\n"
+        diff = corpus.compare((0, a, ""), (0, b, ""))
+        assert diff["largest_rel"] == pytest.approx(1.1e-16 / 0.5, rel=1e-6)
+
+    def test_text_beyond_the_numbers(self, corpus):
+        a = (1, "", "cylfn: error: need n >= 1, got 0\n")
+        b = (2, "", "cylfn: computation failed: did not converge\n")
+        diff = corpus.compare(a, b)
+        assert diff == {"differs": ["status", "stderr"], "largest_rel": None}
+        assert corpus.describe("zeros --nu 1 --n 0", diff) == "cylfn zeros --nu 1 --n 0: status, stderr differ; text"
+
+    def test_a_number_more_is_text(self, corpus):
+        longer = ZEROS.replace("5.5200781102863106]", "5.5200781102863106, 8.6537279129110125]")
+        assert corpus.compare((0, ZEROS, ""), (0, longer, ""))["largest_rel"] is None
+
+    def test_describe_gives_the_size(self, corpus):
+        diff = {"differs": ["stdout"], "largest_rel": 1.6e-16}
+        assert corpus.describe("zeros --nu 0 --n 5", diff) == (
+            "cylfn zeros --nu 0 --n 5: stdout differ; largest relative difference 1.6e-16")
+
+
+class TestReach:
+    def test_every_subcommand_suite_and_sweep_family(self, corpus):
+        argv = [shlex.split(line) for line in corpus.CORPUS]
+        sub = build_parser()._subparsers._group_actions[0].choices
+        assert set(sub) <= {a[0] for a in argv if a}
+        suites = sub["verify"]._positionals._group_actions[0].choices
+        assert set(suites) <= {a[1] for a in argv if a[:1] == ["verify"]}
+        sweeps = {(a[a.index("--family") + 1], "--format" in a) for a in argv if a[:1] == ["sweep"]}
+        assert {(f.value, fmt) for f in Family for fmt in (False, True)} <= sweeps
+
+    def test_error_exits_included(self, corpus):
+        assert "" in corpus.CORPUS  # no subcommand
+        assert "zeros --nu 1 --n 10000000000000000000" in corpus.CORPUS

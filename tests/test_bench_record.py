@@ -1,6 +1,7 @@
 """The BENCH recorder's summary rule, on synthetic runs: medians, quartiles and
 per-seed wins against the base checkout, each metric's direction read from
-BENCHMARK.json.  bench/record.py is loaded by path; no benchmark is run."""
+BENCHMARK.json; and its reading of the slow maps' worst-case lines.
+bench/record.py is loaded by path; no benchmark or map is run."""
 
 import importlib.util
 import json
@@ -97,3 +98,30 @@ class TestSummary:
         # a metric that no run reports: no median and no seed to compare
         assert rows["setup_s"] == {"parent": {"median": None},
                                    "change": {"median": None, "better_than_parent": "0 of 0"}}
+
+
+MAP_OUTPUT = """\
+tests/test_zero_map.py
+zero map straddle       worst error/max(1, z) 6.45e-15 at (nu, delta, kind, z) = (5.0, 0.46, 'derivative', 4.94)
+zero map C below nu     worst error/max(1, z) 1.29e-16 at (nu, delta, kind, z) = (3.0, 3.1, 'function', 2.5)
+zero map below the start: worst relative error 2.00e-16 at (0.1, 3.14, 'function', 1e-08)
+zero map requests with a zero {'below the start': 12, 'straddling nu': 7, 'below 1e-300': 0}
+.
+accuracy map seam         worst error/bound 3.10e-02 at (nu, delta, x, pair) = (2.0, 0.0, 30.0, True)
+.
+2 passed in 90.00s
+"""
+
+
+class TestMapWorsts:
+    def test_each_stratum_worst_and_where(self, record):
+        got = record.map_worsts(MAP_OUTPUT)
+        assert list(got) == ["zero map", "accuracy map"]
+        assert list(got["zero map"]) == ["straddle", "C below nu", "below the start"]
+        assert got["zero map"]["straddle"] == {
+            "worst": 6.45e-15, "at": "(nu, delta, kind, z) = (5.0, 0.46, 'derivative', 4.94)"}
+        assert got["zero map"]["below the start"] == {"worst": 2e-16, "at": "(0.1, 3.14, 'function', 1e-08)"}
+        assert got["accuracy map"] == {"seam": {"worst": 3.1e-2, "at": "(nu, delta, x, pair) = (2.0, 0.0, 30.0, True)"}}
+
+    def test_output_without_map_lines(self, record):
+        assert record.map_worsts("1 failed in 2.00s\n") == {}

@@ -150,13 +150,23 @@ class TestDetectShifted:
         lo, hi = rep.window
         assert lo == 1  # holds on the full checkable window
 
+    def test_j0_vs_j12_shift_five(self):
+        # a shift wider than 3: J_12's zeros sit five pairs up J_0's
+        a, b = _zeros(0.0, 0.0, 60).zeros, _zeros(12.0, 0.0, 60).zeros
+        rep = detect_shifted(a, b)
+        assert (rep.shift_d, rep.window) == (5, (3, 54))
+        d, (lo, hi) = rep.shift_d, rep.window
+        for s in range(lo, hi + 1):  # 1-based A[s+d] <= B[s] < A[s+d+1]
+            assert a[s + d - 1] <= b[s - 1] < a[s + d]
+        assert not a[lo + d - 2] <= b[lo - 2] < a[lo + d - 1]  # maximal: fails just below
+
 
 def _forward_shift(a, b):
     """Forward search for the shift: for each d, the run of s that holds up
     to the top s, tracked from its first s upward."""
     if check_interlaced(a, b).interlaced:
         return None, None
-    for ad in (1, 2, 3):
+    for ad in range(1, len(a) + len(b)):
         for d in (ad, -ad):
             s_lo, s_hi = max(1, 1 - d), min(len(b), len(a) - d - 1)
             if s_hi - s_lo < 1:

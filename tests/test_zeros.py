@@ -425,7 +425,52 @@ class TestPassCount:
                 for kind in EvalKind:
                     d = math.pi * rng.random() if delta is None else delta
                     found += len(find_zeros(_spec(30.0 * rng.random(), d), kind, n))
-        assert calls[0] <= 2 * found
+        assert calls[0] <= 1.5 * found
+
+    @pytest.mark.parametrize("kind", tuple(EvalKind))
+    def test_phase_passes_for_the_first_zero(self, monkeypatch, kind):
+        # the first zero above the start, seeded from the Debye term: no
+        # zero before it gives the inverse phase's slope
+        calls = self._count_phase(monkeypatch)
+        zeros._find_zeros_cached.cache_clear()
+        rng = random.Random(20261023)
+        for _ in range(300):
+            d = rng.choice((0.0, math.pi / 2, math.pi * rng.random()))
+            find_zeros(_spec(30.0 * rng.random(), d), kind, 1)
+        assert calls[0] <= 4.5 * 300
+
+    def test_seed_fallbacks_reach_1e_12(self, monkeypatch):
+        # requests that reach the second-order seed or the bracket's top: C'
+        # started at x = nu, where u' = 0; nu < 1/2, started at x = 1e-6; C
+        # at delta -> pi-; n = 2, where no zero has two before it; first
+        # zeros where the Debye equation's right side is not positive
+        debye = [0]
+        fn = zeros._debye
+
+        def counted(nu, t):
+            debye[0] += 1
+            return fn(nu, t)
+
+        monkeypatch.setattr(zeros, "_debye", counted)
+        zeros._find_zeros_cached.cache_clear()
+        rng = random.Random(20261024)
+        requests = []
+        for _ in range(5):
+            requests += [
+                (rng.uniform(1.0, 30.0), math.pi * rng.random(), EvalKind.DERIVATIVE, rng.choice((2, 4))),
+                (rng.uniform(0.0, 0.5), math.pi * rng.random(), rng.choice(tuple(EvalKind)), 3),
+                (rng.uniform(0.0, 30.0), math.pi - 10.0 ** rng.uniform(-12.0, -1.0), EvalKind.FUNCTION, 2),
+                # C at 3 pi/4 < delta < pi with its first zero above the start
+                (rng.uniform(0.0, 30.0), math.pi - rng.uniform(0.3, 0.75), EvalKind.FUNCTION, 2),
+            ]
+        for nu, delta, kind, n in requests:
+            spec = _spec(nu, delta)
+            f = oracle_cylinder if kind is EvalKind.FUNCTION else oracle_cylinder_prime
+            for z in find_zeros(spec, kind, n):
+                if z > max(spec.nu, zeros._START):
+                    eps = mp.mpf(1e-12 * max(1.0, z))
+                    assert certify_sign_change(lambda t: f(spec.nu, spec.delta, t), z, eps=eps), (nu, delta, kind, z)
+        assert 0 < debye[0] < len(requests)  # some first zeros take the fallback
 
     def test_one_evaluation_of_f_per_request(self, monkeypatch):
         # every zero above the start comes from the phase, flat crossings at
