@@ -15,21 +15,27 @@ its place means that the outputs differ in more than their numbers.  Then
 one line per checkout gives its zeros-cold hash: the sha256 of repr((spec,
 kind, n, zeros, refined_to)) over the first HASH_REQUESTS requests of
 perfbench's `ZerosCold` at seeds 1 and 2.  An intended artifact change
-needs no data edit here, only its line in CHANGES.md.
+needs no data edit here, only its line in CHANGES.md.  The hash comes from
+`zeros_cold`, one child process whose walk also counts phase passes and
+`zeros._cyl` calls over seed 1's first COUNTED requests, for
+bench/record.py; its counting wrappers call through, so the hash cannot
+move with them.
 
-Standard library only; the hash's child process imports perfbench, which
-needs mpmath.
+Standard library only; the zeros-cold child imports perfbench, which needs
+mpmath.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import re
 import subprocess
 import sys
 
-HASH_REQUESTS = 600
+HASH_REQUESTS = 600  # requests hashed at each seed
+COUNTED = 300  # requests counted at seed 1, fixed so that counts compare across BENCH files
 
 CORPUS = (
     # eval
@@ -100,22 +106,48 @@ CORPUS = (
     # a shift wider than 3 (ROADMAP item 11)
     "interlace --nu 0 --mu 12 --n 60",
     "wronskian --nu 30 --mu 29.5 --delta pi/2 --delta-bar pi/2 --x 1e-5",
+    # x next to a zero of J_mu, mu = nu - round(nu) < 0, once a division by zero in _jy
+    "eval --nu 1.5 --x 1.5707963267948966",
+    "verify recurrences --nu 0.5 --grid 1.5707963267948966",
+    "wronskian --nu 1 --mu 2.5 --x 1.5707963267948966",
 )
 
-HASH_CODE = """\
-import hashlib, random, sys
-root = sys.argv[1]
-sys.path[:0] = [root + "/perfbench", root + "/src", root + "/tests"]
-from cylfn import zeros
+ZEROS_COLD = """\
+import hashlib, json, random, sys
 import workloads
+from cylfn import zeros
+requests, counted = int(sys.argv[1]), int(sys.argv[2])
+counts = {"passes": 0, "cyl": 0}
+target, cyl = zeros._target, zeros._cyl
+def counted_target(spec, kind):
+    phase = target(spec, kind)
+    def counted(x):
+        counts["passes"] += 1
+        return phase(x)
+    return counted
+def counted_cyl(*args, **kwargs):
+    counts["cyl"] += 1
+    return cyl(*args, **kwargs)
+zeros._target, zeros._cyl = counted_target, counted_cyl
 h = hashlib.sha256()
+by_n = {}  # n: [phase passes, _cyl calls, zeros] over seed 1's first `counted` requests
 for seed in (1, 2):
     ops = workloads.ZerosCold(random.Random(f"zeros-cold:{seed}")).ops()
-    for _ in range(int(sys.argv[2])):
+    for i in range(requests):
         spec, kind, n = next(ops)
+        passes, calls = counts["passes"], counts["cyl"]
         seq = zeros.find_zeros(spec, kind, n)
         h.update(repr((spec, kind, n, seq.zeros, seq.refined_to)).encode())
-print(h.hexdigest())
+        if seed == 1 and i < counted:
+            row = by_n.setdefault(n, [0, 0, 0])
+            row[0] += counts["passes"] - passes
+            row[1] += counts["cyl"] - calls
+            row[2] += len(seq)
+passes, calls, found = map(sum, zip(*by_n.values()))
+print(json.dumps({"hash": h.hexdigest(), "counts": {
+    "requests": counted, "zeros": found,
+    "phase_passes_per_zero": passes / found, "cyl_calls_per_zero": calls / found,
+    "phase_passes_per_zero_by_n": {n: p / z for n, (p, _, z) in sorted(by_n.items())}}}))
 """
 
 NUMBER = re.compile(r"[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?")
@@ -144,17 +176,30 @@ def describe(argv: str, diff: dict) -> str:
     return f"cylfn {argv}: {', '.join(diff['differs'])} differ; {size}"
 
 
+def env(*folders: str) -> dict:
+    # the environment of a child started from a checkout's root: those folders first on PYTHONPATH
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [*folders, os.environ.get("PYTHONPATH")])))
+
+
 def run(root: str, argv: str) -> tuple:
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-m", "cylfn.cli", *argv.split()], cwd=root, env=env,
+    out = subprocess.run([sys.executable, "-m", "cylfn.cli", *argv.split()], cwd=root, env=env("src"),
                          capture_output=True, text=True)
     return out.returncode, out.stdout, out.stderr
 
 
-def zeros_cold_hash(root: str) -> str:
-    out = subprocess.run([sys.executable, "-c", HASH_CODE, os.path.abspath(root), str(HASH_REQUESTS)],
-                         capture_output=True, text=True, check=True)
-    return out.stdout.strip()
+def last_json(cmd: list, root: str, **kwargs) -> dict:
+    # the last stdout line of cmd, started from root, as JSON; a failure keeps
+    # its exit status and the end of its stderr instead
+    out = subprocess.run(cmd, cwd=root, capture_output=True, text=True, **kwargs)
+    if out.returncode:
+        return {"returncode": out.returncode, "stderr": out.stderr[-2000:]}
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def zeros_cold(root: str, requests: int = HASH_REQUESTS, counted: int = COUNTED) -> dict:
+    # {"hash": ..., "counts": {...}} from the checkout's own files
+    return last_json([sys.executable, "-c", ZEROS_COLD, str(requests), str(counted)], root,
+                     env=env("perfbench", "src", "tests"))
 
 
 def main(argv=None) -> int:
@@ -173,7 +218,8 @@ def main(argv=None) -> int:
             print(describe(line, diff), flush=True)
     print(f"{differ} of {len(CORPUS)} argv differ between {na} and {nb}")
     for name, root in roots.items():
-        print(f"{name} zeros-cold hash {zeros_cold_hash(root)}")
+        walk = zeros_cold(root)
+        print(f"{name} zeros-cold hash {walk.get('hash', walk)}")
     return 0
 
 

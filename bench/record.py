@@ -10,16 +10,18 @@ checkout's root, and the last stdout line of each, one JSON object, is kept.
 The checkouts alternate which runs first from one seed to the next, so that
 a slow spell of the machine falls on both.
 
-The file holds, besides the machine, the arguments and each checkout's commit:
+Before the timing loop, each checkout's commit, its `src/` line count and
+its zeros-cold walk are taken and printed, so that a child that fails shows
+in the first seconds; a failure is kept in the file, not raised.  The file
+holds, besides the machine and the arguments:
 
 - `checkouts.NAME.runs`: every run's JSON line with its seed and trace mode;
   a run that exits non-zero keeps its exit status and the end of its stderr;
-- `checkouts.NAME.zeros_cold_counts`: phase passes (calls of the phase from
-  `zeros._target`) and `zeros._cyl` calls per zero, counted in process over
-  the first REQUESTS = 300 requests of perfbench's `ZerosCold` at seed 1,
-  fixed so that the counts compare from one BENCH file to the next, and the
-  phase passes per zero for each request size n; perfbench's trace cannot
-  see the phase pass;
+- `checkouts.NAME.zeros_cold_counts` and `zeros_cold_hash`: from one
+  zeros-cold child of bench/corpus.py, phase passes and `zeros._cyl` calls
+  per zero over the first 300 requests of perfbench's `ZerosCold` at seed 1,
+  the phase passes per zero for each request size n, and the hash that
+  bench/corpus.py prints; perfbench's trace cannot see the phase pass;
 - `checkouts.NAME.slow_maps`: the `-m slow` zero and accuracy maps' worst
   error over its bound per stratum, with where it lies, as the maps print
   them under `-s`, and pytest's summary line;
@@ -32,7 +34,7 @@ The file holds, besides the machine, the arguments and each checkout's commit:
   that BENCHMARK.json gives.  A run that failed counts in no median and no
   win count.
 
-Standard library only; run.py needs mpmath for its output checks.
+Standard library only; run.py and the zeros-cold child need mpmath.
 """
 
 from __future__ import annotations
@@ -47,42 +49,9 @@ import subprocess
 import sys
 import time
 
-REQUESTS = 300  # zeros-cold requests counted in process
-BENCHMARK = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "BENCHMARK.json")
+import corpus
 
-COUNT_CODE = """\
-import json, random, sys
-root = sys.argv[1]
-sys.path[:0] = [root + "/perfbench", root + "/src", root + "/tests"]
-from cylfn import zeros
-import workloads
-counts = {"passes": 0, "cyl": 0}
-target, cyl = zeros._target, zeros._cyl
-def counted_target(spec, kind):
-    phase = target(spec, kind)
-    def counted(x):
-        counts["passes"] += 1
-        return phase(x)
-    return counted
-def counted_cyl(*args, **kwargs):
-    counts["cyl"] += 1
-    return cyl(*args, **kwargs)
-zeros._target, zeros._cyl = counted_target, counted_cyl
-zeros._find_zeros_cached.cache_clear()
-ops = workloads.ZerosCold(random.Random("zeros-cold:1")).ops()
-by_n = {}  # n: [phase passes, zeros]
-for _ in range(int(sys.argv[2])):
-    spec, kind, n = next(ops)
-    before = counts["passes"]
-    row = by_n.setdefault(n, [0, 0])
-    row[1] += len(zeros.find_zeros(spec, kind, n))
-    row[0] += counts["passes"] - before
-found = sum(z for _, z in by_n.values())
-print(json.dumps({"requests": int(sys.argv[2]), "zeros": found,
-                  "phase_passes_per_zero": counts["passes"] / found,
-                  "cyl_calls_per_zero": counts["cyl"] / found,
-                  "phase_passes_per_zero_by_n": {n: p / z for n, (p, z) in sorted(by_n.items())}}))
-"""
+BENCHMARK = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "BENCHMARK.json")
 
 # a worst-case line that tests/test_zero_map.py or tests/test_accuracy_map.py prints under -s
 MAP_LINE = re.compile(r"^(zero map|accuracy map) (.+?):? +worst (?:error/max\(1, z\)|error/bound|relative error)"
@@ -97,23 +66,10 @@ def directions(path: str = BENCHMARK) -> dict:
     return {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
 
 
-def _last_json(stdout: str) -> dict:
-    return json.loads(stdout.strip().splitlines()[-1])
-
-
 def bench_run(root: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
-    out = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
-    if out.returncode:
-        return {"returncode": out.returncode, "stderr": out.stderr[-2000:]}
-    return _last_json(out.stdout)
-
-
-def zero_counts(root: str) -> dict:
-    out = subprocess.run([sys.executable, "-c", COUNT_CODE, os.path.abspath(root), str(REQUESTS)],
-                         capture_output=True, text=True, check=True)
-    return _last_json(out.stdout)
+    return corpus.last_json(cmd, root)
 
 
 def map_worsts(text: str) -> dict:
@@ -126,23 +82,18 @@ def map_worsts(text: str) -> dict:
     return out
 
 
-def _src_env() -> dict:
-    # the checkout's own package first, for a process started from its root
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")])))
-
-
 def slow_maps(root: str) -> dict:
     # the -m slow zero and accuracy maps: each stratum's worst error over its bound
     out = subprocess.run([sys.executable, "-m", "pytest", "-q", "-s", "-m", "slow", "-p", "no:cacheprovider", *MAPS],
-                         cwd=root, env=_src_env(), capture_output=True, text=True)
+                         cwd=root, env=corpus.env("src"), capture_output=True, text=True)
     lines = out.stdout.strip().splitlines()
     return {"returncode": out.returncode, "summary": lines[-1] if lines else "", **map_worsts(out.stdout)}
 
 
 def tier1(root: str) -> dict:
     t0 = time.perf_counter()
-    out = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-                          "--continue-on-collection-errors"], cwd=root, env=_src_env(), capture_output=True, text=True)
+    cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
+    out = subprocess.run(cmd, cwd=root, env=corpus.env("src"), capture_output=True, text=True)
     wall = time.perf_counter() - t0
     lines = out.stdout.strip().splitlines()
     return {"wall_s": round(wall, 2), "returncode": out.returncode, "summary": lines[-1] if lines else ""}
@@ -204,7 +155,20 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     roots = dict(spec.split("=", 1) for spec in args.checkout)
     names = list(roots)
-    better = directions()
+    record = {
+        "harness": "bench/record.py",
+        "checkout_order": names,
+        "machine": {"nproc": os.cpu_count(), "python": platform.python_version(), "platform": platform.platform()},
+        "seconds": args.seconds,
+        "seeds": args.seeds,
+        "checkouts": {},
+    }
+    for n, root in roots.items():
+        walk = corpus.zeros_cold(root)
+        record["checkouts"][n] = entry = {"commit": commit(root), "src_lines": src_lines(root),
+                                          "zeros_cold_counts": walk.get("counts", walk),
+                                          "zeros_cold_hash": walk.get("hash")}
+        print(f"{n}: {json.dumps(entry)}", flush=True)
 
     runs = {n: {w: [] for w in args.workloads} for n in names}
     for i, seed in enumerate(args.seeds):
@@ -218,27 +182,11 @@ def main(argv=None) -> int:
                     print(f"{workload} seed {seed} trace {trace} {n}:", json.dumps(run.get("metrics", run)),
                           flush=True)
 
-    record = {
-        "harness": "bench/record.py",
-        "checkout_order": names,
-        "requests": REQUESTS,
-        "machine": {"nproc": os.cpu_count(), "python": platform.python_version(), "platform": platform.platform()},
-        "seconds": args.seconds,
-        "seeds": args.seeds,
-        "checkouts": {},
-    }
-    for n in names:
-        root = roots[n]
-        record["checkouts"][n] = {
-            "commit": commit(root),
-            "src_lines": src_lines(root),
-            "zeros_cold_counts": zero_counts(root),
-            "slow_maps": slow_maps(root),
-            "tier1": tier1(root),
-            "runs": runs[n],
-        }
-        print(f"{n}: {json.dumps({k: v for k, v in record['checkouts'][n].items() if k != 'runs'})}", flush=True)
-    record["summary"] = summarise(names, runs, better)
+    for n, root in roots.items():
+        after = {"slow_maps": slow_maps(root), "tier1": tier1(root)}
+        print(f"{n}: {json.dumps(after)}", flush=True)
+        record["checkouts"][n].update(after, runs=runs[n])
+    record["summary"] = summarise(names, runs, directions())
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=1, sort_keys=False)
         fh.write("\n")

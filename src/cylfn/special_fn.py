@@ -214,6 +214,13 @@ def _jy(nu: float, x: float):
     # - Y_mu and Y_{mu+1} from Temme's series (x < 2) or Steed's CF2, with
     #   the Wronskian J_{mu+1} Y_mu - J_mu Y_{mu+1} = 2/(pi x) fixing J_mu
     # - forward recurrence on Y, stable, back up to nu
+    # No ratio may divide by a J next to one of its zeros.  For x < 2, mu =
+    # nu - round(nu) lies in [-1/2, 1/2), and J_mu has a zero in [pi/2, 2)
+    # when mu < 0; so there the recurrence stops at mu + 1, and the
+    # Wronskian fixes J_{mu+1}: J of order >= 1/2 has no zero below pi.  For
+    # x >= 2, the Numerical Recipes base order keeps every order k that the
+    # recurrence reaches above x - 1.5, below J_k's first zero j_{k,1} >
+    # k + 1.5; nl = round(nu) would cross zeros of J there.
     nl = int(nu + 0.5) if x < 2.0 else max(0, int(nu - x + 1.5))
     mu = nu - nl
     # CF1: J_nu/J_{nu+1} = t/x, t = 2(nu+1) - x^2/(2(nu+2) - x^2/(...))
@@ -242,13 +249,19 @@ def _jy(nu: float, x: float):
     rn = r = x / t
     p = 1.0
     order = nu
-    for _ in range(nl):
+    for _ in range(nl - 1 if x < 2.0 else nl):
         r = x / (2.0 * order - x * r)
         p *= r
         order -= 1.0
     if x < 2.0:
         ym, xy1 = _y_temme(mu, x)
-        jm = (2.0 / math.pi) / (x * r * ym - xy1)
+        # s = J_mu/J_{mu+1} from r = J_{mu+2}/J_{mu+1}, or from CF1 when mu = nu
+        # (p = J_nu/J_{mu+1} is s then); J_{mu+1} (Y_mu - s Y_{mu+1}) = 2/(pi x)
+        if nl:
+            s = 2.0 * (mu + 1.0) / x - r
+        else:
+            s = p = t / x
+        j = p * ((2.0 / math.pi) / (x * ym - s * xy1))
         y1 = xy1 / x
     else:
         sp, sq = _steed(mu, x)
@@ -259,7 +272,7 @@ def _jy(nu: float, x: float):
         ym = gam * jm
         # Y_{mu+1} = (mu/x) Y_mu - Y'_mu, with Y'_mu = J_mu (gam p + q)
         y1 = (mu / x) * ym - jm * (gam * sp + sq)
-    j = jm * p
+        j = jm * p
     order = mu + 1.0
     for _ in range(nl):
         ym, y1 = y1, (2.0 * order / x) * y1 - ym

@@ -1,23 +1,18 @@
 """The BENCH recorder's summary rule, on synthetic runs: medians, quartiles and
 per-seed wins against the base checkout, each metric's direction read from
-BENCHMARK.json; and its reading of the slow maps' worst-case lines.
-bench/record.py is loaded by path; no benchmark or map is run."""
+BENCHMARK.json; its reading of the slow maps' worst-case lines; and what it
+keeps of a child that fails.  No benchmark or map is run."""
 
-import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
+import corpus
+import record
+
 ROOT = Path(__file__).resolve().parents[1]
-
-
-@pytest.fixture(scope="module")
-def record():
-    spec = importlib.util.spec_from_file_location("bench_record", ROOT / "bench" / "record.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def _run(seed, trace, **values):
@@ -44,32 +39,32 @@ NAMES = ["parent", "change"]
 METRICS = ("ops_per_s", "op_p50_ms", CELL)
 
 
-def _summary(record, path=None):
+def _summary(path=None):
     better = record.directions(path) if path else record.directions()
     return record.summarise(NAMES, RUNS, {m: better[m] for m in METRICS})["zeros-cold"]
 
 
 class TestDirections:
-    def test_every_metric_in_benchmark_order(self, record):
+    def test_every_metric_in_benchmark_order(self):
         spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
         names = [m["name"] for m in spec["end_to_end"] + spec["per_layer"]]
         better = record.directions()
         assert list(better) == names
         assert (better["ops_per_s"], better["op_p50_ms"], better[CELL]) == ("higher", "lower", "lower")
 
-    def test_direction_comes_from_the_file(self, record, tmp_path):
+    def test_direction_comes_from_the_file(self, tmp_path):
         spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
         for m in spec["end_to_end"] + spec["per_layer"]:
             m["better"] = {"higher": "lower", "lower": "higher"}[m["better"]]
         path = tmp_path / "BENCHMARK.json"
         path.write_text(json.dumps(spec), encoding="utf-8")
-        rows = _summary(record, str(path))
+        rows = _summary(str(path))
         assert [rows[m]["change"]["better_than_parent"] for m in METRICS] == ["0 of 2", "1 of 2", "1 of 3"]
 
 
 class TestSummary:
-    def test_medians_and_quartiles(self, record):
-        rows = _summary(record)
+    def test_medians_and_quartiles(self):
+        rows = _summary()
         expect = {
             "ops_per_s": {"parent": (110.0, 105.0, 115.0), "change": (117.5, 111.25, 123.75)},
             "op_p50_ms": {"parent": (1.8, 1.7, 1.9), "change": (1.8, 1.65, 1.95)},
@@ -80,19 +75,19 @@ class TestSummary:
                 got = rows[metric][name]
                 assert (got["median"], got["q1"], got["q3"]) == pytest.approx((median, q1, q3)), (metric, name)
 
-    def test_wins_against_the_base_in_each_direction(self, record):
-        rows = _summary(record)
+    def test_wins_against_the_base_in_each_direction(self):
+        rows = _summary()
         # higher is better: 105 > 100 and 130 > 120; lower is better: only 1.5 < 1.6, and 4.5 < 5, 5 < 6
         assert [rows[m]["change"]["better_than_parent"] for m in METRICS] == ["2 of 2", "1 of 2", "2 of 3"]
         assert all("better_than_parent" not in rows[m]["parent"] for m in METRICS)
 
-    def test_failed_run_is_skipped_not_counted(self, record):
-        rows = _summary(record)
+    def test_failed_run_is_skipped_not_counted(self):
+        rows = _summary()
         assert record.by_seed(RUNS["change"]["zeros-cold"], "ops_per_s") == {1: 105.0, 3: 130.0}
         assert rows["ops_per_s"]["change"]["better_than_parent"].endswith("of 2")
         assert rows[CELL]["change"]["better_than_parent"].endswith("of 3")
 
-    def test_every_metric_of_the_file_is_summarised(self, record):
+    def test_every_metric_of_the_file_is_summarised(self):
         rows = record.summarise(NAMES, RUNS, record.directions())["zeros-cold"]
         assert list(rows) == list(record.directions())
         # a metric that no run reports: no median and no seed to compare
@@ -114,7 +109,7 @@ accuracy map seam         worst error/bound 3.10e-02 at (nu, delta, x, pair) = (
 
 
 class TestMapWorsts:
-    def test_each_stratum_worst_and_where(self, record):
+    def test_each_stratum_worst_and_where(self):
         got = record.map_worsts(MAP_OUTPUT)
         assert list(got) == ["zero map", "accuracy map"]
         assert list(got["zero map"]) == ["straddle", "C below nu", "below the start"]
@@ -123,5 +118,28 @@ class TestMapWorsts:
         assert got["zero map"]["below the start"] == {"worst": 2e-16, "at": "(0.1, 3.14, 'function', 1e-08)"}
         assert got["accuracy map"] == {"seam": {"worst": 3.1e-2, "at": "(nu, delta, x, pair) = (2.0, 0.0, 30.0, True)"}}
 
-    def test_output_without_map_lines(self, record):
+    def test_output_without_map_lines(self):
         assert record.map_worsts("1 failed in 2.00s\n") == {}
+
+
+class TestFailure:
+    def test_a_failing_command_keeps_its_status_and_the_end_of_its_stderr(self, tmp_path):
+        code = "import sys; sys.stderr.write('x' * 3000 + 'the end'); sys.exit(3)"
+        got = corpus.last_json([sys.executable, "-c", code], str(tmp_path))
+        assert got == {"returncode": 3, "stderr": ("x" * 3000 + "the end")[-2000:]}
+
+    def test_a_checkout_whose_children_fail_still_gets_its_file(self, tmp_path, capsys, monkeypatch):
+        # an empty folder: the zeros-cold walk fails and is printed before the
+        # first timed run, each run fails, and the file is written all the same
+        monkeypatch.setattr(record, "slow_maps", lambda root: {})
+        monkeypatch.setattr(record, "tier1", lambda root: {})
+        out = tmp_path / "bench.json"
+        argv = ["--checkout", f"empty={tmp_path}", "--workloads", "zeros-cold", "--seeds", "1", "--out", str(out)]
+        assert record.main(argv) == 0
+        entry = json.loads(out.read_text(encoding="utf-8"))["checkouts"]["empty"]
+        assert entry["zeros_cold_hash"] is None
+        assert entry["zeros_cold_counts"]["returncode"] == 1
+        assert "ModuleNotFoundError" in entry["zeros_cold_counts"]["stderr"]
+        assert [run["returncode"] for run in entry["runs"]["zeros-cold"]] == [2, 2]
+        first = capsys.readouterr().out.splitlines()[0]
+        assert first.startswith("empty: ") and "zeros_cold_hash" in first

@@ -425,14 +425,6 @@ class TestArtifactFields:
 
 
 class TestDeterminism:
-    def test_verify_all_byte_identical(self, tmp_path):
-        a = tmp_path / "a.json"
-        b = tmp_path / "b.json"
-        code_a = main(["verify", "all", "--threads", "1", "--out", str(a)])
-        code_b = main(["verify", "all", "--threads", "1", "--out", str(b)])
-        assert code_a == 0 and code_b == 0
-        assert a.read_bytes() == b.read_bytes()
-
     @pytest.mark.parametrize("argv", (
         ["verify", "all"],
         ["sweep", "--family", "jvsy", "--nu", "1", "--gaps", "0.8,1.5", "--n", "12"],

@@ -5,8 +5,6 @@ import random
 
 import mpmath as mp
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from cylfn.special_fn import (
     CylinderSpec,
@@ -230,6 +228,46 @@ class TestAccuracyContract:
                 lambda: cylinder_and_prime(spec, x)[1], oracle_cylinder_prime(nu, delta, x)
             )
 
+    def test_half_integer_orders_at_half_pi(self):
+        # mu = nu - round(nu) = -1/2, and J_{-1/2}(x) = sqrt(2/(pi x)) cos x
+        # is 4e-17 at the double nearest pi/2: x < 2 takes no ratio over J_mu.
+        # Reference: J_{n+1/2} = sqrt(2x/pi) j_n, j_n by upward recurrence
+        x = math.pi / 2
+        with mp.workdps(80):
+            t = mp.mpf(x)
+            j = [mp.sin(t) / t, mp.sin(t) / t**2 - mp.cos(t) / t]
+            for n in range(1, 30):
+                j.append((2 * n + 1) / t * j[n] - j[n - 1])
+            ref = [float(mp.sqrt(2 * t / mp.pi) * v) for v in j]
+        for n in range(31):
+            self._check(bessel_j(n + 0.5, x), ref[n])
+
+    # doubles next to a zero of J_mu, mu = nu - round(nu) in (-1/2, 0), at
+    # nu = mu + k, where a ratio over J_mu would divide by zero
+    NEAR_J_MU_ZERO = (
+        (0.5362181433337714, 1.6371689163662888), (1.5362181433337714, 1.6371689163662888),
+        (4.536218143333771, 1.6371689163662888), (0.6828444584562927, 1.8938656510666776),
+        (1.6828444584562927, 1.8938656510666776), (4.682844458456293, 1.8938656510666776),
+    )
+    # x >= 2 next to a zero of J_{mu+k}, mu = nu - round(nu): a recurrence
+    # down round(nu) orders would divide by zero; the base order
+    # nu - int(nu - x + 1.5) keeps every order above x - 1.5, below its first zero
+    PAST_TWO = (
+        (2.6366764217701624, 14.266865163000432), (5.150070973914072, 21.03724912904016),
+        (4.266287886410407, 13.379952857156773), (6.160131587985637, 6.575695191789013),
+        (5.496808772952906, 7.720782818347449), (2.151322565841182, 4.034449218253029),
+        (5.0369566006716235, 5.182471789124472), (2.5356248557128502, 3.1920021315993963),
+        (6.100929799475923, 2.5588553300912644),
+    )
+
+    @pytest.mark.parametrize("points", (NEAR_J_MU_ZERO, PAST_TWO), ids=("below-2", "past-2"))
+    def test_recurrence_next_to_a_zero_of_j(self, points):
+        for nu, x in points:
+            c, cp = cylinder_and_prime(CylinderSpec.of(nu, 0.0), x)
+            self._check(c, float(oracle_j(nu, x)))
+            self._check(cp, float(oracle_cylinder_prime(nu, 0.0, x)))
+            self._check(bessel_y(nu, x), float(oracle_y(nu, x)))
+
 
 class TestIdentities:
     def test_normal_form_ode_residual(self):
@@ -322,25 +360,21 @@ class TestMixingAngle:
         direct = math.cos(raw) * bessel_j(2.0, 5.0) - math.sin(raw) * bessel_y(2.0, 5.0)
         assert cylinder(spec, 5.0) == pytest.approx(-direct, rel=1e-12)
 
-    @given(
-        delta=st.floats(0.0, math.pi, exclude_max=True),
-        nu=st.floats(0.1, 10.0),
-        x=st.floats(0.5, 50.0),
-    )
-    # one ulp below pi: delta + pi rounds to 2 pi
-    @example(delta=3.1415926535897927, nu=1.0, x=2.0)
-    # |Y| >> |J|: delta + pi keeps only a multiple of 4.4e-16 of delta
-    @example(delta=1e-10, nu=10.0, x=0.5)
-    @settings(max_examples=25, deadline=None)
-    def test_periodicity_property(self, delta, nu, x):
+    def test_periodicity_property(self):
         # d2 and d2 - pi normalize to one angle with the overall sign
         # absorbed, so the library returns the same representative (same
         # zero set); d2 - pi is exact by Sterbenz's lemma, where delta itself
         # would differ from it by the rounding of delta + pi
-        d2 = delta + math.pi
-        a = cylinder(CylinderSpec.of(nu, d2 - math.pi), x)
-        b = cylinder(CylinderSpec.of(nu, d2), x)
-        assert b == pytest.approx(a, rel=1e-9, abs=1e-12)
+        rng = random.Random(20261019)
+        cases = [
+            (3.1415926535897927, 1.0, 2.0),  # one ulp below pi: delta + pi rounds to 2 pi
+            (1e-10, 10.0, 0.5),  # |Y| >> |J|: delta + pi keeps only a multiple of 4.4e-16 of delta
+        ] + [(rng.uniform(0.0, math.pi), rng.uniform(0.1, 10.0), rng.uniform(0.5, 50.0)) for _ in range(30)]
+        for delta, nu, x in cases:
+            d2 = delta + math.pi
+            a = cylinder(CylinderSpec.of(nu, d2 - math.pi), x)
+            b = cylinder(CylinderSpec.of(nu, d2), x)
+            assert b == pytest.approx(a, rel=1e-9, abs=1e-12), (delta, nu, x)
 
 
 def _hankel_pq_at(mu, x):

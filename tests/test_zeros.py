@@ -727,6 +727,19 @@ class TestZeroCount:
             probes += len(xs)
         assert probes > 600
 
+    def test_count_next_to_a_zero_of_j_mu(self):
+        # x = pi/2 is next to a zero of J_{-1/2}; J_{3/2}'s first zero is at 4.49
+        assert zero_count(_spec(1.5, 0.0), EvalKind.FUNCTION, math.pi / 2) == 0
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 9: two zeros of C' below 1e-6 are missed")
+    def test_two_derivative_zeros_below_the_start(self):
+        # for 0 < nu < 1e-6 the phase of C' falls through 1 on (0, nu] and
+        # rises back on (nu, 1e-6]; the oracle gives C' the sign - at 1e-20,
+        # + at 1e-10 and at 1e-7, and - at 5e-7
+        spec = _spec(1e-7, 1.5707925749095e-07)
+        assert zero_count(spec, EvalKind.DERIVATIVE, 1e-6) == 2
+        assert all(z < 1e-6 for z in find_zeros(spec, EvalKind.DERIVATIVE, 2))
+
     @pytest.mark.parametrize("x", (0.0, -1.0, 400.5, math.inf, math.nan))
     def test_rejects_x_outside_the_box(self, x):
         with pytest.raises(DomainError):
