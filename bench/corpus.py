@@ -19,7 +19,8 @@ needs no data edit here, only its line in CHANGES.md.  The hash comes from
 `zeros_cold`, one child process whose walk also counts phase passes and
 `zeros._cyl` calls over seed 1's first COUNTED requests, for
 bench/record.py; its counting wrappers call through, so the hash cannot
-move with them.
+move with them.  A child that fails prints its exit status and the end of
+its stderr in the hash's place, and the script exits 1.
 
 Standard library only; the zeros-cold child imports perfbench, which needs
 mpmath.
@@ -117,32 +118,25 @@ import hashlib, json, random, sys
 import workloads
 from cylfn import zeros
 requests, counted = int(sys.argv[1]), int(sys.argv[2])
-counts = {"passes": 0, "cyl": 0}
-target, cyl = zeros._target, zeros._cyl
-def counted_target(spec, kind):
-    phase = target(spec, kind)
-    def counted(x):
-        counts["passes"] += 1
-        return phase(x)
-    return counted
-def counted_cyl(*args, **kwargs):
-    counts["cyl"] += 1
-    return cyl(*args, **kwargs)
-zeros._target, zeros._cyl = counted_target, counted_cyl
-h = hashlib.sha256()
 by_n = {}  # n: [phase passes, _cyl calls, zeros] over seed 1's first `counted` requests
+row = [0, 0, 0]  # where the wrappers count: the request's row of by_n, or a row that is dropped
+def counting(k, fn):
+    def call(*args, **kwargs):
+        row[k] += 1
+        return fn(*args, **kwargs)
+    return call
+target = zeros._target
+zeros._target = lambda spec, kind: counting(0, target(spec, kind))
+zeros._cyl = counting(1, zeros._cyl)
+h = hashlib.sha256()
 for seed in (1, 2):
     ops = workloads.ZerosCold(random.Random(f"zeros-cold:{seed}")).ops()
     for i in range(requests):
         spec, kind, n = next(ops)
-        passes, calls = counts["passes"], counts["cyl"]
+        row = by_n.setdefault(n, [0, 0, 0]) if seed == 1 and i < counted else [0, 0, 0]
         seq = zeros.find_zeros(spec, kind, n)
         h.update(repr((spec, kind, n, seq.zeros, seq.refined_to)).encode())
-        if seed == 1 and i < counted:
-            row = by_n.setdefault(n, [0, 0, 0])
-            row[0] += counts["passes"] - passes
-            row[1] += counts["cyl"] - calls
-            row[2] += len(seq)
+        row[2] += len(seq)
 passes, calls, found = map(sum, zip(*by_n.values()))
 print(json.dumps({"hash": h.hexdigest(), "counts": {
     "requests": counted, "zeros": found,
@@ -217,10 +211,10 @@ def main(argv=None) -> int:
             differ += 1
             print(describe(line, diff), flush=True)
     print(f"{differ} of {len(CORPUS)} argv differ between {na} and {nb}")
-    for name, root in roots.items():
-        walk = zeros_cold(root)
+    walks = {name: zeros_cold(root) for name, root in roots.items()}
+    for name, walk in walks.items():
         print(f"{name} zeros-cold hash {walk.get('hash', walk)}")
-    return 0
+    return int(any("hash" not in walk for walk in walks.values()))
 
 
 if __name__ == "__main__":

@@ -208,19 +208,18 @@ def _jy(nu: float, x: float):
     # (J_nu, Y_nu, J'_nu, Y'_nu) for nu >= 0 and 0 < x <= 30, after the
     # bessjy design of Numerical Recipes:
     # - CF1 gives r = J_{nu+1}/J_nu; its sign count gives the sign of J_{nu+1}
-    # - the recurrence on that ratio runs down nl orders to mu = nu - nl,
-    #   multiplying up p = J_nu/J_mu; ratios cannot overflow where J and J'
-    #   themselves span the double range (x -> 0)
+    # - the recurrence on that ratio runs down to mu = nu - nl (x >= 2) or
+    #   mu + 1 (x < 2), multiplying up p = J_nu/J_mu or J_nu/J_{mu+1}; ratios
+    #   cannot overflow where J and J' themselves span the double range
     # - Y_mu and Y_{mu+1} from Temme's series (x < 2) or Steed's CF2, with
     #   the Wronskian J_{mu+1} Y_mu - J_mu Y_{mu+1} = 2/(pi x) fixing J_mu
+    #   (x >= 2) or J_{mu+1} (x < 2)
     # - forward recurrence on Y, stable, back up to nu
-    # No ratio may divide by a J next to one of its zeros.  For x < 2, mu =
-    # nu - round(nu) lies in [-1/2, 1/2), and J_mu has a zero in [pi/2, 2)
-    # when mu < 0; so there the recurrence stops at mu + 1, and the
-    # Wronskian fixes J_{mu+1}: J of order >= 1/2 has no zero below pi.  For
-    # x >= 2, the Numerical Recipes base order keeps every order k that the
-    # recurrence reaches above x - 1.5, below J_k's first zero j_{k,1} >
-    # k + 1.5; nl = round(nu) would cross zeros of J there.
+    # No ratio may divide by a J next to one of its zeros.  For x < 2, mu in
+    # [-1/2, 1/2), and J_mu has a zero in [pi/2, 2) when mu < 0; J of order
+    # >= 1/2 has none below pi.  For x >= 2, every order k that the
+    # recurrence reaches lies above x - 1.5, below J_k's first zero
+    # j_{k,1} > k + 1.5; nl = round(nu) would cross zeros of J there.
     nl = int(nu + 0.5) if x < 2.0 else max(0, int(nu - x + 1.5))
     mu = nu - nl
     # CF1: J_nu/J_{nu+1} = t/x, t = 2(nu+1) - x^2/(2(nu+2) - x^2/(...))
@@ -256,12 +255,17 @@ def _jy(nu: float, x: float):
     if x < 2.0:
         ym, xy1 = _y_temme(mu, x)
         # s = J_mu/J_{mu+1} from r = J_{mu+2}/J_{mu+1}, or from CF1 when mu = nu
-        # (p = J_nu/J_{mu+1} is s then); J_{mu+1} (Y_mu - s Y_{mu+1}) = 2/(pi x)
+        # (p = J_nu/J_{mu+1} is s then); J_{mu+1} (x Y_mu - s x Y_{mu+1}) = 2/pi.
+        # Where |s| > 1 that is divided through by s: s x Y_{mu+1}, about
+        # 2(mu+1) Y_{mu+1}, overflows as x -> 0, and J_mu = s J_{mu+1} has no zero there
         if nl:
             s = 2.0 * (mu + 1.0) / x - r
         else:
             s = p = t / x
-        j = p * ((2.0 / math.pi) / (x * ym - s * xy1))
+        if abs(s) > 1.0:
+            j = (p / s) * ((2.0 / math.pi) / (x * ym / s - xy1))
+        else:
+            j = p * ((2.0 / math.pi) / (x * ym - s * xy1))
         y1 = xy1 / x
     else:
         sp, sq = _steed(mu, x)

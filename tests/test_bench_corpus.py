@@ -70,34 +70,32 @@ class TestReach:
 
 
 class TestZerosCold:
-    def test_child_matches_the_walk_in_process(self, monkeypatch):
-        # 4 requests at each seed hashed, the first 3 at seed 1 counted
+    def test_child_hashes_the_walk_and_its_counts_add_up(self, monkeypatch):
+        # 4 requests at each seed hashed, the first 3 at seed 1 counted; the
+        # hash is the plain walk's, so the counting wrappers call through
         got = corpus.zeros_cold(str(ROOT), requests=4, counted=3)
         monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
         import workloads
 
-        calls = []
-        target, cyl = zeros._target, zeros._cyl
-
-        def counted_target(spec, kind):
-            phase = target(spec, kind)
-            return lambda x: calls.append("pass") or phase(x)
-
-        monkeypatch.setattr(zeros, "_target", counted_target)
-        monkeypatch.setattr(zeros, "_cyl", lambda *args, **kw: calls.append("cyl") or cyl(*args, **kw))
-        zeros._find_zeros_cached.cache_clear()
         h = hashlib.sha256()
-        walk = []  # (n, phase passes, _cyl calls, zeros) per request
+        found = {}  # n: zeros over seed 1's first 3 requests
         for seed in (1, 2):
-            for spec, kind, n in itertools.islice(workloads.ZerosCold(random.Random(f"zeros-cold:{seed}")).ops(), 4):
-                calls.clear()
+            ops = workloads.ZerosCold(random.Random(f"zeros-cold:{seed}")).ops()
+            for i, (spec, kind, n) in enumerate(itertools.islice(ops, 4)):
                 seq = zeros.find_zeros(spec, kind, n)
                 h.update(repr((spec, kind, n, seq.zeros, seq.refined_to)).encode())
-                walk.append((n, calls.count("pass"), calls.count("cyl"), len(seq)))
-        passes, cyls, found = (sum(w[k] for w in walk[:3]) for k in (1, 2, 3))
-        by_n = {n: sum(w[1] for w in walk[:3] if w[0] == n) / sum(w[3] for w in walk[:3] if w[0] == n)
-                for n in sorted({w[0] for w in walk[:3]})}
-        assert got == {"hash": h.hexdigest(), "counts": {
-            "requests": 3, "zeros": found, "phase_passes_per_zero": passes / found,
-            "cyl_calls_per_zero": cyls / found, "phase_passes_per_zero_by_n": {str(n): v for n, v in by_n.items()}}}
-        assert found > 0 and passes > 0
+                if seed == 1 and i < 3:
+                    found[n] = found.get(n, 0) + len(seq)
+        counts = got["counts"]
+        assert got["hash"] == h.hexdigest()
+        assert counts["requests"] == 3 and counts["zeros"] == sum(found.values())
+        by_n = {int(n): v for n, v in counts["phase_passes_per_zero_by_n"].items()}
+        assert by_n.keys() == found.keys()
+        passes = sum(by_n[n] * z for n, z in found.items())
+        assert passes == pytest.approx(counts["phase_passes_per_zero"] * counts["zeros"]) and passes >= 1
+        assert counts["cyl_calls_per_zero"] > 0
+
+    def test_a_failing_child_fails_the_script(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(corpus, "CORPUS", ("",))
+        assert corpus.main(["--checkout", f"a={tmp_path}", "--checkout", f"b={tmp_path}"]) == 1
+        assert "a zeros-cold hash {'returncode': 1" in capsys.readouterr().out

@@ -212,7 +212,7 @@ class TestAccuracyContract:
         self._check(v, float(ref))
 
     @pytest.mark.parametrize("x", (1e-300, 1e-100, 1e-20, 1e-10))
-    @pytest.mark.parametrize("nu", (0.0, 0.5, 10.0, 30.0))
+    @pytest.mark.parametrize("nu", (0.0, 0.25, 0.45, 0.5, 10.0, 30.0))
     def test_tiny_x_is_correct_or_overflows(self, nu, x):
         # J is finite and within contract (underflow to 0 included); Y, C
         # and C' are within contract or raise OverflowError: never NaN,
@@ -369,7 +369,8 @@ class TestMixingAngle:
         cases = [
             (3.1415926535897927, 1.0, 2.0),  # one ulp below pi: delta + pi rounds to 2 pi
             (1e-10, 10.0, 0.5),  # |Y| >> |J|: delta + pi keeps only a multiple of 4.4e-16 of delta
-        ] + [(rng.uniform(0.0, math.pi), rng.uniform(0.1, 10.0), rng.uniform(0.5, 50.0)) for _ in range(30)]
+        ] + [(0.0, nu, x) for nu in (0.1, 10.0) for x in (0.5, 50.0)]  # the corners of the ranges
+        cases += [(rng.uniform(0.0, math.pi), rng.uniform(0.1, 10.0), rng.uniform(0.5, 50.0)) for _ in range(30)]
         for delta, nu, x in cases:
             d2 = delta + math.pi
             a = cylinder(CylinderSpec.of(nu, d2 - math.pi), x)
