@@ -18,8 +18,10 @@ perfbench's `ZerosCold` at seeds 1 and 2.  An intended artifact change
 needs no data edit here, only its line in CHANGES.md.  The hash comes from
 `zeros_cold`, one child process whose walk also counts phase passes and
 `zeros._cyl` calls over seed 1's first COUNTED requests, for
-bench/record.py; its counting wrappers call through, so the hash cannot
-move with them.  A child that fails prints its exit status and the end of
+bench/record.py: per zero, per request size n, and per index of the zero
+above the start (the 1st, 2nd and 3rd, the 4th to 12th, the 13th on; the
+start pass counts with the 1st).  Its counting wrappers call through, so
+the hash cannot move with them.  A child that fails prints its exit status and the end of
 its stderr in the hash's place, and the script exits 1.
 
 Standard library only; the zeros-cold child imports perfbench, which needs
@@ -119,29 +121,51 @@ import workloads
 from cylfn import zeros
 requests, counted = int(sys.argv[1]), int(sys.argv[2])
 by_n = {}  # n: [phase passes, _cyl calls, zeros] over seed 1's first `counted` requests
+by_index = {}  # the walk's i-th zero above the start, grouped: [phase passes, zeros], the start pass with the first
+below = [0]  # zeros below the start, which take no phase pass: _origin's, and x = 0 for J'_0
 row = [0, 0, 0]  # where the wrappers count: the request's row of by_n, or a row that is dropped
+walk = [0, False]  # the request's zeros above the start so far, and whether it is counted
+def at():  # the row of by_index that the walk's next zero counts in
+    i = walk[0] + 1
+    group = str(i) if i <= 3 else "4-12" if i <= 12 else "13-"
+    return by_index.setdefault(group, [0, 0]) if walk[1] else [0, 0]
 def counting(k, fn):
     def call(*args, **kwargs):
         row[k] += 1
+        if k == 0:
+            at()[0] += 1
         return fn(*args, **kwargs)
     return call
-target = zeros._target
+def refining(phase, m, *args):
+    out = refine(phase, m, *args)
+    if m > 0:  # _origin refines at m = 0, the walk at m >= 1
+        at()[1] += 1
+        walk[0] += 1
+    return out
+target, refine = zeros._target, zeros._refine
 zeros._target = lambda spec, kind: counting(0, target(spec, kind))
 zeros._cyl = counting(1, zeros._cyl)
+zeros._refine = refining
 h = hashlib.sha256()
 for seed in (1, 2):
     ops = workloads.ZerosCold(random.Random(f"zeros-cold:{seed}")).ops()
     for i in range(requests):
         spec, kind, n = next(ops)
-        row = by_n.setdefault(n, [0, 0, 0]) if seed == 1 and i < counted else [0, 0, 0]
+        kept = seed == 1 and i < counted
+        row = by_n.setdefault(n, [0, 0, 0]) if kept else [0, 0, 0]
+        walk[:] = 0, kept
         seq = zeros.find_zeros(spec, kind, n)
         h.update(repr((spec, kind, n, seq.zeros, seq.refined_to)).encode())
         row[2] += len(seq)
+        below[0] += kept and len(seq) - walk[0]
 passes, calls, found = map(sum, zip(*by_n.values()))
+groups = by_index.items()  # in order: a walk reaches each group through the ones before
 print(json.dumps({"hash": h.hexdigest(), "counts": {
     "requests": counted, "zeros": found,
     "phase_passes_per_zero": passes / found, "cyl_calls_per_zero": calls / found,
-    "phase_passes_per_zero_by_n": {n: p / z for n, (p, _, z) in sorted(by_n.items())}}}))
+    "phase_passes_per_zero_by_n": {n: p / z for n, (p, _, z) in sorted(by_n.items())},
+    "phase_passes_per_zero_by_index": {g: p / z for g, (p, z) in groups},
+    "zeros_by_index": {**{g: z for g, (_, z) in groups}, "below the start": below[0]}}}))
 """
 
 NUMBER = re.compile(r"[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?")

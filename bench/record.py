@@ -8,7 +8,9 @@ the timing: for every seed and workload, `perfbench/run.py --trace 0` runs
 once in each checkout, then `--trace 1` once in each, every run from its
 checkout's root, and the last stdout line of each, one JSON object, is kept.
 The checkouts alternate which runs first from one seed to the next, so that
-a slow spell of the machine falls on both.
+a slow spell of the machine falls on both.  After the timing loop the slow
+maps run once per checkout, one checkout after the other, and tier-1 twice
+per checkout, in the order A B B A.
 
 Before the timing loop, each checkout's commit, its `src/` line count and
 its zeros-cold walk are taken and printed, so that a child that fails shows
@@ -20,12 +22,14 @@ holds, besides the machine and the arguments:
 - `checkouts.NAME.zeros_cold_counts` and `zeros_cold_hash`: from one
   zeros-cold child of bench/corpus.py, phase passes and `zeros._cyl` calls
   per zero over the first 300 requests of perfbench's `ZerosCold` at seed 1,
-  the phase passes per zero for each request size n, and the hash that
-  bench/corpus.py prints; perfbench's trace cannot see the phase pass;
+  the phase passes per zero for each request size n and for each index of
+  the zero above the start, and the hash that bench/corpus.py prints;
+  perfbench's trace cannot see the phase pass;
 - `checkouts.NAME.slow_maps`: the `-m slow` zero and accuracy maps' worst
   error over its bound per stratum, with where it lies, as the maps print
   them under `-s`, and pytest's summary line;
-- `checkouts.NAME.tier1`: the tier-1 wall time and pytest's summary line;
+- `checkouts.NAME.tier1`: the checkout's two tier-1 runs in the order they
+  ran, each with its wall time, exit status and pytest's summary line;
 - `checkouts.NAME.src_lines`: all lines of `src/**/*.py`;
 - `summary.WORKLOAD.METRIC.NAME`: for every end-to-end metric (`--trace 0`)
   and every per-layer metric (`--trace 1`) of BENCHMARK.json, the median
@@ -182,10 +186,13 @@ def main(argv=None) -> int:
                     print(f"{workload} seed {seed} trace {trace} {n}:", json.dumps(run.get("metrics", run)),
                           flush=True)
 
-    for n, root in roots.items():
-        after = {"slow_maps": slow_maps(root), "tier1": tier1(root)}
-        print(f"{n}: {json.dumps(after)}", flush=True)
-        record["checkouts"][n].update(after, runs=runs[n])
+    # the slow maps in checkout order, then tier-1 twice each, in the order A B B A
+    after = {n: {"slow_maps": slow_maps(root), "tier1": []} for n, root in roots.items()}
+    for n in names + names[::-1]:
+        after[n]["tier1"].append(tier1(roots[n]))
+    for n in names:
+        print(f"{n}: {json.dumps(after[n])}", flush=True)
+        record["checkouts"][n].update(after[n], runs=runs[n])
     record["summary"] = summarise(names, runs, directions())
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=1, sort_keys=False)

@@ -262,10 +262,17 @@ def _jy(nu: float, x: float):
             s = 2.0 * (mu + 1.0) / x - r
         else:
             s = p = t / x
+        # J' = J (nu/x - r) takes the ratio p last: as x -> 0, J_nu, and
+        # J_nu/J_mu with it, can underflow where J' does not, while for nu >=
+        # 1/2 (nu/x - r)/s stays near nu/(2 mu + 2) and J_mu near x^mu (for
+        # nu < 1/2, mu = nu and J_nu/J_mu = 1)
         if abs(s) > 1.0:
-            j = (p / s) * ((2.0 / math.pi) / (x * ym / s - xy1))
+            w = (2.0 / math.pi) / (x * ym / s - xy1)  # J_mu
+            j = (p / s) * w
+            jp = p * ((nu / x - rn) / s * w) if nl else (nu / x - rn) * w
         else:
-            j = p * ((2.0 / math.pi) / (x * ym - s * xy1))
+            w = (2.0 / math.pi) / (x * ym - s * xy1)  # J_{mu+1}
+            j, jp = p * w, p * ((nu / x - rn) * w)
         y1 = xy1 / x
     else:
         sp, sq = _steed(mu, x)
@@ -277,11 +284,12 @@ def _jy(nu: float, x: float):
         # Y_{mu+1} = (mu/x) Y_mu - Y'_mu, with Y'_mu = J_mu (gam p + q)
         y1 = (mu / x) * ym - jm * (gam * sp + sq)
         j = jm * p
+        jp = (nu * j) / x - rn * j
     order = mu + 1.0
     for _ in range(nl):
         ym, y1 = y1, (2.0 * order / x) * y1 - ym
         order += 1.0
-    return j, ym, (nu * j) / x - rn * j, (nu / x) * ym - y1
+    return j, ym, jp, (nu / x) * ym - y1
 
 
 # ---------------------------------------------------------------------------

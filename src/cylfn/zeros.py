@@ -31,12 +31,20 @@ for C, and with H'' = -H'/x - (1 - nu^2/x^2) H, 1/x + 2 (1 - nu^2/x^2)
 Re(conj(H') H)/|H'|^2 + (2 nu^2/x^3)/(1 - nu^2/x^2) for C', undefined at x =
 nu, where phi' = 0 (and there it is neither seed nor halt).  The inverse phase
 x(u) is nonoscillatory and smooth, and a pass gives x' = 1/u' and x'' = -2
-kappa/u'^2 on it.  So each zero from the third on is seeded at u = m on the
+kappa/u'^2 on it.  So each zero from the fourth on is seeded at u = m on the
 quintic Hermite interpolant of x(u) through the last passes of the two zeros
-before.  The first zero above the start is seeded where the Debye term reaches
-it, at the root x > nu of sqrt(x^2 - nu^2) - nu arccos(nu/x) = pi (m - omega -
-nu/2), if that right side is positive.  Any other zero, the second included,
-is seeded from the last pass at x + s0 - kappa s0^2, s0 = (m - u)/u', the root
+before.  The first three zeros above the start, nearest the turning point, are
+seeded from the Debye expansions (DLMF 10.19.6, 10.19.8) to their second term,
+at the root x > nu of sqrt(x^2 - nu^2) - nu arccos(nu/x) + a/(8r) + b nu^2/(24
+r^3) = pi (m - omega - nu/2), r = sqrt(x^2 - nu^2), with (a, b) = (-1, -5) for
+C and (3, 7) for C' (the U_1 and V_1 terms; at large x they give the (mu -
+1)/(8x) of DLMF 10.18.18 and the (mu + 3)/(8x) of 10.18.21, mu = 4 nu^2), if
+that right side is positive.  Newton reaches it from the root of the first
+term alone, whose left side is convex and increasing; the second term's is
+neither near nu (for C' it falls there first), so its steps are kept right of
+nu and capped.  A zero among the three whose right side is not positive is
+seeded as it would be without them: the third on the Hermite interpolant, the
+first two from the last pass at x + s0 - kappa s0^2, s0 = (m - u)/u', the root
 of u + u' (d + kappa d^2) = m to second order, or at the bracket's top where
 u' = 0.  Every seed is clamped to the bracket.  Newton from x ends on x - s
 once the step s falls below REL_TOL max(1, x).  It ends on a larger step,
@@ -76,8 +84,8 @@ in log x; a zero below 1e-300 raises IterationError.
 
 import math
 from collections import namedtuple
-from functools import lru_cache, partial
-from itertools import count, takewhile
+from functools import lru_cache
+from itertools import count
 
 from .special_fn import (
     CylinderSpec,
@@ -175,27 +183,31 @@ def _target(spec: CylinderSpec, kind: EvalKind):
     nu, lift = spec.nu, spec.delta / math.pi + 0.5
     cos, sin = math.cos(spec.delta), math.sin(spec.delta)
     derivative = kind is EvalKind.DERIVATIVE
+    pi, pi2, nn = math.pi, math.pi * math.pi, nu * nu
+    atan2, acos, sqrt = math.atan2, math.acos, math.sqrt
+    offset = 0.25 if derivative else -0.25  # the Debye term's constant, in units of pi
 
     def phase(x):
-        h, hp = _cyl(nu, 0.0, x, h=True)
+        h, hp = _cyl(nu, 0.0, x, True)
         j, y, jp, yp = h.real, h.imag, hp.real, hp.imag
-        re, im = (jp, yp) if derivative else (j, y)
-        g = 1.0 - (nu / x) ** 2 if derivative else 1.0
-        rate = (2.0 / (math.pi * math.pi * x)) * g
-        t = math.atan2(im, re) / math.pi
-        est = 0.25 if derivative else -0.25  # the Debye term, in units of pi
+        if derivative:
+            re, im, g = jp, yp, 1.0 - (nu / x) ** 2
+        else:
+            re, im, g = j, y, 1.0
+        t = atan2(im, re) / pi
+        est = offset
         if x > nu:
-            est += (math.sqrt(x * x - nu * nu) - nu * math.acos(nu / x)) / math.pi
+            est += (sqrt(x * x - nn) - nu * acos(nu / x)) / pi
         t += 2.0 * round(0.5 * (est - t))
         hh = re * re + im * im
         dot = (j * jp + y * yp) / hh
         if not derivative:
             kappa = -0.5 / x - dot
         elif g:
-            kappa = 0.5 / x + g * dot + nu * nu / (x * x * x * g)
+            kappa = 0.5 / x + g * dot + nn / (x * x * x * g)
         else:
             kappa = 0.0
-        return t + lift, rate / hh, (cos * re - sin * im) / math.sqrt(hh), kappa
+        return t + lift, (2.0 / (pi2 * x)) * g / hh, (cos * re - sin * im) / sqrt(hh), kappa
 
     return phase
 
@@ -220,18 +232,18 @@ def _newton_bound(nu, derivative, x, s, kappa, dw):
     return 1.06 * (abs(kappa) + 2.5 * r * c * c) * s * s
 
 
-def _refine(phase, m, x, a, b, bound=None):
+def _refine(phase, m, x, a, b, nu=None, derivative=False):
     # Newton on u(x) = m from x, u - m changing sign once between a (u < m)
     # and b (u > m), in either order; a step that leaves the bracket bisects
     # it.  Near m, u - m is read from f/|H| (module docstring), except where
     # |H|^2 overflows: there u' = 0 and f/|H| reads 0.  Ends on a step below
-    # REL_TOL, or, with bound(x, step, kappa, u'), on one whose certified
-    # Newton error is below u's rounding.  Returns the zero, the tolerance
-    # achieved and the last (x, u, u', kappa).
+    # REL_TOL, or, given the walk's nu and kind, on one whose certified
+    # Newton error (_newton_bound) is below u's rounding.  Returns the zero,
+    # the tolerance achieved and the last (x, u, u', kappa).
     for _ in range(_MAX_ITER):
         w, dw, s, k = phase(x)
         e = w - m
-        if abs(e) < 0.25 and dw:
+        if -0.25 < e < 0.25 and dw:
             e = math.asin(-s if m & 1 else s) / math.pi
         if e < 0.0:
             a = x
@@ -239,13 +251,13 @@ def _refine(phase, m, x, a, b, bound=None):
             b = x
         step = e / dw if dw else math.inf
         xn = x - step
-        scale = max(1.0, x)
+        scale = x if x > 1.0 else 1.0
         if abs(step) > REL_TOL * scale:
-            if not min(a, b) < xn < max(a, b):
+            if not (a < xn < b or b < xn < a):
                 xn = 0.5 * (a + b)
-            elif bound is not None and bound(x, step, k, dw) <= _ROUNDING * scale:
+            elif nu is not None and _newton_bound(nu, derivative, x, step, k, dw) <= _ROUNDING * scale:
                 return xn, REL_TOL, (x, w, dw, k)
-            if abs(xn - x) > REL_TOL * max(1.0, xn):
+            if abs(xn - x) > REL_TOL * (xn if xn > 1.0 else 1.0):
                 x = xn
                 continue
         return xn, REL_TOL, (x, w, dw, k)
@@ -322,6 +334,24 @@ def _debye(nu, t):
             return x
 
 
+def _debye2(nu, t, a, b):
+    # the root x > nu of the two-term Debye phase of the module docstring =
+    # t, by Newton from _debye's one-term root; a step that would cross nu
+    # halves the distance to nu instead.  Near nu the left side is not
+    # convex, for C' not monotone, so the steps are capped
+    x, n2 = _debye(nu, t), nu * nu
+    for _ in range(8):
+        r2 = (x - nu) * (x + nu)
+        r = math.sqrt(r2)
+        g = (a + b * n2 / r2) / (8.0 * r2)  # the second term is r (g - b nu^2/(12 r^4)), its slope -x g/r
+        step = (r - nu * math.atan2(r, nu) + r * (g - b * n2 / (12.0 * r2 * r2)) - t) / (r / x - x * g / r)
+        xn = x - step if x - step > nu else 0.5 * (x + nu)
+        if abs(xn - x) <= 1e-12 * x:
+            return xn
+        x = xn
+    return x
+
+
 def _hermite(x0, u0, d0, k0, x1, u1, d1, k1, m):
     # x(m) on the quintic Hermite interpolant of the inverse phase x(u)
     # through two passes (x, u, u', kappa), where x' = 1/u' and x''/2 =
@@ -348,24 +378,31 @@ def _zeros(spec: CylinderSpec, kind: EvalKind):
     if _below(spec, kind, x):
         yield _origin(spec, kind, x)
     w, dw, s, k = phase(x)
-    bound = partial(_newton_bound, nu, derivative)
     omega = 0.25 - 0.5 * nu + delta / math.pi + (0.5 if derivative else 0.0)
     first = _level(w, s) + 1
-    t = math.pi * (first - omega - 0.5 * nu)  # the Debye term at the first zero
+    a, b = (3.0, 7.0) if derivative else (-1.0, -5.0)  # Debye's second term, DLMF 10.19.6, 10.19.8
     before = None  # the last pass of the zero before the one before m
     for m in count(first):
         # the bracket of the module docstring, past x = 400 only for a request beyond the box
-        lo, hi = sorted((x + math.pi * (m - w), math.pi * (m - omega)))
-        lo = max(lo, x)
+        lo, hi = x + math.pi * (m - w), math.pi * (m - omega)
+        if hi < lo:
+            lo, hi = hi, lo
+        if lo < x:
+            lo = x
         seed = hi
-        if m == first and t > 0.0:
-            seed = _debye(nu, t)
+        t = math.pi * (m - omega - 0.5 * nu)  # the Debye term at m
+        if m - first < 3 and t > 0.0:
+            seed = _debye2(nu, t, a, b)
         elif before and before[2] > 0.0 and dw > 0.0:
             seed = _hermite(*before, x, w, dw, k, m)
         elif dw > 0.0:  # u(x + d) = w + u' (d + kappa d^2) = m, to second order
             s0 = (m - w) / dw
             seed = x + (s0 - k * s0 * s0)
-        z, tol, last = _refine(phase, m, min(max(seed, lo), hi), lo, hi, bound)
+        if seed < lo:
+            seed = lo
+        if seed > hi:
+            seed = hi
+        z, tol, last = _refine(phase, m, seed, lo, hi, nu, derivative)
         before = None if m == first else (x, w, dw, k)
         x, w, dw, k = last
         yield z, tol
@@ -381,11 +418,15 @@ def _count(n, rule):
 
 @lru_cache(maxsize=4096)
 def _find_zeros_cached(spec: CylinderSpec, kind: EvalKind, n: int):
-    walk = takewhile(lambda zt: zt[0] <= X_MAX, _zeros(spec, kind))  # (zero, relative tolerance achieved)
-    zeros, tols = zip(*(zt for _, zt in zip(range(n), walk)))  # islice refuses n > sys.maxsize
-    if len(zeros) < n:
-        raise DomainError(f"n={n} zeros at nu={spec.nu:g} would leave the box x <= {X_MAX:g}")
-    return zeros, max(REL_TOL, *tols)
+    zeros, worst = [], REL_TOL  # the zeros, and the worst relative tolerance achieved
+    for z, tol in _zeros(spec, kind):  # an endless walk: it leaves the box first
+        if z > X_MAX:
+            raise DomainError(f"n={n} zeros at nu={spec.nu:g} would leave the box x <= {X_MAX:g}")
+        zeros.append(z)
+        if tol > worst:
+            worst = tol
+        if len(zeros) == n:
+            return tuple(zeros), worst
 
 
 def find_zeros(spec: CylinderSpec, kind: EvalKind, n: int) -> ZeroSequence:

@@ -94,6 +94,12 @@ class TestZerosCold:
         passes = sum(by_n[n] * z for n, z in found.items())
         assert passes == pytest.approx(counts["phase_passes_per_zero"] * counts["zeros"]) and passes >= 1
         assert counts["cyl_calls_per_zero"] > 0
+        # by the index of the zero above the start: every zero, and every pass, in one group
+        by_index, found = counts["phase_passes_per_zero_by_index"], counts["zeros_by_index"]
+        assert list(by_index) == ["1", "2", "3", "4-12", "13-"][:len(by_index)] and by_index["1"] >= 1
+        assert list(found) == [*by_index, "below the start"]
+        assert sum(found.values()) == counts["zeros"]
+        assert sum(by_index[g] * found[g] for g in by_index) == pytest.approx(passes)
 
     def test_a_failing_child_fails_the_script(self, monkeypatch, tmp_path, capsys):
         monkeypatch.setattr(corpus, "CORPUS", ("",))

@@ -143,3 +143,34 @@ class TestFailure:
         assert [run["returncode"] for run in entry["runs"]["zeros-cold"]] == [2, 2]
         first = capsys.readouterr().out.splitlines()[0]
         assert first.startswith("empty: ") and "zeros_cold_hash" in first
+
+
+class TestOrder:
+    def test_tier1_runs_twice_per_checkout_in_the_order_a_b_b_a(self, tmp_path, monkeypatch):
+        # after the timing loop, the slow maps run once per checkout, then
+        # tier-1 A B B A, so that a slow spell of the machine falls on both;
+        # each checkout keeps both tier-1 runs in the order they ran
+        calls = []
+
+        def stub(what):
+            def run(root):
+                calls.append((what, root))
+                return {"wall_s": float(len(calls))}
+
+            return run
+
+        monkeypatch.setattr(record, "slow_maps", stub("slow_maps"))
+        monkeypatch.setattr(record, "tier1", stub("tier1"))
+        monkeypatch.setattr(corpus, "zeros_cold", lambda root: {})
+        roots = {name: tmp_path / name for name in ("a", "b")}
+        for root in roots.values():
+            root.mkdir()
+        out = tmp_path / "bench.json"
+        argv = [arg for name, root in roots.items() for arg in ("--checkout", f"{name}={root}")]
+        argv += ["--workloads", "zeros-cold", "--seeds", "1", "--seconds", "0.1", "--out", str(out)]
+        assert record.main(argv) == 0
+        a, b = str(roots["a"]), str(roots["b"])
+        assert calls == [("slow_maps", a), ("slow_maps", b), ("tier1", a), ("tier1", b), ("tier1", b), ("tier1", a)]
+        got = json.loads(out.read_text(encoding="utf-8"))["checkouts"]
+        assert got["a"]["tier1"] == [{"wall_s": 3.0}, {"wall_s": 6.0}]
+        assert got["b"]["tier1"] == [{"wall_s": 4.0}, {"wall_s": 5.0}]

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 
 import mpmath as mp
 import pytest
@@ -227,6 +228,23 @@ class TestAccuracyContract:
             self._check_or_overflow(
                 lambda: cylinder_and_prime(spec, x)[1], oracle_cylinder_prime(nu, delta, x)
             )
+
+    def test_derivative_where_j_underflows(self):
+        # J'_nu is nu/x times larger than J_nu as x -> 0: on 13 orders from 0
+        # to 2.4 and x = 1e-150 to 1e-300, it keeps 1e-9 relative wherever
+        # it is a normal double, J underflowing or not (J'_2.4(1e-150) =
+        # 1.5253e-211 read 0, and J'_1.4(1e-230) 3.95e-93 for 4.27e-93)
+        checked = 0
+        for nu in (0.2 * i for i in range(13)):
+            spec = CylinderSpec.of(nu, 0.0)
+            for k in range(150, 301, 10):
+                x = 10.0 ** -k
+                ref = float(oracle_cylinder_prime(nu, 0, x))
+                if sys.float_info.min <= abs(ref) <= sys.float_info.max:
+                    got = cylinder_and_prime(spec, x)[1]
+                    assert abs(got - ref) <= 1e-9 * abs(ref), (nu, x, got, ref)
+                    checked += 1
+        assert checked >= 150
 
     def test_half_integer_orders_at_half_pi(self):
         # mu = nu - round(nu) = -1/2, and J_{-1/2}(x) = sqrt(2/(pi x)) cos x

@@ -439,19 +439,56 @@ class TestPassCount:
             find_zeros(_spec(30.0 * rng.random(), d), kind, 1)
         assert calls[0] <= 4.5 * 300
 
+    def test_phase_passes_for_the_first_three_zeros(self, monkeypatch):
+        # the first three zeros above the start, seeded from the two-term
+        # Debye phase, nearest the turning point: their passes per request,
+        # the start pass included, on a seeded block with the zeros-cold mix
+        # (J, Y and a mixed angle, C and C')
+        calls = self._count_phase(monkeypatch)
+        walked, early = [0], [0]
+        refine = zeros._refine
+
+        def counted_refine(phase, m, *args):
+            out = refine(phase, m, *args)
+            walked[0] += m > 0  # _origin refines at m = 0
+            if m > 0 and walked[0] == 3:
+                early[0] += calls[0]
+            return out
+
+        monkeypatch.setattr(zeros, "_refine", counted_refine)
+        zeros._find_zeros_cached.cache_clear()
+        rng = random.Random(20261027)
+        requests = 0
+        for _ in range(50):
+            for delta in (0.0, math.pi / 2, None):
+                for kind in EvalKind:
+                    d = math.pi * rng.random() if delta is None else delta
+                    calls[0] = walked[0] = 0
+                    find_zeros(_spec(30.0 * rng.random(), d), kind, 6)
+                    requests += 1
+        assert early[0] <= 9.0 * requests
+
     def test_seed_fallbacks_reach_1e_12(self, monkeypatch):
         # requests that reach the second-order seed or the bracket's top: C'
         # started at x = nu, where u' = 0; nu < 1/2, started at x = 1e-6; C
         # at delta -> pi-; n = 2, where no zero has two before it; first
-        # zeros where the Debye equation's right side is not positive
-        debye = [0]
-        fn = zeros._debye
+        # zeros where the Debye equation's right side is not positive.  The
+        # first three zeros above the start are all seeded from the Debye
+        # phase, so only the first zero's call counts: the one made before
+        # the walk's first _refine (m >= 1; _origin refines at m = 0)
+        debye, walked = [0], [False]
+        fn, refine = zeros._debye, zeros._refine
 
         def counted(nu, t):
-            debye[0] += 1
+            debye[0] += not walked[0]
             return fn(nu, t)
 
+        def counted_refine(phase, m, *args):
+            walked[0] = walked[0] or m > 0
+            return refine(phase, m, *args)
+
         monkeypatch.setattr(zeros, "_debye", counted)
+        monkeypatch.setattr(zeros, "_refine", counted_refine)
         zeros._find_zeros_cached.cache_clear()
         rng = random.Random(20261024)
         requests = []
@@ -465,6 +502,7 @@ class TestPassCount:
             ]
         for nu, delta, kind, n in requests:
             spec = _spec(nu, delta)
+            walked[0] = False
             f = oracle_cylinder if kind is EvalKind.FUNCTION else oracle_cylinder_prime
             for z in find_zeros(spec, kind, n):
                 if z > max(spec.nu, zeros._START):
