@@ -12,10 +12,14 @@ a slow spell of the machine falls on both.  After the timing loop the slow
 maps run once per checkout, one checkout after the other, and tier-1 twice
 per checkout, in the order A B B A.
 
-Before the timing loop, each checkout's commit, its `src/` line count and
-its zeros-cold walk are taken and printed, so that a child that fails shows
-in the first seconds; a failure is kept in the file, not raised.  The file
-holds, besides the machine and the arguments:
+Before anything runs, the script exits 1, naming the folders, if any
+checkout's `src/` holds a `__pycache__`: bytecode that a checkout brings with
+it would spare its set-up runs and CLI processes the compile that a clean
+checkout pays.  Then each checkout's commit, its `src/` line count and its
+zeros-cold walk are taken and printed, so that a child that fails shows in
+the first seconds; a failure is kept in the file, not raised.  The file
+holds, besides the machine, the arguments and `no_pycache_under_src` (the
+check above, passed):
 
 - `checkouts.NAME.runs`: every run's JSON line with its seed and trace mode;
   a run that exits non-zero keeps its exit status and the end of its stderr;
@@ -113,6 +117,12 @@ def src_lines(root: str) -> int:
     return total
 
 
+def pycache(root: str) -> list:
+    # every __pycache__ folder under the checkout's src/
+    return [os.path.join(folder, "__pycache__") for folder, dirs, _ in os.walk(os.path.join(root, "src"))
+            if "__pycache__" in dirs]
+
+
 def commit(root: str):
     out = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root, capture_output=True, text=True)
     return out.stdout.strip() if out.returncode == 0 else None
@@ -159,12 +169,17 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     roots = dict(spec.split("=", 1) for spec in args.checkout)
     names = list(roots)
+    stale = [path for root in roots.values() for path in pycache(root)]
+    if stale:
+        print("bytecode under a checkout's src/, remove it before timing: " + ", ".join(stale), file=sys.stderr)
+        return 1
     record = {
         "harness": "bench/record.py",
         "checkout_order": names,
         "machine": {"nproc": os.cpu_count(), "python": platform.python_version(), "platform": platform.platform()},
         "seconds": args.seconds,
         "seeds": args.seeds,
+        "no_pycache_under_src": True,
         "checkouts": {},
     }
     for n, root in roots.items():

@@ -31,22 +31,31 @@ for C, and with H'' = -H'/x - (1 - nu^2/x^2) H, 1/x + 2 (1 - nu^2/x^2)
 Re(conj(H') H)/|H'|^2 + (2 nu^2/x^3)/(1 - nu^2/x^2) for C', undefined at x =
 nu, where phi' = 0 (and there it is neither seed nor halt).  The inverse phase
 x(u) is nonoscillatory and smooth, and a pass gives x' = 1/u' and x'' = -2
-kappa/u'^2 on it.  So each zero from the fourth on is seeded at u = m on the
-quintic Hermite interpolant of x(u) through the last passes of the two zeros
-before.  The first three zeros above the start, nearest the turning point, are
-seeded from the Debye expansions (DLMF 10.19.6, 10.19.8) to their second term,
-at the root x > nu of sqrt(x^2 - nu^2) - nu arccos(nu/x) + a/(8r) + b nu^2/(24
-r^3) = pi (m - omega - nu/2), r = sqrt(x^2 - nu^2), with (a, b) = (-1, -5) for
-C and (3, 7) for C' (the U_1 and V_1 terms; at large x they give the (mu -
-1)/(8x) of DLMF 10.18.18 and the (mu + 3)/(8x) of 10.18.21, mu = 4 nu^2), if
-that right side is positive.  Newton reaches it from the root of the first
-term alone, whose left side is convex and increasing; the second term's is
-neither near nu (for C' it falls there first), so its steps are kept right of
-nu and capped.  A zero among the three whose right side is not positive is
-seeded as it would be without them: the third on the Hermite interpolant, the
-first two from the last pass at x + s0 - kappa s0^2, s0 = (m - u)/u', the root
-of u + u' (d + kappa d^2) = m to second order, or at the bracket's top where
-u' = 0.  Every seed is clamped to the bracket.  Newton from x ends on x - s
+kappa/u'^2 on it.  So each zero from the 13th above the start on is seeded at
+u = m on the quintic Hermite interpolant of x(u) through the last passes of
+the two zeros before.  Nearer the turning point x = nu, where the interpolant
+misses by a median 3e-4 relative at the 4th zero, the first twelve are seeded
+from the Debye expansions (DLMF 10.19.6, 10.19.8): with r = sqrt(x^2 - nu^2),
+H ~ A exp(i (r - nu arccos(nu/x) - pi/4)) S, S = sum_k U_k(p)/nu^k at p = -i
+nu/r (V_k for H', whose phase adds pi/2), U_k and V_k the polynomials of DLMF
+10.41.10-11.  In y = 1/r and q = nu^2/r^2, and through U_3 (V_3), Im S = y (a0
++ a1 q)/24 + y^3 (b0 + b1 q + b2 q^2 + b3 q^3)/414720 and Re S = 1 + y^2 (c0 +
+c1 q + c2 q^2)/1152, the integers in _DEBYE, so nu = 0 is no special case.
+The zero at u = m is seeded at the root x > nu of r - nu arccos(nu/x) + arg S
+= pi (m - omega - nu/2).  For zeros 2 to 12 Newton starts from the last pass
+at x + s0 - kappa s0^2, s0 = (m - u)/u', the root of u + u' (d + kappa d^2) =
+m to second order, and its last step takes the first term's curvature once
+what that leaves is below 2e-10 x: the model's error is 3e-8 relative at the
+4th zero and 4e-11 at the 12th.  The first zero takes S to its U_1 (V_1) term
+alone, whose arg is the (mu - 1)/(8x) of DLMF 10.18.18 (the (mu + 3)/(8x) of
+10.18.21, mu = 4 nu^2) at large x: through U_3 it took more passes for C' next
+to nu.  It starts from the root of the first term alone (_debye), whose left
+side is convex and increasing.  Near nu the left side is neither (for C' the
+first term's falls there first), so the steps are kept right of nu and capped,
+and a search that runs out of them returns the one-term root.  A first zero
+whose right side is not positive is seeded from the start pass at x + s0 -
+kappa s0^2, or at the bracket's top where u' = 0.  Every seed is clamped to
+the bracket.  Newton from x ends on x - s
 once the step s falls below REL_TOL max(1, x).  It ends on a larger step,
 without the pass that would confirm it, when a certified bound on the Newton
 error |z - (x - s)| is below u's rounding, 2e-16 max(1, x).  The bound: with w
@@ -334,22 +343,44 @@ def _debye(nu, t):
             return x
 
 
-def _debye2(nu, t, a, b):
-    # the root x > nu of the two-term Debye phase of the module docstring =
-    # t, by Newton from _debye's one-term root; a step that would cross nu
-    # halves the distance to nu instead.  Near nu the left side is not
-    # convex, for C' not monotone, so the steps are capped
-    x, n2 = _debye(nu, t), nu * nu
+# Debye's S through U_3 for C and V_3 for C' (module docstring), as its
+# integers ((a0, a1), (c0, c1, c2), (b0, b1, b2, b3)) over 24, 1152 and 414720
+_DEBYE = {
+    False: ((-3, -5), (-81, -462, -385), (30375, 369603, 765765, 425425)),
+    True: ((9, 7), (135, 594, 455), (-42525, -451737, -883575, -475475)),
+}
+
+
+def _debye2(nu, t, terms, x=None):
+    # the root x > nu of r - nu atan2(r, nu) + arg S = t (module docstring),
+    # S through the given terms, by Newton from x, or from _debye's one-term
+    # root; a step that would cross nu halves the distance to nu instead.
+    # The last step s takes the first term's curvature, x - s - q s^2/(2x)
+    # (its F''/F' is q/x), once what that leaves, about (q^2 |s|/x + y^2)
+    # s^2/x (y^2 for the later terms' curvature), is below 2e-10 x, under
+    # the model's own error; a search that runs out of steps returns _debye's
+    # root
+    root = _debye(nu, t) if x is None else None
+    x = root or x
+    (a0, a1), (c0, c1, c2), (b0, b1, b2, b3) = terms
+    n2, atan2 = nu * nu, math.atan2
     for _ in range(8):
-        r2 = (x - nu) * (x + nu)
-        r = math.sqrt(r2)
-        g = (a + b * n2 / r2) / (8.0 * r2)  # the second term is r (g - b nu^2/(12 r^4)), its slope -x g/r
-        step = (r - nu * math.atan2(r, nu) + r * (g - b * n2 / (12.0 * r2 * r2)) - t) / (r / x - x * g / r)
+        r = math.sqrt((x - nu) * (x + nu))
+        y = 1.0 / r
+        yy = y * y
+        q = n2 * yy
+        im = y * ((a0 + a1 * q) / 24.0 + yy * (b0 + q * (b1 + q * (b2 + q * b3))) / 414720.0)
+        re = 1.0 + yy * (c0 + q * (c1 + q * c2)) / 1152.0
+        # their slopes in y, where dy/dx = -x y^3
+        di = (a0 + 3 * a1 * q) / 24.0 + yy * (3 * b0 + q * (5 * b1 + q * (7 * b2 + 9 * b3 * q))) / 414720.0
+        dr = y * (2 * c0 + q * (4 * c1 + 6 * c2 * q)) / 1152.0
+        slope = r / x - x * y * yy * (re * di - im * dr) / (re * re + im * im)
+        step = (r - nu * atan2(r, nu) + atan2(im, re) - t) / slope
+        if (q * q * abs(step) / x + yy) * step * step <= 2e-10 * x * x:
+            return x - step - 0.5 * q * step * step / x
         xn = x - step if x - step > nu else 0.5 * (x + nu)
-        if abs(xn - x) <= 1e-12 * x:
-            return xn
         x = xn
-    return x
+    return root or _debye(nu, t)
 
 
 def _hermite(x0, u0, d0, k0, x1, u1, d1, k1, m):
@@ -380,7 +411,8 @@ def _zeros(spec: CylinderSpec, kind: EvalKind):
     w, dw, s, k = phase(x)
     omega = 0.25 - 0.5 * nu + delta / math.pi + (0.5 if derivative else 0.0)
     first = _level(w, s) + 1
-    a, b = (3.0, 7.0) if derivative else (-1.0, -5.0)  # Debye's second term, DLMF 10.19.6, 10.19.8
+    three = _DEBYE[derivative]
+    two = (three[0], (0, 0, 0), (0, 0, 0, 0))  # the first zero's, to the U_1 (V_1) term
     before = None  # the last pass of the zero before the one before m
     for m in count(first):
         # the bracket of the module docstring, past x = 400 only for a request beyond the box
@@ -391,19 +423,21 @@ def _zeros(spec: CylinderSpec, kind: EvalKind):
             lo = x
         seed = hi
         t = math.pi * (m - omega - 0.5 * nu)  # the Debye term at m
-        if m - first < 3 and t > 0.0:
-            seed = _debye2(nu, t, a, b)
-        elif before and before[2] > 0.0 and dw > 0.0:
+        if m - first >= 12 and before[2] > 0.0 and dw > 0.0:
             seed = _hermite(*before, x, w, dw, k, m)
+        elif m == first and t > 0.0:
+            seed = _debye2(nu, t, two)
         elif dw > 0.0:  # u(x + d) = w + u' (d + kappa d^2) = m, to second order
             s0 = (m - w) / dw
             seed = x + (s0 - k * s0 * s0)
+            if m - first < 12 and t > 0.0:
+                seed = _debye2(nu, t, three, seed if seed > nu else None)
         if seed < lo:
             seed = lo
         if seed > hi:
             seed = hi
         z, tol, last = _refine(phase, m, seed, lo, hi, nu, derivative)
-        before = None if m == first else (x, w, dw, k)
+        before = x, w, dw, k
         x, w, dw, k = last
         yield z, tol
 

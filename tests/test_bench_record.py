@@ -1,7 +1,8 @@
 """The BENCH recorder's summary rule, on synthetic runs: medians, quartiles and
 per-seed wins against the base checkout, each metric's direction read from
-BENCHMARK.json; its reading of the slow maps' worst-case lines; and what it
-keeps of a child that fails.  No benchmark or map is run."""
+BENCHMARK.json; its reading of the slow maps' worst-case lines; what it
+keeps of a child that fails; and its refusal of a checkout with bytecode under
+`src/`.  No benchmark or map is run."""
 
 import json
 import sys
@@ -174,3 +175,38 @@ class TestOrder:
         got = json.loads(out.read_text(encoding="utf-8"))["checkouts"]
         assert got["a"]["tier1"] == [{"wall_s": 3.0}, {"wall_s": 6.0}]
         assert got["b"]["tier1"] == [{"wall_s": 4.0}, {"wall_s": 5.0}]
+
+
+class TestBytecode:
+    @staticmethod
+    def _main(tmp_path, monkeypatch, roots):
+        # record.main on the given checkouts, every child stubbed: the calls it made, and its file or None
+        calls = []
+        monkeypatch.setattr(corpus, "zeros_cold", lambda root: calls.append(("zeros_cold", root)) or {})
+        monkeypatch.setattr(record, "bench_run", lambda root, *args: calls.append(("bench_run", root)) or {})
+        monkeypatch.setattr(record, "slow_maps", lambda root: calls.append(("slow_maps", root)) or {})
+        monkeypatch.setattr(record, "tier1", lambda root: calls.append(("tier1", root)) or {})
+        out = tmp_path / "bench.json"
+        argv = [arg for name, root in roots.items() for arg in ("--checkout", f"{name}={root}")]
+        argv += ["--workloads", "zeros-cold", "--seeds", "1", "--out", str(out)]
+        code = record.main(argv)
+        return code, calls, json.loads(out.read_text(encoding="utf-8")) if out.exists() else None
+
+    def test_a_checkout_with_bytecode_under_src_is_refused_before_any_run(self, tmp_path, monkeypatch, capsys):
+        # bytecode that a checkout brings with it spares its runs the compile:
+        # exit 1, naming the folder, before any child runs and with no file
+        roots = {name: tmp_path / name for name in ("parent", "change")}
+        (roots["parent"] / "src" / "cylfn").mkdir(parents=True)
+        stale = roots["change"] / "src" / "cylfn" / "__pycache__"
+        stale.mkdir(parents=True)
+        code, calls, written = self._main(tmp_path, monkeypatch, roots)
+        assert (code, calls, written) == (1, [], None)
+        assert str(stale) in capsys.readouterr().err
+
+    def test_the_file_records_the_check(self, tmp_path, monkeypatch):
+        roots = {name: tmp_path / name for name in ("parent", "change")}
+        for root in roots.values():
+            (root / "src" / "cylfn").mkdir(parents=True)
+        code, calls, written = self._main(tmp_path, monkeypatch, roots)
+        assert code == 0 and calls[0] == ("zeros_cold", str(roots["parent"]))
+        assert written["no_pycache_under_src"] is True

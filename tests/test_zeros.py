@@ -3,6 +3,7 @@
 import bisect
 import math
 import random
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
@@ -425,7 +426,70 @@ class TestPassCount:
                 for kind in EvalKind:
                     d = math.pi * rng.random() if delta is None else delta
                     found += len(find_zeros(_spec(30.0 * rng.random(), d), kind, n))
-        assert calls[0] <= 1.5 * found
+        assert calls[0] <= 1.2 * found
+
+    def _passes_by_index(self, monkeypatch):
+        # the walk's zeros (m >= 1; _origin refines at m = 0) by their index
+        # above the start: {index: [phase passes of each such zero]}, the
+        # start pass with the first; zero walked and calls before each request
+        calls = self._count_phase(monkeypatch)
+        walked, passes = [0], {}
+        refine = zeros._refine
+
+        def counted_refine(phase, m, *args):
+            out = refine(phase, m, *args)
+            if m > 0:
+                walked[0] += 1
+                passes.setdefault(walked[0], []).append(calls[0])
+                calls[0] = 0
+            return out
+
+        monkeypatch.setattr(zeros, "_refine", counted_refine)
+        return calls, walked, passes
+
+    def test_phase_passes_for_the_4th_to_12th_zeros(self, monkeypatch):
+        # the 4th to 12th zeros above the start, seeded from the Debye phase
+        # through its U_3 (V_3) term, where the Hermite interpolant misses by
+        # up to 3e-4 relative: passes per zero on a seeded n = 20 block with
+        # the zeros-cold mix (J, Y and a mixed angle, C and C')
+        calls, walked, passes = self._passes_by_index(monkeypatch)
+        zeros._find_zeros_cached.cache_clear()
+        rng = random.Random(20261031)
+        for _ in range(20):
+            for delta in (0.0, math.pi / 2, None):
+                for kind in EvalKind:
+                    d = math.pi * rng.random() if delta is None else delta
+                    calls[0] = walked[0] = 0
+                    find_zeros(_spec(30.0 * rng.random(), d), kind, 20)
+        block = [p for i in range(4, 13) for p in passes[i]]
+        assert len(block) >= 9 * 100
+        assert sum(block) <= 1.2 * len(block)
+
+    def test_capped_debye_search_returns_the_one_term_root(self, monkeypatch):
+        # C' first zeros above the start whose Debye right side t = pi (m -
+        # omega - nu/2) lies in (0.3, 0.9): there the two-term equation has
+        # no root for most, and a search that runs out of its steps returns
+        # _debye's one-term root.  Their passes, start pass included, are no
+        # more than with that root as the seed
+        calls, walked, passes = self._passes_by_index(monkeypatch)
+        rng = random.Random(20261032)
+        requests = []
+        for _ in range(200):
+            t = rng.uniform(0.3, 0.9)  # at m = 1 where t < pi/4, else at m = 2
+            requests.append((rng.uniform(1.0, 30.0), (math.pi / 4 - t) % math.pi))
+
+        def first_passes():
+            zeros._find_zeros_cached.cache_clear()
+            passes.clear()
+            for nu, delta in requests:
+                calls[0] = walked[0] = 0
+                find_zeros(_spec(nu, delta), EvalKind.DERIVATIVE, 3)
+            return sum(passes[1])
+
+        seeded = first_passes()
+        monkeypatch.setattr(zeros, "_debye2", lambda nu, t, *_: zeros._debye(nu, t))
+        assert len(passes[1]) == len(requests)
+        assert seeded <= first_passes()
 
     @pytest.mark.parametrize("kind", tuple(EvalKind))
     def test_phase_passes_for_the_first_zero(self, monkeypatch, kind):
@@ -472,10 +536,10 @@ class TestPassCount:
         # requests that reach the second-order seed or the bracket's top: C'
         # started at x = nu, where u' = 0; nu < 1/2, started at x = 1e-6; C
         # at delta -> pi-; n = 2, where no zero has two before it; first
-        # zeros where the Debye equation's right side is not positive.  The
-        # first three zeros above the start are all seeded from the Debye
-        # phase, so only the first zero's call counts: the one made before
-        # the walk's first _refine (m >= 1; _origin refines at m = 0)
+        # zeros where the Debye equation's right side is not positive.  Only
+        # the first zero's call counts, the one made before the walk's first
+        # _refine (m >= 1; _origin refines at m = 0): the next eleven zeros
+        # call _debye where their own Debye search falls back to it
         debye, walked = [0], [False]
         fn, refine = zeros._debye, zeros._refine
 
@@ -653,6 +717,72 @@ class TestPassCount:
                 assert calls[0] == 1
                 below += 1
         assert below >= 45
+
+
+def _debye_polynomials(k_max):
+    # U_k and V_k of DLMF 10.41.10-11, k <= k_max, as {power of p: Fraction}:
+    # U_{k+1} = p^2 (1 - p^2) U_k'/2 + (1/8) int_0^p (1 - 5t^2) U_k(t) dt and
+    # V_{k+1} = U_{k+1} - p (1 - p^2) U_k/2 - p^2 (1 - p^2) U_k', U_0 = V_0 = 1
+    us, vs = [{0: Fraction(1)}], [{0: Fraction(1)}]
+    for _ in range(k_max):
+        u = us[-1]
+        du = {j - 1: j * c for j, c in u.items() if j}
+        terms = [(j + 2, c / 2) for j, c in du.items()] + [(j + 4, -c / 2) for j, c in du.items()]
+        terms += [(j + 1, c / (8 * (j + 1))) for j, c in u.items()] + [(j + 3, -5 * c / (8 * (j + 3))) for j, c in u.items()]
+        un = {}
+        for j, c in terms:
+            un[j] = un.get(j, 0) + c
+        vn = dict(un)
+        for j, c in [(j + 1, -c / 2) for j, c in u.items()] + [(j + 3, c / 2) for j, c in u.items()] + \
+                [(j + 2, -c) for j, c in du.items()] + [(j + 4, c) for j, c in du.items()]:
+            vn[j] = vn.get(j, 0) + c
+        us.append({j: c for j, c in un.items() if c})
+        vs.append({j: c for j, c in vn.items() if c})
+    return us, vs
+
+
+class TestDebyeSeed:
+    def test_the_polynomials_as_dlmf_lists_them(self):
+        us, vs = _debye_polynomials(3)
+        assert us[1] == {1: Fraction(3, 24), 3: Fraction(-5, 24)}
+        assert vs[1] == {1: Fraction(-9, 24), 3: Fraction(7, 24)}
+        assert us[2] == {2: Fraction(81, 1152), 4: Fraction(-462, 1152), 6: Fraction(385, 1152)}
+        assert vs[3][9] == Fraction(475475, 414720)
+
+    @pytest.mark.parametrize("kind", tuple(EvalKind))
+    def test_the_seed_constants_are_debyes_terms(self, kind):
+        # S = sum_k U_k(p)/nu^k (V_k for C') at p = -i nu/r: the k-th term is
+        # y^k times sum_l c_{k+2l} (-i)^(k+2l) q^l, y = 1/r and q = nu^2/r^2,
+        # imaginary for odd k, real for even; zeros.py keeps its integers
+        # over 24, 1152 and 414720 (425425/414720 is 85085/82944)
+        us, vs = _debye_polynomials(3)
+        polys = vs if kind is EvalKind.DERIVATIVE else us
+        sign = (1, -1, -1, 1)  # the real part of (-i)^j for even j, its imaginary part for odd j, by j mod 4
+        table = zeros._DEBYE[kind is EvalKind.DERIVATIVE]
+        for k, over, ints in zip((1, 2, 3), (24, 1152, 414720), table):
+            expect = [sign[(k + 2 * l) % 4] * polys[k].get(k + 2 * l, 0) for l in range(k + 1)]
+            assert [Fraction(n, over) for n in ints] == expect, k
+        assert Fraction(425425, 414720) == Fraction(85085, 82944)
+
+    @pytest.mark.parametrize("kind", tuple(EvalKind))
+    def test_the_seed_lies_next_to_the_4th_to_12th_zeros(self, kind):
+        # the root of the Debye phase through U_3 (V_3), from the zero itself
+        # and from 1% off it: within 2e-7 relative of the 4th zero above the
+        # start and 2e-10 of the 12th, closer at each zero than at the one
+        # before (the Hermite seed misses by a median 3e-4 at the 4th)
+        derivative = kind is EvalKind.DERIVATIVE
+        for nu, delta in ((0.0, 0.0), (0.5, 2.0), (5.0, 0.3), (20.0, 1.0), (30.0, 3.0)):
+            spec = _spec(nu, delta)
+            zs = [z for z in find_zeros(spec, kind, 14) if z > max(nu, zeros._START)]
+            omega = 0.25 - 0.5 * nu + delta / math.pi + (0.5 if derivative else 0.0)
+            first = zeros._level(*zeros._target(spec, kind)(max(nu, zeros._START))[::2]) + 1
+            errors = []
+            for i in range(4, 13):
+                z, t = zs[i - 1], math.pi * (first + i - 1 - omega - 0.5 * nu)
+                seeds = (zeros._debye2(nu, t, zeros._DEBYE[derivative], x) for x in (z, 1.01 * z))
+                errors.append(max(abs(x - z) / z for x in seeds))
+            assert errors[0] <= 2e-7 and errors[-1] <= 2e-10, (nu, delta, errors)
+            assert all(b < a for a, b in zip(errors, errors[1:])), (nu, delta, errors)
 
 
 class TestCertifiedHalt:
