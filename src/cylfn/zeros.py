@@ -55,8 +55,8 @@ first term's falls there first), so the steps are kept right of nu and capped,
 and a search that runs out of them returns the one-term root.  A first zero
 whose right side is not positive is seeded from the start pass at x + s0 -
 kappa s0^2, or at the bracket's top where u' = 0.  Every seed is clamped to
-the bracket.  Newton from x ends on x - s
-once the step s falls below REL_TOL max(1, x).  It ends on a larger step,
+the bracket.  Newton from x ends on x - s once the step s falls below
+REL_TOL max(1, x).  It ends on a larger step,
 without the pass that would confirm it, when a certified bound on the Newton
 error |z - (x - s)| is below u's rounding, 2e-16 max(1, x).  The bound: with w
 = pi u', kappa = w'/(2w) obeys the Riccati equation kappa' = Q + kappa^2 - w^2

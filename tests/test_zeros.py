@@ -719,25 +719,27 @@ class TestPassCount:
         assert below >= 45
 
 
+def _polynomial(*parts):
+    # {power of p: Fraction}, the sum of the terms (j, c) = c p^j of parts
+    out = {}
+    for j, c in (term for part in parts for term in part):
+        out[j] = out.get(j, 0) + c
+    return {j: c for j, c in out.items() if c}
+
+
 def _debye_polynomials(k_max):
-    # U_k and V_k of DLMF 10.41.10-11, k <= k_max, as {power of p: Fraction}:
+    # U_k and V_k of DLMF 10.41.10-11 for k <= k_max, from U_0 = V_0 = 1:
     # U_{k+1} = p^2 (1 - p^2) U_k'/2 + (1/8) int_0^p (1 - 5t^2) U_k(t) dt and
-    # V_{k+1} = U_{k+1} - p (1 - p^2) U_k/2 - p^2 (1 - p^2) U_k', U_0 = V_0 = 1
+    # V_{k+1} = U_{k+1} - p (1 - p^2) U_k/2 - p^2 (1 - p^2) U_k'
     us, vs = [{0: Fraction(1)}], [{0: Fraction(1)}]
     for _ in range(k_max):
-        u = us[-1]
-        du = {j - 1: j * c for j, c in u.items() if j}
-        terms = [(j + 2, c / 2) for j, c in du.items()] + [(j + 4, -c / 2) for j, c in du.items()]
-        terms += [(j + 1, c / (8 * (j + 1))) for j, c in u.items()] + [(j + 3, -5 * c / (8 * (j + 3))) for j, c in u.items()]
-        un = {}
-        for j, c in terms:
-            un[j] = un.get(j, 0) + c
-        vn = dict(un)
-        for j, c in [(j + 1, -c / 2) for j, c in u.items()] + [(j + 3, c / 2) for j, c in u.items()] + \
-                [(j + 2, -c) for j, c in du.items()] + [(j + 4, c) for j, c in du.items()]:
-            vn[j] = vn.get(j, 0) + c
-        us.append({j: c for j, c in un.items() if c})
-        vs.append({j: c for j, c in vn.items() if c})
+        u = us[-1].items()
+        du = [(j - 1, j * c) for j, c in u if j]
+        un = _polynomial([(j + 2, c / 2) for j, c in du], [(j + 4, -c / 2) for j, c in du],
+                         [(j + 1, c / (8 * (j + 1))) for j, c in u], [(j + 3, -5 * c / (8 * (j + 3))) for j, c in u])
+        vs.append(_polynomial(un.items(), [(j + 1, -c / 2) for j, c in u], [(j + 3, c / 2) for j, c in u],
+                              [(j + 2, -c) for j, c in du], [(j + 4, c) for j, c in du]))
+        us.append(un)
     return us, vs
 
 
@@ -757,12 +759,11 @@ class TestDebyeSeed:
         # over 24, 1152 and 414720 (425425/414720 is 85085/82944)
         us, vs = _debye_polynomials(3)
         polys = vs if kind is EvalKind.DERIVATIVE else us
-        sign = (1, -1, -1, 1)  # the real part of (-i)^j for even j, its imaginary part for odd j, by j mod 4
+        sign = (1, -1, -1, 1)  # by j mod 4: Re (-i)^j for even j, Im (-i)^j for odd j
         table = zeros._DEBYE[kind is EvalKind.DERIVATIVE]
         for k, over, ints in zip((1, 2, 3), (24, 1152, 414720), table):
             expect = [sign[(k + 2 * l) % 4] * polys[k].get(k + 2 * l, 0) for l in range(k + 1)]
             assert [Fraction(n, over) for n in ints] == expect, k
-        assert Fraction(425425, 414720) == Fraction(85085, 82944)
 
     @pytest.mark.parametrize("kind", tuple(EvalKind))
     def test_the_seed_lies_next_to_the_4th_to_12th_zeros(self, kind):
