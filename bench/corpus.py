@@ -15,14 +15,16 @@ its place means that the outputs differ in more than their numbers.  Then
 one line per checkout gives its zeros-cold hash: the sha256 of repr((spec,
 kind, n, zeros, refined_to)) over the first HASH_REQUESTS requests of
 perfbench's `ZerosCold` at seeds 1 and 2.  An intended artifact change
-needs no data edit here, only its line in CHANGES.md.  The hash comes from
-`zeros_cold`, one child process whose walk also counts phase passes and
-`zeros._cyl` calls over seed 1's first COUNTED requests, for
-bench/record.py: per zero, per request size n, and per index of the zero
-above the start (the 1st, 2nd and 3rd, the 4th to 12th, the 13th on; the
-start pass counts with the 1st).  Its counting wrappers call through, so
-the hash cannot move with them.  A child that fails prints its exit status and the end of
-its stderr in the hash's place, and the script exits 1.
+needs no data edit here, only its line in CHANGES.md.  Beside the hash
+stand the phase passes per zero over seed 1's first COUNTED requests, in all
+and by the index of the zero above the start (the start pass counts with the
+1st).  Both come from `zeros_cold`, one child that runs this file's
+`count_walk`, the one counter of the walk, on the checkout's `src/`; for
+bench/record.py it also counts passes per request size n and `zeros._cyl`
+calls.
+Its counting wrappers call through, so the hash cannot move with them.  A
+child that fails prints its exit status and the end of its stderr in the
+hash's place, and the script exits 1.
 
 Standard library only; the zeros-cold child imports perfbench, which needs
 mpmath.
@@ -31,8 +33,11 @@ mpmath.
 from __future__ import annotations
 
 import argparse
+import hashlib
+import itertools
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -115,58 +120,88 @@ CORPUS = (
     "wronskian --nu 1 --mu 2.5 --x 1.5707963267948966",
 )
 
-ZEROS_COLD = """\
-import hashlib, json, random, sys
-import workloads
-from cylfn import zeros
-requests, counted = int(sys.argv[1]), int(sys.argv[2])
-by_n = {}  # n: [phase passes, _cyl calls, zeros] over seed 1's first `counted` requests
-by_index = {}  # the walk's i-th zero above the start, grouped: [phase passes, zeros], the start pass with the first
-below = [0]  # zeros below the start, which take no phase pass: _origin's, and x = 0 for J'_0
-row = [0, 0, 0]  # where the wrappers count: the request's row of by_n, or a row that is dropped
-walk = [0, False]  # the request's zeros above the start so far, and whether it is counted
-def at():  # the row of by_index that the walk's next zero counts in
-    i = walk[0] + 1
-    group = str(i) if i <= 3 else "4-12" if i <= 12 else "13-"
-    return by_index.setdefault(group, [0, 0]) if walk[1] else [0, 0]
-def counting(k, fn):
-    def call(*args, **kwargs):
-        row[k] += 1
-        if k == 0:
-            at()[0] += 1
-        return fn(*args, **kwargs)
-    return call
-def refining(phase, m, *args):
-    out = refine(phase, m, *args)
-    if m > 0:  # _origin refines at m = 0, the walk at m >= 1
-        at()[1] += 1
-        walk[0] += 1
-    return out
-target, refine = zeros._target, zeros._refine
-zeros._target = lambda spec, kind: counting(0, target(spec, kind))
-zeros._cyl = counting(1, zeros._cyl)
-zeros._refine = refining
-h = hashlib.sha256()
-for seed in (1, 2):
-    ops = workloads.ZerosCold(random.Random(f"zeros-cold:{seed}")).ops()
-    for i in range(requests):
-        spec, kind, n = next(ops)
-        kept = seed == 1 and i < counted
-        row = by_n.setdefault(n, [0, 0, 0]) if kept else [0, 0, 0]
-        walk[:] = 0, kept
-        seq = zeros.find_zeros(spec, kind, n)
+ZEROS_COLD = "import corpus, json, sys; print(json.dumps(corpus.zeros_cold_walk(*map(int, sys.argv[1:]))))"
+HERE = os.path.dirname(os.path.abspath(__file__))  # the child imports this file from here, the rest from the checkout
+
+
+def count_walk(requests) -> list:
+    # one (ZeroSequence, passes, cyl) per (spec, kind, n) of requests, walked
+    # on a cleared zero cache: passes lists the phase passes of each zero
+    # above the walk's start, the start pass with the first, and cyl counts
+    # the request's zeros._cyl calls.  The wrappers of zeros._target, _refine
+    # and _cyl call through, and are restored on return, also when a request
+    # raises; a pass after the last zero above the start, which would count
+    # with no zero, raises RuntimeError
+    from cylfn import zeros
+
+    target, refine, cyl = zeros._target, zeros._refine, zeros._cyl
+    passes, calls = [0], [0]  # the request's passes, the last entry the next zero's; its _cyl calls
+
+    def counted(phase):
+        def call(x):
+            passes[-1] += 1
+            return phase(x)
+
+        return call
+
+    def refined(phase, m, *args):
+        out = refine(phase, m, *args)
+        if m > 0:  # _origin refines at m = 0, the walk at m >= 1
+            passes.append(0)
+        return out
+
+    def cyl_counted(*args, **kwargs):
+        calls[0] += 1
+        return cyl(*args, **kwargs)
+
+    zeros._find_zeros_cached.cache_clear()
+    zeros._target, zeros._refine, zeros._cyl = lambda spec, kind: counted(target(spec, kind)), refined, cyl_counted
+    try:
+        out = []
+        for spec, kind, n in requests:
+            passes[:], calls[0] = [0], 0
+            seq = zeros.find_zeros(spec, kind, n)
+            if passes.pop():
+                raise RuntimeError(f"a phase pass after the last zero of {(spec, kind, n)!r}")
+            out.append((seq, passes[:], calls[0]))
+        return out
+    finally:
+        zeros._target, zeros._refine, zeros._cyl = target, refine, cyl
+
+
+def zeros_cold_walk(requests: int, counted: int) -> dict:
+    # the zeros-cold child's {"hash": ..., "counts": {...}}: the first `requests`
+    # of perfbench's ZerosCold at seeds 1 and 2 hashed, seed 1's first `counted` counted
+    import workloads
+
+    ops = [op for seed in (1, 2)
+           for op in itertools.islice(workloads.ZerosCold(random.Random(f"zeros-cold:{seed}")).ops(), requests)]
+    walks = count_walk(ops)
+    h = hashlib.sha256()
+    for (spec, kind, n), (seq, _, _) in zip(ops, walks):
         h.update(repr((spec, kind, n, seq.zeros, seq.refined_to)).encode())
+    by_n = {}  # n: [phase passes, _cyl calls, zeros]
+    by_index = {}  # the i-th zero above the start, grouped: [phase passes, zeros]
+    below = 0  # zeros below the start, which take no phase pass: _origin's, and x = 0 for J'_0
+    for seq, passes, cyl in walks[:counted]:
+        row = by_n.setdefault(len(seq), [0, 0, 0])
+        row[0] += sum(passes)
+        row[1] += cyl
         row[2] += len(seq)
-        below[0] += kept and len(seq) - walk[0]
-passes, calls, found = map(sum, zip(*by_n.values()))
-groups = by_index.items()  # in order: a walk reaches each group through the ones before
-print(json.dumps({"hash": h.hexdigest(), "counts": {
-    "requests": counted, "zeros": found,
-    "phase_passes_per_zero": passes / found, "cyl_calls_per_zero": calls / found,
-    "phase_passes_per_zero_by_n": {n: p / z for n, (p, _, z) in sorted(by_n.items())},
-    "phase_passes_per_zero_by_index": {g: p / z for g, (p, z) in groups},
-    "zeros_by_index": {**{g: z for g, (_, z) in groups}, "below the start": below[0]}}}))
-"""
+        for i, p in enumerate(passes, 1):
+            group = by_index.setdefault(str(i) if i <= 3 else "4-12" if i <= 12 else "13-", [0, 0])
+            group[0] += p
+            group[1] += 1
+        below += len(seq) - len(passes)
+    passes, calls, found = map(sum, zip(*by_n.values()))
+    groups = by_index.items()  # in order: a walk reaches each group through the ones before
+    return {"hash": h.hexdigest(), "counts": {
+        "requests": counted, "zeros": found,
+        "phase_passes_per_zero": passes / found, "cyl_calls_per_zero": calls / found,
+        "phase_passes_per_zero_by_n": {n: p / z for n, (p, _, z) in sorted(by_n.items())},
+        "phase_passes_per_zero_by_index": {g: p / z for g, (p, z) in groups},
+        "zeros_by_index": {**{g: z for g, (_, z) in groups}, "below the start": below}}}
+
 
 NUMBER = re.compile(r"[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?")
 
@@ -217,7 +252,7 @@ def last_json(cmd: list, root: str, **kwargs) -> dict:
 def zeros_cold(root: str, requests: int = HASH_REQUESTS, counted: int = COUNTED) -> dict:
     # {"hash": ..., "counts": {...}} from the checkout's own files
     return last_json([sys.executable, "-c", ZEROS_COLD, str(requests), str(counted)], root,
-                     env=env("perfbench", "src", "tests"))
+                     env=env("perfbench", "src", "tests", HERE))
 
 
 def main(argv=None) -> int:
@@ -237,7 +272,12 @@ def main(argv=None) -> int:
     print(f"{differ} of {len(CORPUS)} argv differ between {na} and {nb}")
     walks = {name: zeros_cold(root) for name, root in roots.items()}
     for name, walk in walks.items():
-        print(f"{name} zeros-cold hash {walk.get('hash', walk)}")
+        line = f"{name} zeros-cold hash {walk.get('hash', walk)}"
+        if "counts" in walk:
+            counts = walk["counts"]
+            by_index = ", ".join(f"{g}: {p:.3f}" for g, p in counts["phase_passes_per_zero_by_index"].items())
+            line += f"; phase passes per zero {counts['phase_passes_per_zero']:.4f} ({by_index})"
+        print(line)
     return int(any("hash" not in walk for walk in walks.values()))
 
 

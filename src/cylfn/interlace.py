@@ -69,8 +69,16 @@ def check_interlaced(A, B) -> InterlaceReport:
     Symmetric in its arguments; only pairs whose upper end both sequences
     reach are judged.  Coincident zeros (within COINCIDENCE_TOL) are
     violations and are flagged, since in-scope zeros are simple and distinct.
+    A sequence that is not strictly increasing, or holds a NaN, raises
+    ValueError naming its side and the first index i where A[i] < A[i+1]
+    (or B[i] < B[i+1]) fails.
     """
     a, b = [float(v) for v in A], [float(v) for v in B]
+    for side, seq in zip("AB", (a, b)):
+        i = next((k for k in range(len(seq) - 1) if not seq[k] < seq[k + 1]), None)
+        if i is not None:
+            raise ValueError(f"{side} must be strictly increasing: {side}[{i}] < {side}[{i + 1}] fails "
+                             f"for {seq[i]!r}, {seq[i + 1]!r}")
     if len(a) < 2 or len(b) < 2:
         raise EmptyOverlapError("need at least two zeros in each sequence")
     if a[-1] <= b[0] or b[-1] <= a[0]:

@@ -127,10 +127,10 @@ class ZeroSequence:
 
     For spec (nu=0, delta=0) with kind DERIVATIVE the leading entry is 0.0:
     x = 0 is counted as the first zero of J'_0 by convention.  refined_to is
-    the worst tolerance achieved over the zeros, relative to max(1, x):
-    REL_TOL, the last Newton step's bound, unless a refinement ran out of
-    steps and fell back to its bisection bracket's midpoint.  len, indexing
-    and iteration read the zeros.
+    the worst tolerance over the zeros, relative to max(1, x): REL_TOL for
+    every zero that Newton ended, and the bracket's half-width for one whose
+    refinement ran out of steps and fell back to its bisection bracket's
+    midpoint.  len, indexing and iteration read the zeros.
     """
 
     __slots__ = ("spec", "kind", "zeros", "refined_to")
@@ -351,17 +351,14 @@ _DEBYE = {
 }
 
 
-def _debye2(nu, t, terms, x=None):
+def _debye2(nu, t, terms, x):
     # the root x > nu of r - nu atan2(r, nu) + arg S = t (module docstring),
-    # S through the given terms, by Newton from x, or from _debye's one-term
-    # root; a step that would cross nu halves the distance to nu instead.
-    # The last step s takes the first term's curvature, x - s - q s^2/(2x)
-    # (its F''/F' is q/x), once what that leaves, about (q^2 |s|/x + y^2)
-    # s^2/x (y^2 for the later terms' curvature), is below 2e-10 x, under
-    # the model's own error; a search that runs out of steps returns _debye's
-    # root
-    root = _debye(nu, t) if x is None else None
-    x = root or x
+    # S through the given terms, by Newton from x > nu; a step that would
+    # cross nu halves the distance to nu instead.  The last step s takes the
+    # first term's curvature, x - s - q s^2/(2x) (its F''/F' is q/x), once
+    # what that leaves, about (q^2 |s|/x + y^2) s^2/x (y^2 for the later
+    # terms' curvature), is below 2e-10 x, under the model's own error; a
+    # search that runs out of steps returns _debye's root
     (a0, a1), (c0, c1, c2), (b0, b1, b2, b3) = terms
     n2, atan2 = nu * nu, math.atan2
     for _ in range(8):
@@ -378,9 +375,8 @@ def _debye2(nu, t, terms, x=None):
         step = (r - nu * atan2(r, nu) + atan2(im, re) - t) / slope
         if (q * q * abs(step) / x + yy) * step * step <= 2e-10 * x * x:
             return x - step - 0.5 * q * step * step / x
-        xn = x - step if x - step > nu else 0.5 * (x + nu)
-        x = xn
-    return root or _debye(nu, t)
+        x = x - step if x - step > nu else 0.5 * (x + nu)
+    return _debye(nu, t)
 
 
 def _hermite(x0, u0, d0, k0, x1, u1, d1, k1, m):
@@ -423,15 +419,15 @@ def _zeros(spec: CylinderSpec, kind: EvalKind):
             lo = x
         seed = hi
         t = math.pi * (m - omega - 0.5 * nu)  # the Debye term at m
-        if m - first >= 12 and before[2] > 0.0 and dw > 0.0:
+        if m - first >= 12:  # every pass lies above nu and x = 1 here, where u' > 0
             seed = _hermite(*before, x, w, dw, k, m)
         elif m == first and t > 0.0:
-            seed = _debye2(nu, t, two)
+            seed = _debye2(nu, t, two, _debye(nu, t))
         elif dw > 0.0:  # u(x + d) = w + u' (d + kappa d^2) = m, to second order
             s0 = (m - w) / dw
             seed = x + (s0 - k * s0 * s0)
             if m - first < 12 and t > 0.0:
-                seed = _debye2(nu, t, three, seed if seed > nu else None)
+                seed = _debye2(nu, t, three, seed if seed > nu else _debye(nu, t))
         if seed < lo:
             seed = lo
         if seed > hi:

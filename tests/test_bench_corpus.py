@@ -1,6 +1,7 @@
 """The artifact corpus's diff rule, on synthetic outputs: what differs, and the
 largest relative difference among the numbers; the corpus's reach over the
-command line; and its zeros-cold child against the walk in process."""
+command line; its zeros-cold child against the walk in process; and the
+walk's counter, `count_walk`, which leaves the walk as it found it."""
 
 import hashlib
 import itertools
@@ -13,6 +14,7 @@ import pytest
 import corpus
 from cylfn import zeros
 from cylfn.cli import build_parser
+from cylfn.special_fn import CylinderSpec, DomainError, EvalKind
 from cylfn.theorems import Family
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -100,6 +102,13 @@ class TestZerosCold:
         assert list(found) == [*by_index, "below the start"]
         assert sum(found.values()) == counts["zeros"]
         assert sum(by_index[g] * found[g] for g in by_index) == pytest.approx(passes)
+
+    def test_count_walk_restores_the_walk_when_a_request_raises(self):
+        seams = zeros._target, zeros._refine, zeros._cyl
+        beyond = (CylinderSpec.of(30.0, 0.0), EvalKind.FUNCTION, 113)  # the 113th zero lies past x = 400
+        with pytest.raises(DomainError):
+            corpus.count_walk([(CylinderSpec.of(0.0, 0.0), EvalKind.FUNCTION, 2), beyond])
+        assert (zeros._target, zeros._refine, zeros._cyl) == seams
 
     def test_a_failing_child_fails_the_script(self, monkeypatch, tmp_path, capsys):
         monkeypatch.setattr(corpus, "CORPUS", ("",))

@@ -68,6 +68,19 @@ class TestCheckInterlaced:
         with pytest.raises(EmptyOverlapError):
             check_interlaced([1.0], [0.5, 2.0])
 
+    @pytest.mark.parametrize("side, bad, i", [
+        ("A", [1.0, math.nan, 3.0], 0),
+        ("A", [3.0, 1.0, 5.0], 0),
+        ("B", [1.0, 2.5, 2.5, 5.0], 1),
+    ], ids=("nan", "unsorted", "repeated"))
+    def test_not_strictly_increasing_raises(self, side, bad, i):
+        # a NaN, an unsorted and a repeated entry, named by side and index;
+        # detect_shifted judges through check_interlaced
+        a, b = (bad, [2.0, 4.0]) if side == "A" else ([2.0, 4.0], bad)
+        for judge in (check_interlaced, detect_shifted):
+            with pytest.raises(ValueError, match=rf"{side}\[{i}\] < {side}\[{i + 1}\] fails"):
+                judge(a, b)
+
 
 def _reference(a, b):
     """Brute-force verdict: the other side's zeros strictly inside each pair

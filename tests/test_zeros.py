@@ -3,11 +3,13 @@
 import bisect
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
+import corpus
 from cylfn.special_fn import (
     CylinderSpec,
     DomainError,
@@ -396,72 +398,48 @@ class TestPhasePremises:
 
 
 class TestPassCount:
+    # phase passes and _cyl calls come from corpus.count_walk, the counter of
+    # bench/corpus.py's zeros-cold child; calls of other zeros names from
+    # _count_calls
+
     @staticmethod
-    def _count_phase(monkeypatch):
-        calls = [0]
-        target = zeros._target
+    def _count_calls(monkeypatch, *names):
+        # a Counter of the calls of the named zeros functions, through wrappers that call through
+        calls = Counter()
+        for name in names:
+            def counted(*args, name=name, fn=getattr(zeros, name), **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
 
-        def counted(spec, kind):
-            phase = target(spec, kind)
-
-            def f(x):
-                calls[0] += 1
-                return phase(x)
-
-            return f
-
-        monkeypatch.setattr(zeros, "_target", counted)
+            monkeypatch.setattr(zeros, name, counted)
         return calls
 
-    def test_phase_passes_per_zero(self, monkeypatch):
-        # a seeded block with the zeros-cold mix: every n in {2, 6, 20, 50,
-        # 110} with J, Y and a mixed angle, for C and C'.  A count, not a
-        # timing, so that it holds on any machine
-        calls = self._count_phase(monkeypatch)
-        zeros._find_zeros_cached.cache_clear()
-        rng = random.Random(20261018)
-        found = 0
-        for n in (2, 6, 20, 50, 110):
+    @staticmethod
+    def _mix(rng, sizes):
+        # (spec, kind, n) with the zeros-cold mix for each n of sizes: J, Y
+        # and a mixed angle, for C and C'
+        out = []
+        for n in sizes:
             for delta in (0.0, math.pi / 2, None):
                 for kind in EvalKind:
                     d = math.pi * rng.random() if delta is None else delta
-                    found += len(find_zeros(_spec(30.0 * rng.random(), d), kind, n))
-        assert calls[0] <= 1.2 * found
+                    out.append((_spec(30.0 * rng.random(), d), kind, n))
+        return out
 
-    def _passes_by_index(self, monkeypatch):
-        # the walk's zeros (m >= 1; _origin refines at m = 0) by their index
-        # above the start: {index: [phase passes of each such zero]}, the
-        # start pass with the first; zero walked and calls before each request
-        calls = self._count_phase(monkeypatch)
-        walked, passes = [0], {}
-        refine = zeros._refine
+    def test_phase_passes_per_zero(self):
+        # a seeded block with the zeros-cold mix and every n in {2, 6, 20,
+        # 50, 110}.  A count, not a timing, so that it holds on any machine
+        walks = corpus.count_walk(self._mix(random.Random(20261018), (2, 6, 20, 50, 110)))
+        found = sum(len(seq) for seq, _, _ in walks)
+        assert sum(sum(passes) for _, passes, _ in walks) <= 1.2 * found
 
-        def counted_refine(phase, m, *args):
-            out = refine(phase, m, *args)
-            if m > 0:
-                walked[0] += 1
-                passes.setdefault(walked[0], []).append(calls[0])
-                calls[0] = 0
-            return out
-
-        monkeypatch.setattr(zeros, "_refine", counted_refine)
-        return calls, walked, passes
-
-    def test_phase_passes_for_the_4th_to_12th_zeros(self, monkeypatch):
+    def test_phase_passes_for_the_4th_to_12th_zeros(self):
         # the 4th to 12th zeros above the start, seeded from the Debye phase
         # through its U_3 (V_3) term, where the Hermite interpolant misses by
         # up to 3e-4 relative: passes per zero on a seeded n = 20 block with
-        # the zeros-cold mix (J, Y and a mixed angle, C and C')
-        calls, walked, passes = self._passes_by_index(monkeypatch)
-        zeros._find_zeros_cached.cache_clear()
-        rng = random.Random(20261031)
-        for _ in range(20):
-            for delta in (0.0, math.pi / 2, None):
-                for kind in EvalKind:
-                    d = math.pi * rng.random() if delta is None else delta
-                    calls[0] = walked[0] = 0
-                    find_zeros(_spec(30.0 * rng.random(), d), kind, 20)
-        block = [p for i in range(4, 13) for p in passes[i]]
+        # the zeros-cold mix
+        walks = corpus.count_walk(self._mix(random.Random(20261031), (20,) * 20))
+        block = [p for _, passes, _ in walks for p in passes[3:12]]
         assert len(block) >= 9 * 100
         assert sum(block) <= 1.2 * len(block)
 
@@ -471,89 +449,67 @@ class TestPassCount:
         # no root for most, and a search that runs out of its steps returns
         # _debye's one-term root.  Their passes, start pass included, are no
         # more than with that root as the seed
-        calls, walked, passes = self._passes_by_index(monkeypatch)
         rng = random.Random(20261032)
         requests = []
         for _ in range(200):
             t = rng.uniform(0.3, 0.9)  # at m = 1 where t < pi/4, else at m = 2
-            requests.append((rng.uniform(1.0, 30.0), (math.pi / 4 - t) % math.pi))
+            requests.append((_spec(rng.uniform(1.0, 30.0), (math.pi / 4 - t) % math.pi), EvalKind.DERIVATIVE, 3))
 
         def first_passes():
-            zeros._find_zeros_cached.cache_clear()
-            passes.clear()
-            for nu, delta in requests:
-                calls[0] = walked[0] = 0
-                find_zeros(_spec(nu, delta), EvalKind.DERIVATIVE, 3)
-            return sum(passes[1])
+            walks = corpus.count_walk(requests)
+            assert all(passes for _, passes, _ in walks)  # every request has a zero above the start
+            return sum(passes[0] for _, passes, _ in walks)
 
         seeded = first_passes()
         monkeypatch.setattr(zeros, "_debye2", lambda nu, t, *_: zeros._debye(nu, t))
-        assert len(passes[1]) == len(requests)
         assert seeded <= first_passes()
 
     @pytest.mark.parametrize("kind", tuple(EvalKind))
-    def test_phase_passes_for_the_first_zero(self, monkeypatch, kind):
+    def test_phase_passes_for_the_first_zero(self, kind):
         # the first zero above the start, seeded from the Debye term: no
         # zero before it gives the inverse phase's slope
-        calls = self._count_phase(monkeypatch)
-        zeros._find_zeros_cached.cache_clear()
         rng = random.Random(20261023)
+        requests = []
         for _ in range(300):
             d = rng.choice((0.0, math.pi / 2, math.pi * rng.random()))
-            find_zeros(_spec(30.0 * rng.random(), d), kind, 1)
-        assert calls[0] <= 4.5 * 300
+            requests.append((_spec(30.0 * rng.random(), d), kind, 1))
+        assert sum(sum(passes) for _, passes, _ in corpus.count_walk(requests)) <= 4.5 * 300
 
-    def test_phase_passes_for_the_first_three_zeros(self, monkeypatch):
+    def test_phase_passes_for_the_first_three_zeros(self):
         # the first three zeros above the start, seeded from the two-term
         # Debye phase, nearest the turning point: their passes per request,
-        # the start pass included, on a seeded block with the zeros-cold mix
-        # (J, Y and a mixed angle, C and C')
-        calls = self._count_phase(monkeypatch)
-        walked, early = [0], [0]
-        refine = zeros._refine
+        # the start pass included, on a seeded n = 6 block with the
+        # zeros-cold mix
+        walks = corpus.count_walk(self._mix(random.Random(20261027), (6,) * 50))
+        assert sum(sum(passes[:3]) for _, passes, _ in walks) <= 9.0 * len(walks)
 
-        def counted_refine(phase, m, *args):
-            out = refine(phase, m, *args)
-            walked[0] += m > 0  # _origin refines at m = 0
-            if m > 0 and walked[0] == 3:
-                early[0] += calls[0]
-            return out
-
-        monkeypatch.setattr(zeros, "_refine", counted_refine)
-        zeros._find_zeros_cached.cache_clear()
-        rng = random.Random(20261027)
-        requests = 0
-        for _ in range(50):
-            for delta in (0.0, math.pi / 2, None):
-                for kind in EvalKind:
-                    d = math.pi * rng.random() if delta is None else delta
-                    calls[0] = walked[0] = 0
-                    find_zeros(_spec(30.0 * rng.random(), d), kind, 6)
-                    requests += 1
-        assert early[0] <= 9.0 * requests
+    def test_no_phase_pass_once_the_nth_zero_is_found(self, monkeypatch):
+        # the per-zero counts rest on this: J'_0's first zero is x = 0, with
+        # no sign test and no pass; C's only zero below the start at nu =
+        # 0.2 takes the sign test alone, and the next zero adds the start
+        # pass and its own (count_walk raises on a pass after the last zero)
+        tests = self._count_calls(monkeypatch, "cylinder", "cylinder_and_prime")
+        below = _spec(0.2, math.pi - 1e-3)
+        cases = (
+            ((_spec(0.0, 0.0), EvalKind.DERIVATIVE, 1), [], 0),
+            ((below, EvalKind.FUNCTION, 1), [], 1),
+            ((below, EvalKind.FUNCTION, 2), [3], 1),
+        )
+        for request, passes, signs in cases:
+            tests.clear()
+            [(seq, got, _)] = corpus.count_walk([request])
+            assert (got, tests.total()) == (passes, signs), request
+            assert seq[0] < max(request[0].nu, zeros._START)
 
     def test_seed_fallbacks_reach_1e_12(self, monkeypatch):
         # requests that reach the second-order seed or the bracket's top: C'
         # started at x = nu, where u' = 0; nu < 1/2, started at x = 1e-6; C
         # at delta -> pi-; n = 2, where no zero has two before it; first
-        # zeros where the Debye equation's right side is not positive.  Only
-        # the first zero's call counts, the one made before the walk's first
-        # _refine (m >= 1; _origin refines at m = 0): the next eleven zeros
-        # call _debye where their own Debye search falls back to it
-        debye, walked = [0], [False]
-        fn, refine = zeros._debye, zeros._refine
-
-        def counted(nu, t):
-            debye[0] += not walked[0]
-            return fn(nu, t)
-
-        def counted_refine(phase, m, *args):
-            walked[0] = walked[0] or m > 0
-            return refine(phase, m, *args)
-
-        monkeypatch.setattr(zeros, "_debye", counted)
-        monkeypatch.setattr(zeros, "_refine", counted_refine)
-        zeros._find_zeros_cached.cache_clear()
+        # zeros where the Debye equation's right side is not positive.  It
+        # counts the first zeros above the start that call _debye, each on a
+        # walk that ends there: the next eleven zeros call it where their own
+        # Debye search falls back to it, and a capped search calls it again
+        calls = self._count_calls(monkeypatch, "_debye")
         rng = random.Random(20261024)
         requests = []
         for _ in range(5):
@@ -564,27 +520,26 @@ class TestPassCount:
                 # C at 3 pi/4 < delta < pi with its first zero above the start
                 (rng.uniform(0.0, 30.0), math.pi - rng.uniform(0.3, 0.75), EvalKind.FUNCTION, 2),
             ]
-        for nu, delta, kind, n in requests:
-            spec = _spec(nu, delta)
-            walked[0] = False
-            f = oracle_cylinder if kind is EvalKind.FUNCTION else oracle_cylinder_prime
-            for z in find_zeros(spec, kind, n):
+        walks = corpus.count_walk([(_spec(nu, delta), kind, n) for nu, delta, kind, n in requests])
+        for seq, _, _ in walks:
+            spec = seq.spec
+            f = oracle_cylinder if seq.kind is EvalKind.FUNCTION else oracle_cylinder_prime
+            for z in seq:
                 if z > max(spec.nu, zeros._START):
                     eps = mp.mpf(1e-12 * max(1.0, z))
-                    assert certify_sign_change(lambda t: f(spec.nu, spec.delta, t), z, eps=eps), (nu, delta, kind, z)
-        assert 0 < debye[0] < len(requests)  # some first zeros take the fallback
+                    assert certify_sign_change(lambda t: f(spec.nu, spec.delta, t), z, eps=eps), (spec, seq.kind, z)
+        debye = 0
+        for seq, passes, _ in walks:
+            calls.clear()
+            corpus.count_walk([(seq.spec, seq.kind, len(seq) - len(passes) + 1)])
+            debye += calls["_debye"] > 0
+        assert 0 < debye < len(requests)  # some first zeros take the fallback
 
     def test_one_evaluation_of_f_per_request(self, monkeypatch):
         # every zero above the start comes from the phase, flat crossings at
         # a small effective angle included: f itself is evaluated once per
         # request, for the sign test at max(nu, 1e-6)
-        calls = [0]
-        for name in ("cylinder", "cylinder_and_prime"):
-            def counted(*args, fn=getattr(zeros, name)):
-                calls[0] += 1
-                return fn(*args)
-
-            monkeypatch.setattr(zeros, name, counted)
+        calls = self._count_calls(monkeypatch, "cylinder", "cylinder_and_prime")
         zeros._find_zeros_cached.cache_clear()
         rng = random.Random(20261019)
         requests = 0
@@ -596,7 +551,7 @@ class TestPassCount:
                     seq = find_zeros(_spec(rng.uniform(2.0, 30.0), delta), kind, n)
                     assert seq[0] > zeros._START
                     requests += 1
-        assert calls[0] == requests
+        assert calls.total() == requests
 
     @staticmethod
     def _origin_requests(rng, count):
@@ -616,13 +571,7 @@ class TestPassCount:
         # the zero below the start and C's or C''s below nu come from the
         # same Newton loop as every other zero: one _refine call per zero,
         # and one _origin call per zero below max(nu, 1e-6)
-        calls = {"_refine": 0, "_origin": 0}
-        for name in calls:
-            def counted(*args, name=name, fn=getattr(zeros, name)):
-                calls[name] += 1
-                return fn(*args)
-
-            monkeypatch.setattr(zeros, name, counted)
+        calls = self._count_calls(monkeypatch, "_refine", "_origin")
         zeros._find_zeros_cached.cache_clear()
         rng = random.Random(20261023)
         below_c = [
@@ -640,27 +589,18 @@ class TestPassCount:
         assert calls == {"_refine": found, "_origin": below + below_nu}
 
     @pytest.mark.parametrize("kind", tuple(EvalKind))
-    def test_phase_passes_for_the_zero_below_the_order(self, monkeypatch, kind):
+    def test_phase_passes_for_the_zero_below_the_order(self, kind):
         # C's first zero as delta -> pi-, C''s as delta -> 0+: log(J/-Y) and
-        # log(J'/Y') are near linear in log x, where the phase creeps in x
-        calls = [0]
-        cyl = zeros._cyl
-
-        def counted(*args, **kwargs):
-            calls[0] += 1
-            return cyl(*args, **kwargs)
-
-        monkeypatch.setattr(zeros, "_cyl", counted)
-        zeros._find_zeros_cached.cache_clear()
+        # log(J'/Y') are near linear in log x, where the phase creeps in x.
+        # Its _cyl calls per request, _origin's passes included
         rng = random.Random(20261021)
         function = kind is EvalKind.FUNCTION
-        counts = []
+        requests = []
         for _ in range(600):
             nu = rng.uniform(2.0 if function else 0.3, 30.0)
             eps = 10.0 ** rng.uniform(-12.0, math.log10(0.32))
-            calls[0] = 0
-            find_zeros(_spec(nu, math.pi - eps if function else eps), kind, 1)
-            counts.append(calls[0])
+            requests.append((_spec(nu, math.pi - eps if function else eps), kind, 1))
+        counts = [cyl for _, _, cyl in corpus.count_walk(requests)]
         assert sum(counts) <= 8 * len(counts)
         assert max(counts) <= 12
 
@@ -702,19 +642,13 @@ class TestPassCount:
 
     def test_one_evaluation_of_f_below_the_start(self, monkeypatch):
         # the zero below x = 1e-6 costs no evaluation of f past the sign test
-        calls = [0]
-        for name in ("cylinder", "cylinder_and_prime"):
-            def counted(*args, fn=getattr(zeros, name)):
-                calls[0] += 1
-                return fn(*args)
-
-            monkeypatch.setattr(zeros, name, counted)
+        calls = self._count_calls(monkeypatch, "cylinder", "cylinder_and_prime")
         zeros._find_zeros_cached.cache_clear()
         below = 0
         for spec, kind in self._origin_requests(random.Random(20261022), 90):
-            calls[0] = 0
+            calls.clear()
             if find_zeros(spec, kind, 3)[0] < zeros._START:
-                assert calls[0] == 1
+                assert calls.total() == 1
                 below += 1
         assert below >= 45
 
