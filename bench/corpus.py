@@ -97,6 +97,13 @@ CORPUS = (
     "verify chain --c 2",
     "verify theorem1 --threads 0",
     "sweep --family cylinder --nu 50 --gaps 0",
+    # n checked where the orders agree; terms below the normal range at tiny x
+    "verify theorem3 --nu 1 --mu 1 --n 0",
+    "sweep --family cylinder --nu 1 --gaps 0 --n -4 --format json",
+    "verify recurrences --nu 1 --grid 1e-150",
+    "verify recurrences --nu 5 --grid 1e-60",
+    "verify recurrences --nu 0 --grid 1e-200",
+    "verify recurrences --nu 29 --grid 1e-30",
     # edge argv: the theorem 3 and sweep blind spots (ROADMAP item 2)
     "verify theorem3 --nu 5 --mu 7.01 --family cylinder --delta 0.3 --n 30",
     "sweep --family cylinder --nu 4 --gaps 2.5 --n 3 --format json",

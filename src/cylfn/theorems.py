@@ -2,6 +2,7 @@
 transitivity, and breakdown atlases over (nu, mu) grids."""
 
 import math
+import sys
 from collections import namedtuple
 from enum import Enum
 
@@ -18,7 +19,7 @@ from .special_fn import (
     _cyl,
 )
 from .wronskian import wronskian_profile
-from .zeros import find_zeros, zero_count
+from .zeros import _count, find_zeros, zero_count
 
 __all__ = [
     "Family",
@@ -81,8 +82,9 @@ def verify_recurrences(nu: float, delta: float, x_grid) -> VerificationReport:
     """Residuals of the six recurrence identities on a grid of arguments.
 
     Residuals are relative to the largest participating term; all must stay
-    below 1e-9.  The derivative sum rule C'_{nu+1} = (C_nu - C_{nu+2})/2 is
-    used in its correct half-sum form.
+    below 1e-9.  C'_{nu+1} = (C_nu - C_{nu+2})/2 is the derivative sum rule.
+    OverflowError: a residual leaves the double range, or a C or C' at nu,
+    nu + 1 or nu + 2 lies below the normal range (0 included).
     """
     nu = Order(nu).nu
     delta = MixingAngle(delta).delta
@@ -93,6 +95,8 @@ def verify_recurrences(nu: float, delta: float, x_grid) -> VerificationReport:
     checks = 0
     for x in grid:
         (c0, p0), (c1, p1), (c2, p2) = (_cyl(nu + k, delta, x) for k in (0, 1, 2))
+        if any(abs(v) < sys.float_info.min for v in (c0, p0, c1, p1, c2, p2)):
+            raise OverflowError(f"C or C' falls below the normal double range at nu={nu!r}, x={x!r}")
         d0 = (x * x - (nu + 1.0) * (nu + 2.0)) * p0
         d2 = (x * x - nu * (nu + 1.0)) * p2
         d1 = (2.0 * (nu + 1.0) / x) * (x * x - nu * (nu + 2.0)) * p1
@@ -186,10 +190,11 @@ def verify_theorem3(
 ) -> VerificationReport:
     """Interlacing verdict over the first n zeros against the predicate
     |nu - mu| <= 2, for one (nu, mu) cell of one family.  JVSY is rejected:
-    J against Y breaks down past gap 1, and breakdown_scan maps that."""
+    J against Y breaks down past gap 1, and breakdown_scan maps that; so is
+    n other than a whole number >= 1, also at nu == mu (DomainError)."""
     if family is Family.JVSY:
         raise DomainError("theorem3 judges |nu - mu| <= 2, not J vs Y; use sweep --family jvsy")
-    nu, mu = Order(nu).nu, Order(mu).nu
+    nu, mu, n = Order(nu).nu, Order(mu).nu, _count(n, "need n >= 1")
     name = f"theorem3({family.value}, nu={nu:g}, mu={mu:g}, delta={MixingAngle(delta).delta:g}, n={n})"
     sa, sb, kind = _family_specs(family, nu, mu, delta)
     if nu == mu:
@@ -344,10 +349,10 @@ def breakdown_scan(
     For the JVSY family the roles are swapped: the cell pairs J_{nu+gap}
     against Y_nu, since breakdown there needs the J order above the Y order.
     Only the cylinder family takes delta; the others fix their angles and
-    reject a nonzero one.  Cells run in grid order in this process, so they
-    share the zero cache.
+    reject a nonzero one; n must be whole and >= 1 even if every gap is 0
+    (DomainError).  Cells run in grid order, sharing the zero cache.
     """
-    nu = Order(nu).nu  # checked here too: an all-zero gap grid builds no spec
+    nu, n = Order(nu).nu, _count(n, "need n >= 1")  # checked here: an all-zero gap grid builds no spec
     delta = MixingAngle(delta).delta
     _family_angles(family, delta)  # rejects a delta the family does not take
     cells = tuple(_scan_cell(family, nu, float(g), delta, n) for g in gap_grid)

@@ -52,12 +52,12 @@ alone, whose arg is the (mu - 1)/(8x) of DLMF 10.18.18 (the (mu + 3)/(8x) of
 to nu.  It starts from the root of the first term alone (_debye), whose left
 side is convex and increasing.  Near nu the left side is neither (for C' the
 first term's falls there first), so the steps are kept right of nu and capped,
-and a search that runs out of them returns the one-term root.  A first zero
-whose right side is not positive is seeded from the start pass at x + s0 -
-kappa s0^2, or at the bracket's top where u' = 0.  Every seed is clamped to
-the bracket.  Newton from x ends on x - s once the step s falls below
-REL_TOL max(1, x).  It ends on a larger step,
-without the pass that would confirm it, when a certified bound on the Newton
+and a search that runs out of them returns its start, here the one-term root.
+A first zero whose right side is not positive is seeded from the start pass
+at x + s0 - kappa s0^2, or at the bracket's top where u' = 0.  Every seed is
+clamped to the bracket.  Newton from x ends on x - s once the step s falls
+below REL_TOL max(1, x).  It ends on a larger step, without the pass that
+would confirm it, when a certified bound on the Newton
 error |z - (x - s)| is below u's rounding, 2e-16 max(1, x).  The bound: with w
 = pi u', kappa = w'/(2w) obeys the Riccati equation kappa' = Q + kappa^2 - w^2
 of the phase's amplitude, with Q = 1 - (nu^2 - 1/4)/x^2 for C (the normal form
@@ -94,7 +94,6 @@ in log x; a zero below 1e-300 raises IterationError.
 import math
 from collections import namedtuple
 from functools import lru_cache
-from itertools import count
 
 from .special_fn import (
     CylinderSpec,
@@ -358,9 +357,10 @@ def _debye2(nu, t, terms, x):
     # first term's curvature, x - s - q s^2/(2x) (its F''/F' is q/x), once
     # what that leaves, about (q^2 |s|/x + y^2) s^2/x (y^2 for the later
     # terms' curvature), is below 2e-10 x, under the model's own error; a
-    # search that runs out of steps returns _debye's root
+    # search that runs out of steps returns its start, for the first zero
+    # _debye's root
     (a0, a1), (c0, c1, c2), (b0, b1, b2, b3) = terms
-    n2, atan2 = nu * nu, math.atan2
+    n2, atan2, start = nu * nu, math.atan2, x
     for _ in range(8):
         r = math.sqrt((x - nu) * (x + nu))
         y = 1.0 / r
@@ -376,7 +376,7 @@ def _debye2(nu, t, terms, x):
         if (q * q * abs(step) / x + yy) * step * step <= 2e-10 * x * x:
             return x - step - 0.5 * q * step * step / x
         x = x - step if x - step > nu else 0.5 * (x + nu)
-    return _debye(nu, t)
+    return start
 
 
 def _hermite(x0, u0, d0, k0, x1, u1, d1, k1, m):
@@ -394,23 +394,26 @@ def _hermite(x0, u0, d0, k0, x1, u1, d1, k1, m):
     return x1 + d * (a1 + d * (b1 + d * (f0111 + e * (f00111 + e * (f00111 - f00011) / h))))
 
 
-def _zeros(spec: CylinderSpec, kind: EvalKind):
-    # yields (zero, relative tolerance achieved) in increasing order
-    nu, delta = spec.nu, spec.delta
-    derivative = kind is EvalKind.DERIVATIVE
-    if derivative and nu == 0.0 and delta == 0.0:
-        yield 0.0, REL_TOL  # x = 0 counts as the first zero of J'_0
+@lru_cache(maxsize=4096)
+def _find_zeros_cached(spec: CylinderSpec, kind: EvalKind, n: int):
+    # the first n zeros and the worst relative tolerance achieved; no pass past the n-th
+    nu, delta, derivative = spec.nu, spec.delta, kind is EvalKind.DERIVATIVE
+    zeros = [0.0] if derivative and nu == delta == 0.0 else []  # x = 0 counts as the first zero of J'_0
+    worst, x = REL_TOL, max(nu, _START)
+    if len(zeros) < n and _below(spec, kind, x):
+        z, tol = _origin(spec, kind, x)
+        zeros.append(z)
+        worst = max(worst, tol)
+    if len(zeros) == n:
+        return tuple(zeros), worst
     phase = _target(spec, kind)
-    x = max(nu, _START)
-    if _below(spec, kind, x):
-        yield _origin(spec, kind, x)
     w, dw, s, k = phase(x)
     omega = 0.25 - 0.5 * nu + delta / math.pi + (0.5 if derivative else 0.0)
     first = _level(w, s) + 1
     three = _DEBYE[derivative]
     two = (three[0], (0, 0, 0), (0, 0, 0, 0))  # the first zero's, to the U_1 (V_1) term
     before = None  # the last pass of the zero before the one before m
-    for m in count(first):
+    for m in range(first, first + n - len(zeros)):
         # the bracket of the module docstring, past x = 400 only for a request beyond the box
         lo, hi = x + math.pi * (m - w), math.pi * (m - omega)
         if hi < lo:
@@ -426,16 +429,20 @@ def _zeros(spec: CylinderSpec, kind: EvalKind):
         elif dw > 0.0:  # u(x + d) = w + u' (d + kappa d^2) = m, to second order
             s0 = (m - w) / dw
             seed = x + (s0 - k * s0 * s0)
-            if m - first < 12 and t > 0.0:
+            if t > 0.0:
                 seed = _debye2(nu, t, three, seed if seed > nu else _debye(nu, t))
         if seed < lo:
             seed = lo
         if seed > hi:
             seed = hi
         z, tol, last = _refine(phase, m, seed, lo, hi, nu, derivative)
+        if z > X_MAX:
+            raise DomainError(f"n={n} zeros at nu={nu:g} would leave the box x <= {X_MAX:g}")
+        zeros.append(z)
+        worst = max(worst, tol)
         before = x, w, dw, k
         x, w, dw, k = last
-        yield z, tol
+    return tuple(zeros), worst
 
 
 def _count(n, rule):
@@ -444,19 +451,6 @@ def _count(n, rule):
     if not (whole and n >= 1):
         raise DomainError(f"{rule}{'' if whole else ' and an integer'}, got {n!r}")
     return int(n)
-
-
-@lru_cache(maxsize=4096)
-def _find_zeros_cached(spec: CylinderSpec, kind: EvalKind, n: int):
-    zeros, worst = [], REL_TOL  # the zeros, and the worst relative tolerance achieved
-    for z, tol in _zeros(spec, kind):  # an endless walk: it leaves the box first
-        if z > X_MAX:
-            raise DomainError(f"n={n} zeros at nu={spec.nu:g} would leave the box x <= {X_MAX:g}")
-        zeros.append(z)
-        if tol > worst:
-            worst = tol
-        if len(zeros) == n:
-            return tuple(zeros), worst
 
 
 def find_zeros(spec: CylinderSpec, kind: EvalKind, n: int) -> ZeroSequence:

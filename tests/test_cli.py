@@ -108,6 +108,13 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert identity in err
 
+    @pytest.mark.parametrize("nu, grid", (("1", "1e-150"), ("5", "1e-60"), ("0", "1e-200"), ("29", "1e-30")))
+    def test_recurrence_term_below_the_normal_range_exits_2(self, capsys, nu, grid):
+        # the parent read false counterexamples (exit 3), or passed on all-zero terms
+        code, out, err = run(capsys, "verify", "recurrences", "--nu", nu, "--grid", grid)
+        assert code == 2 and out == ""
+        assert "normal double range" in err and f"x={float(grid)!r}" in err
+
     def test_verify_disagreement_reported_as_pass(self, capsys):
         # "not interlaced, predicate false" is agreement, so exit 0
         code, out, _ = run(
@@ -139,9 +146,14 @@ class TestExitCodes:
         ["sweep", "--family", "cylinder", "--nu", "50", "--gaps", "0"],
         # |nu - mu| <= 2 is the equal-angle predicate; J vs Y is sweep's
         ["verify", "theorem3", "--family", "jvsy", "--nu", "2.5", "--mu", "1", "--n", "30"],
+        # n is checked where the cell is excluded too
+        ["verify", "theorem3", "--nu", "1", "--mu", "1", "--n", "0"],
+        ["verify", "theorem3", "--nu", "1", "--mu", "1", "--n", "-2"],
+        ["sweep", "--family", "cylinder", "--nu", "1", "--gaps", "0", "--n", "-4", "--format", "json"],
     ), ids=(
         "recurrences-nu-5", "recurrences-nu35", "recurrences-x500", "theorem3-yprime", "sweep-jvsy",
-        "sweep-nu50-gap0", "theorem3-jvsy",
+        "sweep-nu50-gap0", "theorem3-jvsy", "theorem3-same-orders-n0", "theorem3-same-orders-n-2",
+        "sweep-gap0-n-4",
     ))
     def test_domain_errors_exit_1(self, capsys, argv):
         code, out, err = run(capsys, *argv)

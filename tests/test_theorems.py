@@ -1,6 +1,7 @@
 """Recurrence, theorem, transitivity, and breakdown-atlas harness tests."""
 
 import math
+import re
 
 import pytest
 
@@ -43,6 +44,14 @@ class TestRecurrences:
         with pytest.raises(DomainError):
             verify_recurrences(nu, 0.0, grid)
 
+    @pytest.mark.parametrize("nu, x", ((1.0, 1e-150), (5.0, 1e-60), (0.0, 1e-200), (29.0, 1e-30)))
+    def test_terms_below_the_normal_range_raise(self, nu, x):
+        # J_{nu+2} underflows (to 0 at nu = 29) while (nu + 2)/x J_{nu+2}
+        # does not: the residuals would read false counterexamples, or 0
+        # where every term is 0
+        with pytest.raises(OverflowError, match=re.escape(f"nu={nu!r}, x={x!r}")):
+            verify_recurrences(nu, 0.0, GRID + [x])
+
 
 class TestTheorem1:
     def test_sample_orders(self):
@@ -81,6 +90,13 @@ class TestTheorem3:
         assert rep.passed
         assert rep.details.get("excluded") is True
         assert rep.checks == 0
+
+    @pytest.mark.parametrize("n", (0, -2, 2.5))
+    @pytest.mark.parametrize("mu", (1.0, 2.0))
+    def test_count_checked_at_every_cell(self, mu, n):
+        # also at nu == mu, where no zero is sought
+        with pytest.raises(DomainError, match="need n >= 1"):
+            verify_theorem3(1.0, mu, Family.CYLINDER, n=n)
 
 
 class TestTransitivity:
@@ -185,6 +201,11 @@ class TestBreakdownScan:
         m = breakdown_scan(Family.YPRIME, 2.0, [0.0, 1.0], n=15)
         assert m.cells[0].excluded
         assert not m.cells[1].excluded
+
+    @pytest.mark.parametrize("n", (0, -4, 2.5))
+    def test_count_checked_on_an_all_zero_gap_grid(self, n):
+        with pytest.raises(DomainError, match="need n >= 1"):
+            breakdown_scan(Family.CYLINDER, 1.0, [0.0], n=n)
 
     @pytest.mark.parametrize("family", (Family.JPRIME, Family.YPRIME, Family.JVSY))
     def test_fixed_angle_family_rejects_delta(self, family):

@@ -501,14 +501,32 @@ class TestPassCount:
             assert (got, tests.total()) == (passes, signs), request
             assert seq[0] < max(request[0].nu, zeros._START)
 
+    def test_a_first_zero_computes_the_one_term_root_once(self, monkeypatch):
+        # a capped first-zero search returns its start, _debye's root, and
+        # does not compute it again: C' first zeros next to nu, where most
+        # searches are capped, and the zeros-cold mix, each walked again to
+        # its first zero above the start
+        calls = self._count_calls(monkeypatch, "_debye")
+        rng = random.Random(20261101)
+        requests = self._mix(rng, (3,) * 10)
+        for _ in range(60):
+            t = rng.uniform(0.3, 0.9)
+            requests.append((_spec(rng.uniform(1.0, 30.0), (math.pi / 4 - t) % math.pi), EvalKind.DERIVATIVE, 3))
+        most = 0
+        for seq, passes, _ in corpus.count_walk(requests):
+            calls.clear()
+            corpus.count_walk([(seq.spec, seq.kind, len(seq) - len(passes) + 1)])
+            most = max(most, calls["_debye"])
+        assert most == 1
+
     def test_seed_fallbacks_reach_1e_12(self, monkeypatch):
         # requests that reach the second-order seed or the bracket's top: C'
         # started at x = nu, where u' = 0; nu < 1/2, started at x = 1e-6; C
         # at delta -> pi-; n = 2, where no zero has two before it; first
         # zeros where the Debye equation's right side is not positive.  It
         # counts the first zeros above the start that call _debye, each on a
-        # walk that ends there: the next eleven zeros call it where their own
-        # Debye search falls back to it, and a capped search calls it again
+        # walk that ends there: the next eleven zeros call it where their
+        # second-order seed lies left of nu
         calls = self._count_calls(monkeypatch, "_debye")
         rng = random.Random(20261024)
         requests = []
