@@ -110,7 +110,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("nu, grid", (("1", "1e-150"), ("5", "1e-60"), ("0", "1e-200"), ("29", "1e-30")))
     def test_recurrence_term_below_the_normal_range_exits_2(self, capsys, nu, grid):
-        # the parent read false counterexamples (exit 3), or passed on all-zero terms
+        # without the check these read false counterexamples (exit 3), or pass on all-zero terms
         code, out, err = run(capsys, "verify", "recurrences", "--nu", nu, "--grid", grid)
         assert code == 2 and out == ""
         assert "normal double range" in err and f"x={float(grid)!r}" in err

@@ -526,7 +526,7 @@ class TestPassCount:
         # zeros where the Debye equation's right side is not positive.  It
         # counts the first zeros above the start that call _debye, each on a
         # walk that ends there: the next eleven zeros call it where their
-        # second-order seed lies left of nu
+        # second-order seed is not above nu
         calls = self._count_calls(monkeypatch, "_debye")
         rng = random.Random(20261024)
         requests = []
