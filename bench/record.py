@@ -39,8 +39,10 @@ check above, passed):
   and every per-layer metric (`--trace 1`) of BENCHMARK.json, the median
   and quartiles over the seeds and, for each checkout after the first (the
   base), in how many seeds it did better than the base, in the direction
-  that BENCHMARK.json gives.  A run that failed counts in no median and no
-  win count.
+  that BENCHMARK.json gives, and `clears_base_quartiles`: whether its median
+  lies beyond the base's q3 (higher is better) or below its q1 (lower is
+  better), false where either is missing.  A run that failed counts in no
+  median and no win count.
 
 Standard library only; run.py and the zeros-cold child need mpmath.
 """
@@ -154,6 +156,9 @@ def summarise(names: list, runs: dict, better: dict) -> dict:
                 wins = sum((per[n][s] > per[base][s]) if direction == "higher" else (per[n][s] < per[base][s])
                            for s in seeds)
                 row[n]["better_than_" + base] = f"{wins} of {len(seeds)}"
+                mine, edge = row[n]["median"], row[base].get("q3" if direction == "higher" else "q1")
+                row[n]["clears_base_quartiles"] = (mine is not None and edge is not None
+                                                   and (mine > edge if direction == "higher" else mine < edge))
             rows[metric] = row
         out[workload] = rows
     return out

@@ -53,6 +53,8 @@ to nu.  It starts from the root of the first term alone (_debye), whose left
 side is convex and increasing.  Near nu the left side is neither (for C' the
 first term's falls there first), so the steps are kept right of nu and capped,
 and a search that runs out of them returns its start, here the one-term root.
+For C' with t < 1 that root is the seed itself: there the V_1 term's root
+took more passes.
 A first zero whose right side is not positive is seeded from the start pass
 at x + s0 - kappa s0^2, or at the bracket's top where u' = 0.  Every seed is
 clamped to the bracket.  Newton from x ends on x - s once the step s falls
@@ -76,6 +78,26 @@ m on I lies within e^(6K|s|) K s^2 <= 1.06 K s^2 of x - s.  kappa(x) and w(x)
 carry the evaluation's error, which moves the bound by far less than its own
 5.3 |s|^3 c^2 floor.  As c >= 1, that floor alone keeps a halting step below
 3.4e-6 max(1, x)^(1/3).
+
+Where that bound fails, the same pass takes the last step to third order.
+With s0 = -s = (m - u)/u', the inverse phase has x' = 1/u', x'' = -2 kappa/u'^2
+and x''' = (8 kappa^2 - 2 kappa')/u'^3, kappa' = Q + kappa^2 - w^2 from the
+pass, so Taylor's theorem in u from u(x) to m gives z = x + d + R, d = s0 -
+kappa s0^2 + (4 kappa^2 - kappa') s0^3/3, with R = x''''(u*) (s0 u'(x))^4/24
+at some u* between; x(u*) lies between x and z, in I.  From kappa'' = Q' + 2
+kappa kappa' - 4 kappa w^2 (w' = 2 kappa w), x'''' u'^4 = 28 kappa kappa' - 2
+kappa'' - 48 kappa^3 = 24 kappa Q - 24 kappa^3 - 16 kappa w^2 - 2 Q'.  On I,
+under the same guard, |kappa| <= K, w^2 <= e^(1/8) w(x)^2, (u'(x)/u')^4 <=
+e^(16 K |s|) <= 1.15, and |Q'| <= q1, taken at y = x - 2|s| from a bound
+that falls with y: for C, q1 = 2 |nu^2 - 1/4|/y^3; for C', where Q = 1 -
+(nu^2 - 1/4)/x^2 - 1/D - 3 nu^2/D^2, D = x^2 - nu^2 (T in partial
+fractions), q1 = 2 |nu^2 - 1/4|/y^3 + 2y (D + 6 nu^2)/D^3 at y.  So |z - (x
++ d)| <= 1.15 s^4 (K (q + K^2 + 0.76 w(x)^2) + q1/12), and the search ends
+on x + d, with no confirming pass, once that is below 2e-16 max(1, x).  The
+errors of kappa, w and Q move x + d by about 1e-14 c s^2 <= 1e-16 |s|, far
+below u's rounding.  As K >= 5 |s| and q >= 1, a halting step stays below
+5.1e-4 max(1, x)^(1/5).  TestCertifiedHalt checks both ends against the
+oracle at 60 digits, and TestPhasePremises kappa', Q and the bounds q, q1.
 
 As x -> 0+, C > 0, and C' < 0 except for C' = J'_nu > 0 with nu > 0.  J and
 -Y are positive on (0, x0], x0 = max(nu, 1e-6), where u - delta/pi rises
@@ -220,24 +242,59 @@ def _target(spec: CylinderSpec, kind: EvalKind):
     return phase
 
 
-def _newton_bound(nu, derivative, x, s, kappa, dw):
-    # the certified bound on |z - (x - s)| of the module docstring, from the
-    # pass at x with u' = dw and u''/(2u') = kappa; inf where it does not hold
+def _riccati_q(nu, derivative, x):
+    # Q of the module docstring at x (above nu for C')
+    q = 1.0 - (nu * nu - 0.25) / (x * x)
+    if derivative:
+        d = x * x - nu * nu
+        q -= (1.0 + 3.0 * nu * nu / d) / d
+    return q
+
+
+def _reach(nu, derivative, x, s, kappa, dw):
+    # (r, q, q1, c) of the module docstring's bounds on I = [x - r, x + r],
+    # r = 2|s|, from the pass at x with u' = dw and u''/(2u') = kappa: |Q|
+    # <= q and |Q'| <= q1 on I; None where I is not above 0 (nu for C') or
+    # 64 r c > 1
     r = 2.0 * abs(s)
     lo, n2 = x - r, nu * nu
     if derivative:
         if not lo > nu:
-            return math.inf
+            return None
         d = lo * lo - n2
         q = 1.0 + (3.0 * lo**4 + 10.0 * n2 * lo * lo + n2 * n2) / (4.0 * lo * lo * d * d)
+        q1 = 2.0 * lo * (d + 6.0 * n2) / (d * d * d)
     elif lo > 0.0:
-        q = 1.0 + abs(n2 - 0.25) / (lo * lo)
+        q, q1 = 1.0 + abs(n2 - 0.25) / (lo * lo), 0.0
     else:
-        return math.inf
+        return None
+    q1 += 2.0 * abs(n2 - 0.25) / (lo * lo * lo)
     c = abs(kappa) + math.sqrt(q) + math.pi * dw
-    if 64.0 * r * c > 1.0:
+    return None if 64.0 * r * c > 1.0 else (r, q, q1, c)
+
+
+def _newton_bound(nu, derivative, x, s, kappa, dw):
+    # the certified bound on |z - (x - s)| of the module docstring, from the
+    # pass at x with u' = dw and u''/(2u') = kappa; inf where it does not hold
+    on = _reach(nu, derivative, x, s, kappa, dw)
+    if on is None:
         return math.inf
+    r, _, _, c = on
     return 1.06 * (abs(kappa) + 2.5 * r * c * c) * s * s
+
+
+def _cubic_bound(nu, derivative, x, s, kappa, dw):
+    # the third-order end x + d of the module docstring, from the same pass
+    # and Newton step s = -s0, and the certified bound on |z - (x + d)|: (inf,
+    # x) where it does not hold
+    on = _reach(nu, derivative, x, s, kappa, dw)
+    if on is None:
+        return math.inf, x
+    r, q, q1, c = on
+    big, w2 = abs(kappa) + 2.5 * r * c * c, (math.pi * dw) ** 2
+    bound = 1.15 * s**4 * (big * (q + big * big + 0.76 * w2) + q1 / 12.0)
+    cube = kappa * kappa + (w2 - _riccati_q(nu, derivative, x)) / 3.0  # (4 kappa^2 - kappa')/3
+    return bound, x - s * (1.0 + s * (kappa + s * cube))
 
 
 def _refine(phase, m, x, a, b, nu=None, derivative=False):
@@ -245,9 +302,10 @@ def _refine(phase, m, x, a, b, nu=None, derivative=False):
     # and b (u > m), in either order; a step that leaves the bracket bisects
     # it.  Near m, u - m is read from f/|H| (module docstring), except where
     # |H|^2 overflows: there u' = 0 and f/|H| reads 0.  Ends on a step below
-    # REL_TOL, or, given the walk's nu and kind, on one whose certified
-    # Newton error (_newton_bound) is below u's rounding.  Returns the zero,
-    # the tolerance achieved and the last (x, u, u', kappa).
+    # REL_TOL, or, given the walk's nu and kind, where the certified error
+    # of the Newton step (_newton_bound), or else of the third-order one
+    # (_cubic_bound), is below u's rounding.  Returns the zero, the
+    # tolerance achieved and the last (x, u, u', kappa).
     for _ in range(_MAX_ITER):
         w, dw, s, k = phase(x)
         e = w - m
@@ -263,8 +321,12 @@ def _refine(phase, m, x, a, b, nu=None, derivative=False):
         if abs(step) > REL_TOL * scale:
             if not (a < xn < b or b < xn < a):
                 xn = 0.5 * (a + b)
-            elif nu is not None and _newton_bound(nu, derivative, x, step, k, dw) <= _ROUNDING * scale:
-                return xn, REL_TOL, (x, w, dw, k)
+            elif nu is not None:
+                if _newton_bound(nu, derivative, x, step, k, dw) <= _ROUNDING * scale:
+                    return xn, REL_TOL, (x, w, dw, k)
+                bound, z = _cubic_bound(nu, derivative, x, step, k, dw)
+                if bound <= _ROUNDING * scale:
+                    return z, REL_TOL, (x, w, dw, k)
             if abs(xn - x) > REL_TOL * (xn if xn > 1.0 else 1.0):
                 x = xn
                 continue
@@ -425,7 +487,9 @@ def _find_zeros_cached(spec: CylinderSpec, kind: EvalKind, n: int):
         if m - first >= 12:  # every pass lies above nu and x = 1 here, where u' > 0
             seed = _hermite(*before, x, w, dw, k, m)
         elif m == first and t > 0.0:
-            seed = _debye2(nu, t, two, _debye(nu, t))
+            seed = _debye(nu, t)
+            if t >= 1.0 or not derivative:
+                seed = _debye2(nu, t, two, seed)
         elif dw > 0.0:  # u(x + d) = w + u' (d + kappa d^2) = m, to second order
             s0 = (m - w) / dw
             seed = x + (s0 - k * s0 * s0)

@@ -93,7 +93,23 @@ class TestSummary:
         assert list(rows) == list(record.directions())
         # a metric that no run reports: no median and no seed to compare
         assert rows["setup_s"] == {"parent": {"median": None},
-                                   "change": {"median": None, "better_than_parent": "0 of 0"}}
+                                   "change": {"median": None, "better_than_parent": "0 of 0",
+                                              "clears_base_quartiles": False}}
+
+    def test_clears_the_base_quartiles_in_each_direction(self):
+        # ops_per_s: 117.5 > q3 115; op_p50_ms: 1.8 is not below q1 1.7; the
+        # cell: 4.5 is not below q1 4.5
+        rows = _summary()
+        assert [rows[m]["change"]["clears_base_quartiles"] for m in METRICS] == [True, False, False]
+        assert all("clears_base_quartiles" not in rows[m]["parent"] for m in METRICS)
+        # a lower-is-better median below the base's q1, and one seed alone, with no quartiles
+        runs = {"parent": {"w": [_run(s, 0, op_p50_ms=v) for s, v in ((1, 1.0), (2, 1.2), (3, 1.4))]},
+                "change": {"w": [_run(s, 0, op_p50_ms=v) for s, v in ((1, 1.05), (2, 1.0), (3, 1.1))]}}
+        row = record.summarise(NAMES, runs, {"op_p50_ms": "lower"})["w"]["op_p50_ms"]["change"]
+        assert (row["median"], row["better_than_parent"], row["clears_base_quartiles"]) == (1.05, "2 of 3", True)
+        runs["parent"]["w"] = runs["parent"]["w"][:1]
+        row = record.summarise(NAMES, runs, {"op_p50_ms": "lower"})["w"]["op_p50_ms"]["change"]
+        assert row["clears_base_quartiles"] is False
 
 
 MAP_OUTPUT = """\
