@@ -291,8 +291,8 @@ def _cubic_bound(nu, derivative, x, s, kappa, dw):
     if on is None:
         return math.inf, x
     r, q, q1, c = on
-    big, w2 = abs(kappa) + 2.5 * r * c * c, (math.pi * dw) ** 2
-    bound = 1.15 * s**4 * (big * (q + big * big + 0.76 * w2) + q1 / 12.0)
+    k_sup, w2 = abs(kappa) + 2.5 * r * c * c, (math.pi * dw) ** 2
+    bound = 1.15 * s**4 * (k_sup * (q + k_sup * k_sup + 0.76 * w2) + q1 / 12.0)
     cube = kappa * kappa + (w2 - _riccati_q(nu, derivative, x)) / 3.0  # (4 kappa^2 - kappa')/3
     return bound, x - s * (1.0 + s * (kappa + s * cube))
 

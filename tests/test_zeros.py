@@ -378,7 +378,7 @@ class TestPhasePremises:
                 assert abs((k_hi - k_lo) / (2.0 * h) - (q + k * k - w2)) <= 1e-6 * (abs(q) + w2), (nu, x)
 
     @pytest.mark.parametrize("kind", tuple(EvalKind))
-    def test_the_passs_riccati_slope_and_the_bounds_on_q(self, kind):
+    def test_riccati_slope_of_the_pass_and_the_bounds_on_q(self, kind):
         # the third-order halt's kappa' = Q + kappa^2 - (pi u')^2, with Q from
         # _riccati_q, against central differences of the pass's kappa; and
         # |Q| <= q, |Q'| <= q1 of _reach on an interval from just below x,
