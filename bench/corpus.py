@@ -22,9 +22,11 @@ and by the index of the zero above the start (the start pass counts with the
 `count_walk`, the one counter of the walk, on the checkout's `src/`; for
 bench/record.py it also counts passes per request size n and `zeros._cyl`
 calls.
-Its counting wrappers call through, so the hash cannot move with them.  A
-child that fails prints its exit status and the end of its stderr in the
-hash's place, and the script exits 1.
+Its counting wrappers call through, so the hash cannot move with them.  Where
+the two hashes differ, a last line sizes the change from the same two walks:
+how many of the hashed zeros moved, and the largest relative move.  A child
+that fails prints its exit status and the end of its stderr in the hash's
+place, and the script exits 1.
 
 Standard library only; the zeros-cold child imports perfbench, which needs
 mpmath.
@@ -177,8 +179,9 @@ def count_walk(requests) -> list:
 
 
 def zeros_cold_walk(requests: int, counted: int) -> dict:
-    # the zeros-cold child's {"hash": ..., "counts": {...}}: the first `requests`
-    # of perfbench's ZerosCold at seeds 1 and 2 hashed, seed 1's first `counted` counted
+    # the zeros-cold child's {"hash": ..., "counts": {...}, "zeros": [...]}: the
+    # first `requests` of perfbench's ZerosCold at seeds 1 and 2 hashed, and
+    # their zeros in order; seed 1's first `counted` counted
     import workloads
 
     ops = [op for seed in (1, 2)
@@ -202,7 +205,7 @@ def zeros_cold_walk(requests: int, counted: int) -> dict:
         below += len(seq) - len(passes)
     passes, calls, found = map(sum, zip(*by_n.values()))
     groups = by_index.items()  # in order: a walk reaches each group through the ones before
-    return {"hash": h.hexdigest(), "counts": {
+    return {"hash": h.hexdigest(), "zeros": [z for seq, _, _ in walks for z in seq.zeros], "counts": {
         "requests": counted, "zeros": found,
         "phase_passes_per_zero": passes / found, "cyl_calls_per_zero": calls / found,
         "phase_passes_per_zero_by_n": {n: p / z for n, (p, _, z) in sorted(by_n.items())},
@@ -220,6 +223,13 @@ def largest_rel(a: str, b: str):
         return None
     pairs = zip(map(float, NUMBER.findall(a)), map(float, NUMBER.findall(b)))
     return max((abs(x - y) / max(abs(x), abs(y)) for x, y in pairs if x != y), default=0.0)
+
+
+def zeros_moved(a: list, b: list) -> tuple:
+    # (how many zeros differ, the largest relative difference) between two
+    # walks' zeros, taken in order
+    rel = [abs(x - y) / max(abs(x), abs(y)) for x, y in zip(a, b) if x != y]
+    return len(rel), max(rel, default=0.0)
 
 
 def compare(a: tuple, b: tuple):
@@ -257,7 +267,7 @@ def last_json(cmd: list, root: str, **kwargs) -> dict:
 
 
 def zeros_cold(root: str, requests: int = HASH_REQUESTS, counted: int = COUNTED) -> dict:
-    # {"hash": ..., "counts": {...}} from the checkout's own files
+    # {"hash": ..., "counts": {...}, "zeros": [...]} from the checkout's own files
     return last_json([sys.executable, "-c", ZEROS_COLD, str(requests), str(counted)], root,
                      env=env("perfbench", "src", "tests", HERE))
 
@@ -285,6 +295,11 @@ def main(argv=None) -> int:
             by_index = ", ".join(f"{g}: {p:.3f}" for g, p in counts["phase_passes_per_zero_by_index"].items())
             line += f"; phase passes per zero {counts['phase_passes_per_zero']:.4f} ({by_index})"
         print(line)
+    a, b = walks.values()
+    if "hash" in a and "hash" in b and a["hash"] != b["hash"]:
+        moved, rel = zeros_moved(a["zeros"], b["zeros"])
+        print(f"zeros-cold hashes differ: {moved} of {len(a['zeros'])} zeros moved, "
+              f"the largest by {rel:.3g} relative")
     return int(any("hash" not in walk for walk in walks.values()))
 
 

@@ -88,14 +88,17 @@ def wronskian_asymptote(spec_a: CylinderSpec, spec_b: CylinderSpec) -> float:
 def check_derivative_identity(spec_a: CylinderSpec, spec_b: CylinderSpec, x: float) -> float:
     """Residual of W' = (mu^2 - nu^2)/x^2 * xi_a xi_b at x.
 
-    W' comes from a centered difference with step 1e-4; the residual is
-    relative to max(1, |rhs|) so that large-amplitude small-x regions are not
-    penalized for ordinary finite-difference truncation error.
+    W' comes from a centered difference with step 1e-4, whose points x -
+    1e-4 and x + 1e-4 must lie in the box (0, 400], else ValueError.  The
+    residual is relative to max(1, |rhs|) so that large-amplitude small-x
+    regions are not penalized for ordinary finite-difference truncation error.
     """
     x = float(x)
     h = _DIFF_STEP
     if x - h <= 0.0:
         raise ValueError(f"need x > {h:g}")
+    if x + h > X_MAX:
+        raise ValueError(f"need x <= {X_MAX:g} - {h:g}, got {x!r}")
     num = (wronskian_value(spec_a, spec_b, x + h) - wronskian_value(spec_a, spec_b, x - h)) / (
         2.0 * h
     )

@@ -58,46 +58,42 @@ took more passes.
 A first zero whose right side is not positive is seeded from the start pass
 at x + s0 - kappa s0^2, or at the bracket's top where u' = 0.  Every seed is
 clamped to the bracket.  Newton from x ends on x - s once the step s falls
-below REL_TOL max(1, x).  It ends on a larger step, without the pass that
-would confirm it, when a certified bound on the Newton
-error |z - (x - s)| is below u's rounding, 2e-16 max(1, x).  The bound: with w
-= pi u', kappa = w'/(2w) obeys the Riccati equation kappa' = Q + kappa^2 - w^2
-of the phase's amplitude, with Q = 1 - (nu^2 - 1/4)/x^2 for C (the normal form
-of Bessel's equation) and Q = g - T, g = 1 - nu^2/x^2, T = (3x^4 + 10 nu^2 x^2
-- nu^4)/(4x^2 (x^2 - nu^2)^2) for C' (from (a v')' + v/x = 0, a = x/(x^2 -
-nu^2), which x H' solves).  On I = [x - 2|s|, x + 2|s|], which must lie above
-0 (above nu for C', so that w > 0), |Q| <= q, with q taken at y = x - 2|s|
-from a bound that falls with y: for C, q = 1 + |nu^2 - 1/4|/y^2; for C', where
-0 <= g < 1 and T >= 0, so |Q| <= 1 + T, q = 1 + (3y^4 + 10 nu^2 y^2 +
-nu^4)/(4y^2 (y^2 - nu^2)^2).  Let c = |kappa(x)| + sqrt(q) + w(x) and 128 |s|
-c <= 1.  While |kappa| <= 2c on I, w^2 <= e^(1/8) w(x)^2 there, so |kappa'| <=
-6.2 c^2 and |kappa| <= 1.1 c: it holds on all of I, and then |kappa'| <= 2.35
-c^2 and |kappa| <= K = |kappa(x)| + 5 |s| c^2.  By Taylor's theorem with u'' =
-2 kappa u', and u' within a factor e^(2K|t - x|) of u'(x), the one zero of u -
-m on I lies within e^(6K|s|) K s^2 <= 1.06 K s^2 of x - s.  kappa(x) and w(x)
-carry the evaluation's error, which moves the bound by far less than its own
-5.3 |s|^3 c^2 floor.  As c >= 1, that floor alone keeps a halting step below
-3.4e-6 max(1, x)^(1/3).
+below REL_TOL max(1, x).  On a larger step it ends, without the pass that
+would confirm it, on the third-order step x + d from the same pass, once a
+certified bound on |z - (x + d)| is below u's rounding, 2e-16 max(1, x).
 
-Where that bound fails, the same pass takes the last step to third order.
-With s0 = -s = (m - u)/u', the inverse phase has x' = 1/u', x'' = -2 kappa/u'^2
-and x''' = (8 kappa^2 - 2 kappa')/u'^3, kappa' = Q + kappa^2 - w^2 from the
-pass, so Taylor's theorem in u from u(x) to m gives z = x + d + R, d = s0 -
-kappa s0^2 + (4 kappa^2 - kappa') s0^3/3, with R = x''''(u*) (s0 u'(x))^4/24
-at some u* between; x(u*) lies between x and z, in I.  From kappa'' = Q' + 2
-kappa kappa' - 4 kappa w^2 (w' = 2 kappa w), x'''' u'^4 = 28 kappa kappa' - 2
-kappa'' - 48 kappa^3 = 24 kappa Q - 24 kappa^3 - 16 kappa w^2 - 2 Q'.  On I,
-under the same guard, |kappa| <= K, w^2 <= e^(1/8) w(x)^2, (u'(x)/u')^4 <=
-e^(16 K |s|) <= 1.15, and |Q'| <= q1, taken at y = x - 2|s| from a bound
-that falls with y: for C, q1 = 2 |nu^2 - 1/4|/y^3; for C', where Q = 1 -
-(nu^2 - 1/4)/x^2 - 1/D - 3 nu^2/D^2, D = x^2 - nu^2 (T in partial
-fractions), q1 = 2 |nu^2 - 1/4|/y^3 + 2y (D + 6 nu^2)/D^3 at y.  So |z - (x
-+ d)| <= 1.15 s^4 (K (q + K^2 + 0.76 w(x)^2) + q1/12), and the search ends
-on x + d, with no confirming pass, once that is below 2e-16 max(1, x).  The
-errors of kappa, w and Q move x + d by about 1e-14 c s^2 <= 1e-16 |s|, far
-below u's rounding.  As K >= 5 |s| and q >= 1, a halting step stays below
-5.1e-4 max(1, x)^(1/5).  TestCertifiedHalt checks both ends against the
-oracle at 60 digits, and TestPhasePremises kappa', Q and the bounds q, q1.
+With w = pi u', kappa = w'/(2w) obeys the Riccati equation kappa' = Q +
+kappa^2 - w^2 of the phase's amplitude, with Q = 1 - (nu^2 - 1/4)/x^2 for C
+(the normal form of Bessel's equation) and Q = g - T, g = 1 - nu^2/x^2, T =
+(3x^4 + 10 nu^2 x^2 - nu^4)/(4x^2 (x^2 - nu^2)^2) for C' (from (a v')' + v/x
+= 0, a = x/(x^2 - nu^2), which x H' solves).  With s0 = -s = (m - u)/u', the
+inverse phase has x' = 1/u', x'' = -2 kappa/u'^2 and x''' = (8 kappa^2 - 2
+kappa')/u'^3, so Taylor's theorem in u from u(x) to m gives z = x + d + R, d
+= s0 - kappa s0^2 + (4 kappa^2 - kappa') s0^3/3, with R = x''''(u*) (s0
+u'(x))^4/24 at some u* between, where x(u*) lies between x and z.  From
+kappa'' = Q' + 2 kappa kappa' - 4 kappa w^2 (w' = 2 kappa w), x'''' u'^4 = 28
+kappa kappa' - 2 kappa'' - 48 kappa^3 = 24 kappa Q - 24 kappa^3 - 16 kappa
+w^2 - 2 Q'.
+
+The bound holds on I = [x - 2|s|, x + 2|s|], which must lie above 0 (above
+nu for C', so that w > 0).  On I, |Q| <= q and |Q'| <= q1, taken at y = x -
+2|s| from bounds that fall with y: for C, q = 1 + |nu^2 - 1/4|/y^2 and q1 = 2
+|nu^2 - 1/4|/y^3; for C', where 0 <= g < 1 and T >= 0, so |Q| <= 1 + T, q = 1
++ (3y^4 + 10 nu^2 y^2 + nu^4)/(4y^2 (y^2 - nu^2)^2), and, as Q = 1 - (nu^2 -
+1/4)/x^2 - 1/D - 3 nu^2/D^2, D = x^2 - nu^2 (T in partial fractions), q1 = 2
+|nu^2 - 1/4|/y^3 + 2y (D + 6 nu^2)/D^3 at y.  The guard: c = |kappa(x)| +
+sqrt(q) + w(x) and 128 |s| c <= 1.  While |kappa| <= 2c on I, w^2 <= e^(1/8)
+w(x)^2 there, so |kappa'| <= 6.2 c^2 and |kappa| <= 1.1 c: it holds on all of
+I, and then |kappa'| <= 2.35 c^2 and |kappa| <= K = |kappa(x)| + 5 |s| c^2.
+As u'' = 2 kappa u' and K |s| < 0.0082, u' stays within a factor e^(4K|s|) <
+1.04 of u'(x) on I: u - m changes sign between x and x - 2s, so z lies in I,
+and (u'(x)/u')^4 <= e^(16 K |s|) <= 1.15.  So |z - (x + d)| <= 1.15 s^4 (K (q
++ K^2 + 0.76 w(x)^2) + q1/12), and the search ends on x + d once that is
+below 2e-16 max(1, x).  The errors of kappa, w and Q move x + d by about
+1e-14 c s^2 <= 1e-16 |s|, far below u's rounding.  As K >= 5 |s| and q >= 1,
+a halting step stays below 5.1e-4 max(1, x)^(1/5).  TestCertifiedHalt checks
+the halt against the oracle at 60 digits, and TestPhasePremises kappa', Q and
+the bounds q, q1.
 
 As x -> 0+, C > 0, and C' < 0 except for C' = J'_nu > 0 with nu > 0.  J and
 -Y are positive on (0, x0], x0 = max(nu, 1e-6), where u - delta/pi rises
@@ -135,7 +131,7 @@ REL_TOL = 1e-12
 _MAX_ITER = 80
 _START = 1e-6  # a zero below max(nu, 1e-6) is sought in log x, from here
 _X_FLOOR = 1e-300  # ... down to here
-_ROUNDING = 2e-16  # u's rounding: a Newton step whose certified error is below this,
+_ROUNDING = 2e-16  # u's rounding: a third-order step whose certified error is below this,
                    # relative to max(1, x), ends the search
 
 
@@ -273,20 +269,10 @@ def _reach(nu, derivative, x, s, kappa, dw):
     return None if 64.0 * r * c > 1.0 else (r, q, q1, c)
 
 
-def _newton_bound(nu, derivative, x, s, kappa, dw):
-    # the certified bound on |z - (x - s)| of the module docstring, from the
-    # pass at x with u' = dw and u''/(2u') = kappa; inf where it does not hold
-    on = _reach(nu, derivative, x, s, kappa, dw)
-    if on is None:
-        return math.inf
-    r, _, _, c = on
-    return 1.06 * (abs(kappa) + 2.5 * r * c * c) * s * s
-
-
 def _cubic_bound(nu, derivative, x, s, kappa, dw):
-    # the third-order end x + d of the module docstring, from the same pass
-    # and Newton step s = -s0, and the certified bound on |z - (x + d)|: (inf,
-    # x) where it does not hold
+    # the third-order end x + d of the module docstring, from the pass at x
+    # with u' = dw and u''/(2u') = kappa and its Newton step s = -s0, and the
+    # certified bound on |z - (x + d)|: (inf, x) where it does not hold
     on = _reach(nu, derivative, x, s, kappa, dw)
     if on is None:
         return math.inf, x
@@ -302,10 +288,9 @@ def _refine(phase, m, x, a, b, nu=None, derivative=False):
     # and b (u > m), in either order; a step that leaves the bracket bisects
     # it.  Near m, u - m is read from f/|H| (module docstring), except where
     # |H|^2 overflows: there u' = 0 and f/|H| reads 0.  Ends on a step below
-    # REL_TOL, or, given the walk's nu and kind, where the certified error
-    # of the Newton step (_newton_bound), or else of the third-order one
-    # (_cubic_bound), is below u's rounding.  Returns the zero, the
-    # tolerance achieved and the last (x, u, u', kappa).
+    # REL_TOL, or, given the walk's nu and kind, on the third-order step
+    # where its certified error (_cubic_bound) is below u's rounding.
+    # Returns the zero, the tolerance achieved and the last (x, u, u', kappa).
     for _ in range(_MAX_ITER):
         w, dw, s, k = phase(x)
         e = w - m
@@ -322,8 +307,6 @@ def _refine(phase, m, x, a, b, nu=None, derivative=False):
             if not (a < xn < b or b < xn < a):
                 xn = 0.5 * (a + b)
             elif nu is not None:
-                if _newton_bound(nu, derivative, x, step, k, dw) <= _ROUNDING * scale:
-                    return xn, REL_TOL, (x, w, dw, k)
                 bound, z = _cubic_bound(nu, derivative, x, step, k, dw)
                 if bound <= _ROUNDING * scale:
                     return z, REL_TOL, (x, w, dw, k)

@@ -1,10 +1,13 @@
 """The artifact corpus's diff rule, on synthetic outputs: what differs, and the
 largest relative difference among the numbers; the corpus's reach over the
-command line; its zeros-cold child against the walk in process; and the
+command line; its zeros-cold child against the walk in process, the size it
+gives a hash change, and what of the child a BENCH file keeps; and the
 walk's counter, `count_walk`, which leaves the walk as it found it."""
 
 import hashlib
 import itertools
+import json
+import math
 import random
 import shlex
 from pathlib import Path
@@ -12,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import corpus
+import record
 from cylfn import zeros
 from cylfn.cli import build_parser
 from cylfn.special_fn import CylinderSpec, DomainError, EvalKind
@@ -81,15 +85,17 @@ class TestZerosCold:
 
         h = hashlib.sha256()
         found = {}  # n: zeros over seed 1's first 3 requests
+        walked = []  # every hashed zero, in order
         for seed in (1, 2):
             ops = workloads.ZerosCold(random.Random(f"zeros-cold:{seed}")).ops()
             for i, (spec, kind, n) in enumerate(itertools.islice(ops, 4)):
                 seq = zeros.find_zeros(spec, kind, n)
                 h.update(repr((spec, kind, n, seq.zeros, seq.refined_to)).encode())
+                walked += seq.zeros
                 if seed == 1 and i < 3:
                     found[n] = found.get(n, 0) + len(seq)
         counts = got["counts"]
-        assert got["hash"] == h.hexdigest()
+        assert got["hash"] == h.hexdigest() and got["zeros"] == walked
         assert counts["requests"] == 3 and counts["zeros"] == sum(found.values())
         by_n = {int(n): v for n, v in counts["phase_passes_per_zero_by_n"].items()}
         assert by_n.keys() == found.keys()
@@ -109,6 +115,36 @@ class TestZerosCold:
         with pytest.raises(DomainError):
             corpus.count_walk([(CylinderSpec.of(0.0, 0.0), EvalKind.FUNCTION, 2), beyond])
         assert (zeros._target, zeros._refine, zeros._cyl) == seams
+
+    def test_a_hash_change_is_sized_from_the_same_walks(self, monkeypatch, capsys):
+        # one child per checkout; where the hashes differ, how many zeros
+        # moved and by how much at most, relative; nothing where they agree
+        walks = {"a": {"hash": "1", "zeros": [0.0, 2.5, 5.5, 8.5]},
+                 "b": {"hash": "2", "zeros": [0.0, 2.5, math.nextafter(5.5, 6.0), math.nextafter(8.5, 0.0)]},
+                 "c": {"hash": "1", "zeros": [0.0, 2.5, 5.5, 8.5]}}
+        calls = []
+        monkeypatch.setattr(corpus, "CORPUS", ())
+        monkeypatch.setattr(corpus, "zeros_cold", lambda root: calls.append(root) or walks[root])
+        assert corpus.main(["--checkout", "a=a", "--checkout", "b=b"]) == 0
+        assert calls == ["a", "b"]
+        # the largest move is 8.5's ulp below, over 8.5
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "zeros-cold hashes differ: 2 of 4 zeros moved, the largest by 2.09e-16 relative")
+        assert corpus.main(["--checkout", "a=a", "--checkout", "c=c"]) == 0
+        assert "moved" not in capsys.readouterr().out
+
+    def test_the_bench_file_keeps_no_zeros(self, monkeypatch, tmp_path):
+        # bench/record.py takes the child's hash and counts, and leaves its zeros out
+        walk = {"hash": "1", "counts": {"requests": 1}, "zeros": [2.5]}
+        monkeypatch.setattr(corpus, "zeros_cold", lambda root: walk)
+        for child in ("bench_run", "slow_maps", "tier1"):
+            monkeypatch.setattr(record, child, lambda *args: {})
+        out = tmp_path / "bench.json"
+        argv = ["--checkout", f"a={tmp_path}", "--workloads", "zeros-cold", "--seeds", "1", "--out", str(out)]
+        assert record.main(argv) == 0
+        entry = json.loads(out.read_text(encoding="utf-8"))["checkouts"]["a"]
+        assert (entry["zeros_cold_hash"], entry["zeros_cold_counts"]) == ("1", {"requests": 1})
+        assert '"zeros"' not in out.read_text(encoding="utf-8")
 
     def test_a_failing_child_fails_the_script(self, monkeypatch, tmp_path, capsys):
         monkeypatch.setattr(corpus, "CORPUS", ("",))

@@ -73,6 +73,12 @@ class TestDerivativeIdentity:
         with pytest.raises(ValueError, match="need x > 0.0001"):
             check_derivative_identity(_spec(1.0, 0.0), _spec(2.0, 0.0), x)
 
+    @pytest.mark.parametrize("x", (400.0, 399.99995))
+    def test_rejects_a_difference_reaching_past_x_max(self, x):
+        # named by the x given, not by the x + 1e-4 that would leave the box
+        with pytest.raises(ValueError, match=f"need x <= 400 - 0.0001, got {x!r}"):
+            check_derivative_identity(_spec(1.0, 0.0), _spec(2.0, 0.0), x)
+
     def test_extremum_at_zero_of_xi(self):
         a = _spec(1.0, 0.0)
         b = _spec(2.0, 0.0)

@@ -757,8 +757,9 @@ class TestDebyeSeed:
 
 
 class TestCertifiedHalt:
-    # the Newton halt of the module docstring, on a seeded block: both kinds;
-    # J, Y, mixed angles and delta within 1e-12 to 1e-2 of 0 or pi; n up to 110
+    # the third-order halt of the module docstring, on a seeded block: both
+    # kinds; J, Y, mixed angles and delta within 1e-12 to 1e-2 of 0 or pi; n
+    # up to 110
     @staticmethod
     def _block(rng):
         for n in (2, 6, 20, 50, 110):
@@ -792,42 +793,6 @@ class TestCertifiedHalt:
         f = (mp.cos(spec.delta) * j - mp.sin(spec.delta) * y) / mp.sqrt(hh)
         return mp.asin(-f if m & 1 else f) / mp.pi * (mp.pi**2 * x * hh) / (2 * g)
 
-    def test_halted_zeros_within_the_certified_bound(self, monkeypatch):
-        halts = {}
-
-        def recorded(nu, derivative, x, s, kappa, dw, fn=zeros._newton_bound):
-            bound = fn(nu, derivative, x, s, kappa, dw)
-            if bound <= zeros._ROUNDING * max(1.0, x):
-                halts[x - s] = (x, bound)  # the zero _refine returns
-            return bound
-
-        monkeypatch.setattr(zeros, "_newton_bound", recorded)
-        zeros._find_zeros_cached.cache_clear()
-        rng = random.Random(20261026)
-        found, halted = 0, []
-        for spec, kind, n in self._block(rng):
-            halts.clear()
-            phase = zeros._target(spec, kind)
-            for z in find_zeros(spec, kind, n):
-                if z <= zeros._START:
-                    continue
-                found += 1
-                corr, _ = self._correction(phase, z)
-                assert abs(corr) <= 4e-15 * max(1.0, z), (spec, kind, z, corr)
-                if z in halts:
-                    halted.append((spec, kind, z) + halts[z])
-        assert found >= 5000 and len(halted) >= found // 4
-        # the bound is on exact Newton: from the halting pass at x, the step
-        # s = (u(x) - m)/u'(x) in the oracle's arithmetic lands within the
-        # bound of a sign change of f
-        for spec, kind, z, x, bound in rng.sample(halted, 12):
-            f = oracle_cylinder if kind is EvalKind.FUNCTION else oracle_cylinder_prime
-            with mp.workdps(60):
-                _, m = self._correction(zeros._target(spec, kind), x)
-                xn = mp.mpf(x) - self._exact_step(spec, kind, x, m)
-                assert certify_sign_change(lambda t: f(spec.nu, spec.delta, t), xn, eps=mp.mpf(bound))
-                assert abs(xn - z) <= 4e-15 * max(1.0, z)
-
     @staticmethod
     def _exact_cubic(spec, kind, x, m):
         # the third-order step d = s0 - kappa s0^2 + (4 kappa^2 - kappa') s0^3/3
@@ -850,10 +815,10 @@ class TestCertifiedHalt:
         return s0 - kappa * s0**2 + (3 * kappa**2 + w2 - q) * s0**3 / 3
 
     def test_third_order_halts_within_the_certified_bound(self, monkeypatch):
-        # the same block: every halt on the third-order step, where the
-        # Newton step's own bound failed; from the halting pass at x, the
-        # exact third-order step lands within the recorded bound of a sign
-        # change of f
+        # every zero's Newton correction is at most 4e-15 max(1, z), and at
+        # least half the zeros end on the third-order step; from the halting
+        # pass at x, the exact third-order step lands within the recorded
+        # bound of a sign change of f
         halts = {}
 
         def recorded(nu, derivative, x, s, kappa, dw, fn=zeros._cubic_bound):
@@ -865,11 +830,19 @@ class TestCertifiedHalt:
         monkeypatch.setattr(zeros, "_cubic_bound", recorded)
         zeros._find_zeros_cached.cache_clear()
         rng = random.Random(20261026)
-        halted = []
+        found, halted = 0, []
         for spec, kind, n in self._block(rng):
             halts.clear()
-            halted += [(spec, kind, z) + halts[z] for z in find_zeros(spec, kind, n) if z in halts]
-        assert len(halted) >= 300
+            phase = zeros._target(spec, kind)
+            for z in find_zeros(spec, kind, n):
+                if z <= zeros._START:
+                    continue
+                found += 1
+                corr, _ = self._correction(phase, z)
+                assert abs(corr) <= 4e-15 * max(1.0, z), (spec, kind, z, corr)
+                if z in halts:
+                    halted.append((spec, kind, z) + halts[z])
+        assert found >= 5000 and len(halted) >= found // 2
         for spec, kind, z, x, bound in rng.sample(halted, 12):
             f = oracle_cylinder if kind is EvalKind.FUNCTION else oracle_cylinder_prime
             with mp.workdps(60):
