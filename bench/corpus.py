@@ -216,20 +216,19 @@ def zeros_cold_walk(requests: int, counted: int) -> dict:
 NUMBER = re.compile(r"[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?")
 
 
+def moved(a, b) -> tuple:
+    # (how many numbers differ, the largest relative difference) between two
+    # sequences of numbers, taken in order
+    rel = [abs(x - y) / max(abs(x), abs(y)) for x, y in zip(a, b) if x != y]
+    return len(rel), max(rel, default=0.0)
+
+
 def largest_rel(a: str, b: str):
     # the largest relative difference between the numbers of a and b, read
     # in order; None when they differ in more than their numbers
     if NUMBER.sub("#", a) != NUMBER.sub("#", b):
         return None
-    pairs = zip(map(float, NUMBER.findall(a)), map(float, NUMBER.findall(b)))
-    return max((abs(x - y) / max(abs(x), abs(y)) for x, y in pairs if x != y), default=0.0)
-
-
-def zeros_moved(a: list, b: list) -> tuple:
-    # (how many zeros differ, the largest relative difference) between two
-    # walks' zeros, taken in order
-    rel = [abs(x - y) / max(abs(x), abs(y)) for x, y in zip(a, b) if x != y]
-    return len(rel), max(rel, default=0.0)
+    return moved(map(float, NUMBER.findall(a)), map(float, NUMBER.findall(b)))[1]
 
 
 def compare(a: tuple, b: tuple):
@@ -297,8 +296,8 @@ def main(argv=None) -> int:
         print(line)
     a, b = walks.values()
     if "hash" in a and "hash" in b and a["hash"] != b["hash"]:
-        moved, rel = zeros_moved(a["zeros"], b["zeros"])
-        print(f"zeros-cold hashes differ: {moved} of {len(a['zeros'])} zeros moved, "
+        count, rel = moved(a["zeros"], b["zeros"])
+        print(f"zeros-cold hashes differ: {count} of {len(a['zeros'])} zeros moved, "
               f"the largest by {rel:.3g} relative")
     return int(any("hash" not in walk for walk in walks.values()))
 
