@@ -254,17 +254,18 @@ def _reach(nu, derivative, x, s, kappa, dw):
     # 64 r c > 1
     r = 2.0 * abs(s)
     lo, n2 = x - r, nu * nu
+    l2 = lo * lo
     if derivative:
         if not lo > nu:
             return None
-        d = lo * lo - n2
-        q = 1.0 + (3.0 * lo**4 + 10.0 * n2 * lo * lo + n2 * n2) / (4.0 * lo * lo * d * d)
+        d = l2 - n2
+        q = 1.0 + (3.0 * l2 * l2 + 10.0 * n2 * l2 + n2 * n2) / (4.0 * l2 * d * d)
         q1 = 2.0 * lo * (d + 6.0 * n2) / (d * d * d)
     elif lo > 0.0:
-        q, q1 = 1.0 + abs(n2 - 0.25) / (lo * lo), 0.0
+        q, q1 = 1.0 + abs(n2 - 0.25) / l2, 0.0
     else:
         return None
-    q1 += 2.0 * abs(n2 - 0.25) / (lo * lo * lo)
+    q1 += 2.0 * abs(n2 - 0.25) / (l2 * lo)
     c = abs(kappa) + math.sqrt(q) + math.pi * dw
     return None if 64.0 * r * c > 1.0 else (r, q, q1, c)
 
@@ -277,8 +278,9 @@ def _cubic_bound(nu, derivative, x, s, kappa, dw):
     if on is None:
         return math.inf, x
     r, q, q1, c = on
-    k_sup, w2 = abs(kappa) + 2.5 * r * c * c, (math.pi * dw) ** 2
-    bound = 1.15 * s**4 * (k_sup * (q + k_sup * k_sup + 0.76 * w2) + q1 / 12.0)
+    w, s2 = math.pi * dw, s * s
+    k_sup, w2 = abs(kappa) + 2.5 * r * c * c, w * w
+    bound = 1.15 * s2 * s2 * (k_sup * (q + k_sup * k_sup + 0.76 * w2) + q1 / 12.0)
     cube = kappa * kappa + (w2 - _riccati_q(nu, derivative, x)) / 3.0  # (4 kappa^2 - kappa')/3
     return bound, x - s * (1.0 + s * (kappa + s * cube))
 
