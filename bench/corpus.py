@@ -18,10 +18,10 @@ perfbench's `ZerosCold` at seeds 1 and 2.  An intended artifact change
 needs no data edit here, only its line in CHANGES.md.  Beside the hash
 stand the phase passes per zero over seed 1's first COUNTED requests, in all
 and by the index of the zero above the start (the start pass counts with the
-1st).  Both come from `zeros_cold`, one child that runs this file's
-`count_walk`, the one counter of the walk, on the checkout's `src/`; for
-bench/record.py it also counts passes per request size n and `zeros._cyl`
-calls.
+1st), and the certified halt's tests (`zeros._cubic_bound` calls) per zero.
+They come from `zeros_cold`, one child that runs this file's `count_walk`,
+the one counter of the walk, on the checkout's `src/`; for bench/record.py
+it also counts passes per request size n and `zeros._cyl` calls.
 Its counting wrappers call through, so the hash cannot move with them.  Where
 the two hashes differ, a last line sizes the change from the same two walks:
 how many of the hashed zeros moved, and the largest relative move.  A child
@@ -134,17 +134,18 @@ HERE = os.path.dirname(os.path.abspath(__file__))  # the child imports this file
 
 
 def count_walk(requests) -> list:
-    # one (ZeroSequence, passes, cyl) per (spec, kind, n) of requests, walked
-    # on a cleared zero cache: passes lists the phase passes of each zero
-    # above the walk's start, the start pass with the first, and cyl counts
-    # the request's zeros._cyl calls.  The wrappers of zeros._target, _refine
-    # and _cyl call through, and are restored on return, also when a request
-    # raises; a pass after the last zero above the start, which would count
-    # with no zero, raises RuntimeError
+    # one (ZeroSequence, passes, cyl, halts) per (spec, kind, n) of requests,
+    # walked on a cleared zero cache: passes lists the phase passes of each
+    # zero above the walk's start, the start pass with the first, cyl counts
+    # the request's zeros._cyl calls and halts its zeros._cubic_bound calls,
+    # the certified halt's tests.  The wrappers of zeros._target, _refine,
+    # _cyl and _cubic_bound call through, and are restored on return, also
+    # when a request raises; a pass after the last zero above the start,
+    # which would count with no zero, raises RuntimeError
     from cylfn import zeros
 
-    target, refine, cyl = zeros._target, zeros._refine, zeros._cyl
-    passes, calls = [0], [0]  # the request's passes, the last entry the next zero's; its _cyl calls
+    target, refine, cyl, bound = zeros._target, zeros._refine, zeros._cyl, zeros._cubic_bound
+    passes, calls = [0], [0, 0]  # the request's passes, the last entry the next zero's; its _cyl, _cubic_bound calls
 
     def counted(phase):
         def call(x):
@@ -163,19 +164,24 @@ def count_walk(requests) -> list:
         calls[0] += 1
         return cyl(*args, **kwargs)
 
+    def bound_counted(*args):
+        calls[1] += 1
+        return bound(*args)
+
     zeros._find_zeros_cached.cache_clear()
-    zeros._target, zeros._refine, zeros._cyl = lambda spec, kind: counted(target(spec, kind)), refined, cyl_counted
+    zeros._target, zeros._refine = lambda spec, kind: counted(target(spec, kind)), refined
+    zeros._cyl, zeros._cubic_bound = cyl_counted, bound_counted
     try:
         out = []
         for spec, kind, n in requests:
-            passes[:], calls[0] = [0], 0
+            passes[:], calls[:] = [0], [0, 0]
             seq = zeros.find_zeros(spec, kind, n)
             if passes.pop():
                 raise RuntimeError(f"a phase pass after the last zero of {(spec, kind, n)!r}")
-            out.append((seq, passes[:], calls[0]))
+            out.append((seq, passes[:], *calls))
         return out
     finally:
-        zeros._target, zeros._refine, zeros._cyl = target, refine, cyl
+        zeros._target, zeros._refine, zeros._cyl, zeros._cubic_bound = target, refine, cyl, bound
 
 
 def zeros_cold_walk(requests: int, counted: int) -> dict:
@@ -188,27 +194,29 @@ def zeros_cold_walk(requests: int, counted: int) -> dict:
            for op in itertools.islice(workloads.ZerosCold(random.Random(f"zeros-cold:{seed}")).ops(), requests)]
     walks = count_walk(ops)
     h = hashlib.sha256()
-    for (spec, kind, n), (seq, _, _) in zip(ops, walks):
+    for (spec, kind, n), (seq, *_) in zip(ops, walks):
         h.update(repr((spec, kind, n, seq.zeros, seq.refined_to)).encode())
-    by_n = {}  # n: [phase passes, _cyl calls, zeros]
+    by_n = {}  # n: [phase passes, _cyl calls, halt tests, zeros]
     by_index = {}  # the i-th zero above the start, grouped: [phase passes, zeros]
     below = 0  # zeros below the start, which take no phase pass: _origin's, and x = 0 for J'_0
-    for seq, passes, cyl in walks[:counted]:
-        row = by_n.setdefault(len(seq), [0, 0, 0])
+    for seq, passes, cyl, halts in walks[:counted]:
+        row = by_n.setdefault(len(seq), [0, 0, 0, 0])
         row[0] += sum(passes)
         row[1] += cyl
-        row[2] += len(seq)
+        row[2] += halts
+        row[3] += len(seq)
         for i, p in enumerate(passes, 1):
             group = by_index.setdefault(str(i) if i <= 3 else "4-12" if i <= 12 else "13-", [0, 0])
             group[0] += p
             group[1] += 1
         below += len(seq) - len(passes)
-    passes, calls, found = map(sum, zip(*by_n.values()))
+    passes, calls, halts, found = map(sum, zip(*by_n.values()))
     groups = by_index.items()  # in order: a walk reaches each group through the ones before
-    return {"hash": h.hexdigest(), "zeros": [z for seq, _, _ in walks for z in seq.zeros], "counts": {
+    return {"hash": h.hexdigest(), "zeros": [z for seq, *_ in walks for z in seq.zeros], "counts": {
         "requests": counted, "zeros": found,
         "phase_passes_per_zero": passes / found, "cyl_calls_per_zero": calls / found,
-        "phase_passes_per_zero_by_n": {n: p / z for n, (p, _, z) in sorted(by_n.items())},
+        "halt_tests_per_zero": halts / found,
+        "phase_passes_per_zero_by_n": {n: p / z for n, (p, _, _, z) in sorted(by_n.items())},
         "phase_passes_per_zero_by_index": {g: p / z for g, (p, z) in groups},
         "zeros_by_index": {**{g: z for g, (_, z) in groups}, "below the start": below}}}
 
@@ -293,6 +301,7 @@ def main(argv=None) -> int:
             counts = walk["counts"]
             by_index = ", ".join(f"{g}: {p:.3f}" for g, p in counts["phase_passes_per_zero_by_index"].items())
             line += f"; phase passes per zero {counts['phase_passes_per_zero']:.4f} ({by_index})"
+            line += f", halt tests per zero {counts['halt_tests_per_zero']:.4f}"
         print(line)
     a, b = walks.values()
     if "hash" in a and "hash" in b and a["hash"] != b["hash"]:

@@ -24,8 +24,9 @@ check above, passed):
 - `checkouts.NAME.runs`: every run's JSON line with its seed and trace mode;
   a run that exits non-zero keeps its exit status and the end of its stderr;
 - `checkouts.NAME.zeros_cold_counts` and `zeros_cold_hash`: from one
-  zeros-cold child of bench/corpus.py, phase passes and `zeros._cyl` calls
-  per zero over the first 300 requests of perfbench's `ZerosCold` at seed 1,
+  zeros-cold child of bench/corpus.py, phase passes, `zeros._cyl` calls and
+  certified-halt tests (`zeros._cubic_bound` calls) per zero over the first
+  300 requests of perfbench's `ZerosCold` at seed 1,
   the phase passes per zero for each request size n and for each index of
   the zero above the start, and the hash that bench/corpus.py prints;
   perfbench's trace cannot see the phase pass;

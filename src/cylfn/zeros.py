@@ -26,15 +26,11 @@ terms, not with |H|.  Every integer level floor(u), the walk's first index
 included, is read the same way: within a quarter of m, u >= m where (-1)^m f
 >= 0.
 
-The same pass gives kappa = u''/(2u'): u''/u' = -1/x - 2 Re(conj(H) H')/|H|^2
-for C, and with H'' = -H'/x - (1 - nu^2/x^2) H, 1/x + 2 (1 - nu^2/x^2)
-Re(conj(H') H)/|H'|^2 + (2 nu^2/x^3)/(1 - nu^2/x^2) for C', undefined at x =
-nu, where phi' = 0 (and there it is neither seed nor halt).  The inverse phase
-x(u) is nonoscillatory and smooth, and a pass gives x' = 1/u' and x'' = -2
-kappa/u'^2 on it.  So each zero from the 13th above the start on is seeded at
-u = m on the quintic Hermite interpolant of x(u) through the last passes of
-the two zeros before.  Nearer the turning point x = nu, where the interpolant
-misses by a median 3e-4 relative at the 4th zero, the first twelve are seeded
+The inverse phase x(u) is nonoscillatory and smooth, and a pass gives x' =
+1/u' on it.  So each zero from the 13th above the start on is seeded at u = m
+on the cubic Hermite interpolant of x(u) through the last passes of the two
+zeros before.  Nearer the turning point x = nu, where the interpolant misses
+by a median 1.2e-3 relative at the 4th zero, the first twelve are seeded
 from the Debye expansions (DLMF 10.19.6, 10.19.8): with r = sqrt(x^2 - nu^2),
 H ~ A exp(i (r - nu arccos(nu/x) - pi/4)) S, S = sum_k U_k(p)/nu^k at p = -i
 nu/r (V_k for H', whose phase adds pi/2), U_k and V_k the polynomials of DLMF
@@ -42,10 +38,9 @@ nu/r (V_k for H', whose phase adds pi/2), U_k and V_k the polynomials of DLMF
 + a1 q)/24 + y^3 (b0 + b1 q + b2 q^2 + b3 q^3)/414720 and Re S = 1 + y^2 (c0 +
 c1 q + c2 q^2)/1152, the integers in _DEBYE, so nu = 0 is no special case.
 The zero at u = m is seeded at the root x > nu of r - nu arccos(nu/x) + arg S
-= pi (m - omega - nu/2).  For zeros 2 to 12 Newton starts from the last pass
-at x + s0 - kappa s0^2, s0 = (m - u)/u', the root of u + u' (d + kappa d^2) =
-m to second order, and its last step takes the first term's curvature once
-what that leaves is below 2e-10 x: the model's error is 3e-8 relative at the
+= pi (m - omega - nu/2).  Zeros 2 to 12 start Newton from the last pass's step
+x + (m - u)/u', and its last step takes the first term's curvature once what
+that leaves is below 2e-10 x: the model's error is 3e-8 relative at the
 4th zero and 4e-11 at the 12th.  The first zero takes S to its U_1 (V_1) term
 alone, whose arg is the (mu - 1)/(8x) of DLMF 10.18.18 (the (mu + 3)/(8x) of
 10.18.21, mu = 4 nu^2) at large x: through U_3 it took more passes for C' next
@@ -55,13 +50,17 @@ first term's falls there first), so the steps are kept right of nu and capped,
 and a search that runs out of them returns its start, here the one-term root.
 For C' with t < 1 that root is the seed itself: there the V_1 term's root
 took more passes.
-A first zero whose right side is not positive is seeded from the start pass
-at x + s0 - kappa s0^2, or at the bracket's top where u' = 0.  Every seed is
+A first zero whose right side is not positive is seeded at the start pass's
+step x + (m - u)/u', or at the bracket's top where u' = 0.  Every seed is
 clamped to the bracket.  Newton from x ends on x - s once the step s falls
 below REL_TOL max(1, x).  On a larger step it ends, without the pass that
 would confirm it, on the third-order step x + d from the same pass, once a
 certified bound on |z - (x + d)| is below u's rounding, 2e-16 max(1, x).
 
+The same pass gives kappa = u''/(2u'): u''/u' = -1/x - 2 Re(conj(H) H')/|H|^2
+for C, and with H'' = -H'/x - (1 - nu^2/x^2) H, 1/x + 2 (1 - nu^2/x^2)
+Re(conj(H') H)/|H'|^2 + (2 nu^2/x^3)/(1 - nu^2/x^2) for C', undefined at x =
+nu, where phi' = 0 (and there no halt reads it).
 With w = pi u', kappa = w'/(2w) obeys the Riccati equation kappa' = Q +
 kappa^2 - w^2 of the phase's amplitude, with Q = 1 - (nu^2 - 1/4)/x^2 for C
 (the normal form of Bessel's equation) and Q = g - T, g = 1 - nu^2/x^2, T =
@@ -292,7 +291,7 @@ def _refine(phase, m, x, a, b, nu=None, derivative=False):
     # |H|^2 overflows: there u' = 0 and f/|H| reads 0.  Ends on a step below
     # REL_TOL, or, given the walk's nu and kind, on the third-order step
     # where its certified error (_cubic_bound) is below u's rounding.
-    # Returns the zero, the tolerance achieved and the last (x, u, u', kappa).
+    # Returns the zero, the tolerance achieved and the last (x, u, u').
     for _ in range(_MAX_ITER):
         w, dw, s, k = phase(x)
         e = w - m
@@ -311,15 +310,15 @@ def _refine(phase, m, x, a, b, nu=None, derivative=False):
             elif nu is not None:
                 bound, z = _cubic_bound(nu, derivative, x, step, k, dw)
                 if bound <= _ROUNDING * scale:
-                    return z, REL_TOL, (x, w, dw, k)
+                    return z, REL_TOL, (x, w, dw)
             if abs(xn - x) > REL_TOL * (xn if xn > 1.0 else 1.0):
                 x = xn
                 continue
-        return xn, REL_TOL, (x, w, dw, k)
+        return xn, REL_TOL, (x, w, dw)
     hi = max(1.0, a, b)
     if abs(b - a) <= 1e-9 * hi:
         # bracket midpoint: off the zero by at most half the bracket
-        return 0.5 * (a + b), 0.5 * abs(b - a) / hi, (x, w, dw, k)
+        return 0.5 * (a + b), 0.5 * abs(b - a) / hi, (x, w, dw)
     raise IterationError(f"zero refinement did not converge in {_MAX_ITER} steps on [{a}, {b}]")
 
 
@@ -426,19 +425,16 @@ def _debye2(nu, t, terms, x):
     return start
 
 
-def _hermite(x0, u0, d0, k0, x1, u1, d1, k1, m):
-    # x(m) on the quintic Hermite interpolant of the inverse phase x(u)
-    # through two passes (x, u, u', kappa), where x' = 1/u' and x''/2 =
-    # -kappa/u'^2: the Newton form on the nodes u1, u1, u1, u0, u0, u0
+def _hermite(x0, u0, d0, x1, u1, d1, m):
+    # x(m) on the cubic Hermite interpolant of the inverse phase x(u) through
+    # two passes (x, u, u'), where x' = 1/u': the Newton form on the nodes
+    # u1, u1, u0, u0
     h = u1 - u0
     a0, a1 = 1.0 / d0, 1.0 / d1
-    b0, b1 = -k0 * a0 * a0, -k1 * a1 * a1
     f01 = (x1 - x0) / h
     f001, f011 = (f01 - a0) / h, (a1 - f01) / h
-    f0001, f0011, f0111 = (f001 - b0) / h, (f011 - f001) / h, (b1 - f011) / h
-    f00011, f00111 = (f0011 - f0001) / h, (f0111 - f0011) / h
-    d, e = m - u1, m - u0
-    return x1 + d * (a1 + d * (b1 + d * (f0111 + e * (f00111 + e * (f00111 - f00011) / h))))
+    d = m - u1
+    return x1 + d * (a1 + d * (f011 + (m - u0) * (f011 - f001) / h))
 
 
 @lru_cache(maxsize=4096)
@@ -454,7 +450,7 @@ def _find_zeros_cached(spec: CylinderSpec, kind: EvalKind, n: int):
     if len(zeros) == n:
         return tuple(zeros), worst
     phase = _target(spec, kind)
-    w, dw, s, k = phase(x)
+    w, dw, s, _ = phase(x)
     omega = 0.25 - 0.5 * nu + delta / math.pi + (0.5 if derivative else 0.0)
     first = _level(w, s) + 1
     three = _DEBYE[derivative]
@@ -470,14 +466,13 @@ def _find_zeros_cached(spec: CylinderSpec, kind: EvalKind, n: int):
         seed = hi
         t = math.pi * (m - omega - 0.5 * nu)  # the Debye term at m
         if m - first >= 12:  # every pass lies above nu and x = 1 here, where u' > 0
-            seed = _hermite(*before, x, w, dw, k, m)
+            seed = _hermite(*before, x, w, dw, m)
         elif m == first and t > 0.0:
             seed = _debye(nu, t)
             if t >= 1.0 or not derivative:
                 seed = _debye2(nu, t, two, seed)
-        elif dw > 0.0:  # u(x + d) = w + u' (d + kappa d^2) = m, to second order
-            s0 = (m - w) / dw
-            seed = x + (s0 - k * s0 * s0)
+        elif dw > 0.0:  # the Newton step from the last pass
+            seed = x + (m - w) / dw
             if t > 0.0:
                 seed = _debye2(nu, t, three, seed if seed > nu else _debye(nu, t))
         if seed < lo:
@@ -489,8 +484,8 @@ def _find_zeros_cached(spec: CylinderSpec, kind: EvalKind, n: int):
             raise DomainError(f"n={n} zeros at nu={nu:g} would leave the box x <= {X_MAX:g}")
         zeros.append(z)
         worst = max(worst, tol)
-        before = x, w, dw, k
-        x, w, dw, k = last
+        before = x, w, dw
+        x, w, dw = last
     return tuple(zeros), worst
 
 

@@ -78,25 +78,40 @@ class TestReach:
 class TestZerosCold:
     def test_child_hashes_the_walk_and_its_counts_add_up(self, monkeypatch):
         # 4 requests at each seed hashed, the first 3 at seed 1 counted; the
-        # hash is the plain walk's, so the counting wrappers call through
+        # hash is the plain walk's, so the counting wrappers call through.
+        # The halt tests are the _cubic_bound calls of the same 3 requests,
+        # walked here on a cleared zero cache
         got = corpus.zeros_cold(str(ROOT), requests=4, counted=3)
         monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
         import workloads
 
+        halts = [0]
+
+        def bound(*args, fn=zeros._cubic_bound):
+            halts[0] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(zeros, "_cubic_bound", bound)
+        zeros._find_zeros_cached.cache_clear()
         h = hashlib.sha256()
         found = {}  # n: zeros over seed 1's first 3 requests
+        counted = 0  # their halt tests
         walked = []  # every hashed zero, in order
         for seed in (1, 2):
             ops = workloads.ZerosCold(random.Random(f"zeros-cold:{seed}")).ops()
             for i, (spec, kind, n) in enumerate(itertools.islice(ops, 4)):
+                before = halts[0]
                 seq = zeros.find_zeros(spec, kind, n)
                 h.update(repr((spec, kind, n, seq.zeros, seq.refined_to)).encode())
                 walked += seq.zeros
                 if seed == 1 and i < 3:
                     found[n] = found.get(n, 0) + len(seq)
+                    counted += halts[0] - before
+        zeros._find_zeros_cached.cache_clear()
         counts = got["counts"]
         assert got["hash"] == h.hexdigest() and got["zeros"] == walked
         assert counts["requests"] == 3 and counts["zeros"] == sum(found.values())
+        assert counts["halt_tests_per_zero"] * counts["zeros"] == pytest.approx(counted) and counted >= 1
         by_n = {int(n): v for n, v in counts["phase_passes_per_zero_by_n"].items()}
         assert by_n.keys() == found.keys()
         passes = sum(by_n[n] * z for n, z in found.items())
@@ -110,11 +125,11 @@ class TestZerosCold:
         assert sum(by_index[g] * found[g] for g in by_index) == pytest.approx(passes)
 
     def test_count_walk_restores_the_walk_when_a_request_raises(self):
-        seams = zeros._target, zeros._refine, zeros._cyl
+        seams = zeros._target, zeros._refine, zeros._cyl, zeros._cubic_bound
         beyond = (CylinderSpec.of(30.0, 0.0), EvalKind.FUNCTION, 113)  # the 113th zero lies past x = 400
         with pytest.raises(DomainError):
             corpus.count_walk([(CylinderSpec.of(0.0, 0.0), EvalKind.FUNCTION, 2), beyond])
-        assert (zeros._target, zeros._refine, zeros._cyl) == seams
+        assert (zeros._target, zeros._refine, zeros._cyl, zeros._cubic_bound) == seams
 
     def test_a_hash_change_is_sized_from_the_same_walks(self, monkeypatch, capsys):
         # one child per checkout; where the hashes differ, how many zeros
