@@ -3,12 +3,12 @@
 A cylinder function is C(x; nu, delta) = cos(delta) J_nu(x) - sin(delta) Y_nu(x).
 Supported domain: order 0 <= nu <= 30, argument 0 < x <= 400, double precision.
 
-Strategy, all in plain double arithmetic, with one seam at x = 30.  For
-x <= 30 one pass yields J, Y, J' and Y' together (the bessjy design of
+Strategy, all in plain double arithmetic, with one seam at x = 24.  For
+x <= 24 one pass yields J, Y, J' and Y' together (the bessjy design of
 Numerical Recipes): the continued fraction CF1 gives J_{nu+1}/J_nu, a
 recurrence on that ratio runs down to a base order mu, Temme's series
 (x < 2) or Steed's CF2 gives Y_mu and Y_{mu+1}, the Wronskian fixes the
-scale of J, and forward recurrence on Y climbs back to nu.  For x > 30 one
+scale of J, and forward recurrence on Y climbs back to nu.  For x > 24 one
 path serves J, Y and every mixing angle: C itself at the base orders
 frac(nu) and frac(nu) + 1 from one pass of the Hankel P/Q sums for both
 base orders, then forward recurrence on C up to nu, and C'_nu = -C_{nu+1}
@@ -39,7 +39,7 @@ __all__ = [
 
 NU_MAX = 30.0
 X_MAX = 400.0
-_X_SERIES = 30.0  # continued fractions below, Hankel sums above
+_X_SERIES = 24.0  # continued fractions below, Hankel sums above
 _ZERO_WEIGHT = 1e-15  # |cos(delta)| at most this skips J; pi - delta below it maps delta to 0
 
 
@@ -114,7 +114,7 @@ class EvalKind(Enum):
 
 
 # ---------------------------------------------------------------------------
-# x <= 30: J, Y, J' and Y' in one pass, plain double
+# x <= 24: J, Y, J' and Y' in one pass, plain double
 # ---------------------------------------------------------------------------
 
 # Taylor coefficients of 1/Gamma(1 + z) about z = 0, split by parity; frozen
@@ -205,7 +205,7 @@ def _steed(mu: float, x: float):
 
 
 def _jy(nu: float, x: float):
-    # (J_nu, Y_nu, J'_nu, Y'_nu) for nu >= 0 and 0 < x <= 30, after the
+    # (J_nu, Y_nu, J'_nu, Y'_nu) for nu >= 0 and 0 < x <= 24, after the
     # bessjy design of Numerical Recipes:
     # - CF1 gives r = J_{nu+1}/J_nu; its sign count gives the sign of J_{nu+1}
     # - the recurrence on that ratio runs down to mu = nu - nl (x >= 2) or
@@ -293,7 +293,7 @@ def _jy(nu: float, x: float):
 
 
 # ---------------------------------------------------------------------------
-# Large-x machinery (x > 30)
+# Large-x machinery (x > 24)
 # ---------------------------------------------------------------------------
 
 
@@ -306,8 +306,8 @@ _HANKEL_TERMS = tuple(
 
 
 def _hankel_pq(mu: float, x: float):
-    # (P, Q) at orders mu and mu + 1 (0 <= mu < 1) in one pass; for x > 30 the
-    # terms fall below 1e-20 within 24, long before they grow near k = 2x.  Each
+    # (P, Q) at orders mu and mu + 1 (0 <= mu < 1) in one pass; for x > 24 the
+    # terms fall below 1e-20 within 32, long before they grow near k = 2x.  Each
     # order stops adding at its first term below 1e-20, as its own pass would:
     # near mu = 1/2 later terms still move order mu's tiny Q.  Testing per pair
     # suffices, as a term past one below 1e-20 is smaller and cannot move P ~ 1.
@@ -327,17 +327,17 @@ def _hankel_pq(mu: float, x: float):
         a1 *= (m1 - wp) / d
         p0 += a0
         p1 += a1
-        if abs(a0) < 1e-20:
-            if abs(a1) < 1e-20:
+        if -1e-20 < a0 < 1e-20:
+            if -1e-20 < a1 < 1e-20:
                 break
             a0 = 0.0
-        elif abs(a1) < 1e-20:
+        elif -1e-20 < a1 < 1e-20:
             a1 = 0.0
     return p0, q0, p1, q1
 
 
 def _cyl_large(nu: float, delta: float, x: float, h: bool = False):
-    # (C, C') for x > 30: one pass of the Hankel sums for both base orders
+    # (C, C') for x > 24: one pass of the Hankel sums for both base orders
     # mu = frac(nu) and mu + 1, then forward recurrence on C itself up to C_nu
     # and C_{nu+1}.  With h, and delta = 0, (H, H') for H = J + iY: Y is C at
     # delta = -pi/2, so cos t and sin t below become e^{it} and -i e^{it}.
@@ -368,7 +368,7 @@ def _cyl(nu: float, delta: float, x: float, h: bool = False):
     # (C, C') = cos(delta) (J, J') - sin(delta) (Y, Y'); with h, and delta =
     # 0, (H, H') for H = J + iY, which the zero finder takes.  C' is left to
     # the callers that return it to check for overflow.  The one regime
-    # test, x > 30, comes first, so that large-x calls pay one comparison.
+    # test, x > 24, comes first, so that large-x calls pay one comparison.
     if x > _X_SERIES:
         return _cyl_large(nu, delta, x, h)
     j, y, jp, yp = _jy(nu, x)

@@ -98,8 +98,11 @@ As x -> 0+, C > 0, and C' < 0 except for C' = J'_nu > 0 with nu > 0.  J and
 -Y are positive on (0, x0], x0 = max(nu, 1e-6), where u - delta/pi rises
 within (0, 1/2); J' and Y' are positive on (0, nu], where J'/Y' is monotone.
 So at most one zero of C lies in (0, x0] and of C' in (0, nu], there exactly
-when f at x0 has lost its sign at 0+.  This sign test and the start index
-read f from the same values.  For nu < 1e-6 the phase of C' rises again on
+when f at x0 has lost its sign at 0+.  The start index floor(u(x0)) reads
+u's side of its integer from this sign test's own f, not from the pass's
+f/|H|: past x = 24 the two come from different sums, and next to a zero on
+x0 they can round to opposite signs, which would count that zero twice or
+not at all.  For nu < 1e-6 the phase of C' rises again on
 (nu, 1e-6] and can cross back: two zeros then lie below x0, and the sign
 test sees neither.  The zero is where a/b = |tan delta| for the parts a, b
 > 0 of H (H') that f weighs; at delta = 0, J'_nu's, where nu J_nu = x
@@ -361,17 +364,18 @@ def _origin(spec: CylinderSpec, kind: EvalKind, hi):
 
 
 def _level(w, s):
-    # floor(u) from a pass (u, u', f/|H|, kappa): within a quarter of an
-    # integer m, u - m has the sign of (-1)^m f/|H|, u at m where f = 0
+    # floor(u) from u = w and s = f, or f/|H|, at one x: within a quarter of
+    # an integer m, u - m has the sign of (-1)^m f, u at m where f = 0
     m = round(w)
     return m - ((-s if m & 1 else s) < 0.0) if abs(w - m) < 0.25 else math.floor(w)
 
 
 def _below(spec: CylinderSpec, kind: EvalKind, x):
-    # whether a zero lies below x <= max(nu, 1e-6): f(x) has the other sign than at 0+
+    # (whether a zero lies below x <= max(nu, 1e-6), f(x)): f(x) has the other sign
+    # than at 0+.  The start level reads u's side of an integer from this f
     derivative = kind is EvalKind.DERIVATIVE
     fx = cylinder_and_prime(spec, x)[1] if derivative else cylinder(spec, x)
-    return (fx > 0.0) != (not derivative or (spec.delta == 0.0 and spec.nu > 0.0))
+    return (fx > 0.0) != (not derivative or (spec.delta == 0.0 and spec.nu > 0.0)), fx
 
 
 def _debye(nu, t):
@@ -443,16 +447,17 @@ def _find_zeros_cached(spec: CylinderSpec, kind: EvalKind, n: int):
     nu, delta, derivative = spec.nu, spec.delta, kind is EvalKind.DERIVATIVE
     zeros = [0.0] if derivative and nu == delta == 0.0 else []  # x = 0 counts as the first zero of J'_0
     worst, x = REL_TOL, max(nu, _START)
-    if len(zeros) < n and _below(spec, kind, x):
+    below, f = _below(spec, kind, x) if len(zeros) < n else (False, None)
+    if below:
         z, tol = _origin(spec, kind, x)
         zeros.append(z)
         worst = max(worst, tol)
     if len(zeros) == n:
         return tuple(zeros), worst
     phase = _target(spec, kind)
-    w, dw, s, _ = phase(x)
+    w, dw, _, _ = phase(x)
     omega = 0.25 - 0.5 * nu + delta / math.pi + (0.5 if derivative else 0.0)
-    first = _level(w, s) + 1
+    first = _level(w, f) + 1
     three = _DEBYE[derivative]
     two = (three[0], (0, 0, 0), (0, 0, 0, 0))  # the first zero's, to the U_1 (V_1) term
     before = None  # the last pass of the zero before the one before m
@@ -511,15 +516,16 @@ def zero_count(spec: CylinderSpec, kind: EvalKind, x: float) -> int:
 
     x = 0 counts for J'_0, as in find_zeros.  It is the walk's sign test at
     min(x, x0), x0 = max(nu, 1e-6), plus floor(u(x)) - floor(u(x0)) of its
-    phase u above x0, u's side of a near integer read from f at x and at x0
-    as the walk does.  Below where C overflows it raises OverflowError, as
-    evaluation does.
+    phase u above x0, u's side of a near integer read from f at x, and at
+    x0 from the sign test's own f, as the walk does.  Below where C
+    overflows it raises OverflowError, as evaluation does.
     """
     x, x0 = _check_x(x), max(spec.nu, _START)
-    n = (kind is EvalKind.DERIVATIVE and spec.nu == spec.delta == 0.0) + _below(spec, kind, min(x, x0))
+    below, f0 = _below(spec, kind, min(x, x0))
+    n = (kind is EvalKind.DERIVATIVE and spec.nu == spec.delta == 0.0) + below
     if x > x0:
-        (w, _, s, _), (w0, _, s0, _) = map(_target(spec, kind), (x, x0))
-        n += _level(w, s) - _level(w0, s0)
+        (w, _, s, _), (w0, *_) = map(_target(spec, kind), (x, x0))
+        n += _level(w, s) - _level(w0, f0)
     return n
 
 

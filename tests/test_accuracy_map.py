@@ -4,8 +4,9 @@ Opt-in, as it adds about 30 s to a run on two vCPUs:
 
     python -m pytest -m slow tests/test_accuracy_map.py
 
-About 2,000 points in five regimes: the regime seam at x = 30, the turning
-region x ~ nu, integer and near-integer orders, x -> 0, and the whole box.
+About 2,400 points in six regimes: the regime seam at x = 24, the turning
+region x ~ nu, integer and near-integer orders, x -> 0, the whole box, and
+the band about x = 30, the top order's turning point.
 Each point evaluates C or the pair (C, C') at delta 0 (J), pi/2 (-Y) or a
 random mixed angle.  Every value must meet the accuracy contract; the worst
 error divided by its contract bound is printed per regime.
@@ -28,7 +29,7 @@ def _order(rng):
 
 
 def _seam(rng):
-    return _order(rng), rng.uniform(29.0, 31.0)
+    return _order(rng), rng.uniform(23.0, 25.0)
 
 
 def _turning(rng):
@@ -51,12 +52,17 @@ def _box(rng):
     return _order(rng), rng.uniform(1e-3, 400.0)
 
 
+def _band_30(rng):
+    return _order(rng), rng.uniform(29.0, 31.0)
+
+
 REGIMES = {
     "seam": _seam,
     "turning": _turning,
     "integer": _integer,
     "near-origin": _near_origin,
     "box": _box,
+    "x-near-30": _band_30,
 }
 
 

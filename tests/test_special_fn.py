@@ -18,7 +18,7 @@ from cylfn.special_fn import (
     cylinder_and_prime,
     cylinder_prime,
 )
-from cylfn.special_fn import _hankel_pq
+from cylfn.special_fn import _X_SERIES, _hankel_pq
 from oracle import oracle_cylinder, oracle_cylinder_prime, oracle_j, oracle_y
 
 # values frozen after reproduction by the in-repo reference implementation
@@ -122,11 +122,12 @@ class TestAccuracyContract:
                 self._check(got, float(oracle_cylinder(nu, delta, x)))
 
     def test_regime_seams_are_continuous(self):
-        # the one seam, continued fractions up to x = 30 and Hankel sums
+        # the one seam, continued fractions up to x = 24 and Hankel sums
         # past it, for every order: J, Y, C and C' on both sides agree with
-        # the reference at full contract
+        # the reference at full contract; and x = 30, the top order's
+        # turning point
         for nu in (0.4, 3.0, 17.2, 29.9):
-            for x in (29.95, 30.0, 30.05):
+            for x in (23.95, 24.0, 24.05, 29.95, 30.0, 30.05):
                 self._check(bessel_j(nu, x), float(oracle_j(nu, x)))
                 self._check(bessel_y(nu, x), float(oracle_y(nu, x)))
                 for delta in (0.0, math.pi / 2, 2.2):
@@ -143,10 +144,10 @@ class TestAccuracyContract:
 
     def test_large_x_value_and_derivative(self):
         # J, Y and mixed angles, for C and C' alike, from the one-pass
-        # continued fractions up to x = 30 (20 <= x <= 30 with orders on
+        # continued fractions up to x = 24 (20 <= x <= 24 with orders on
         # both sides of the turning point) and from the Hankel sums past it
-        # (the seam band with orders up to the turning point, and the far
-        # end of the box)
+        # (24 < x <= 40 with orders on both sides of the turning point, and
+        # the far end of the box)
         for nu, x in (
             (0.0, 20.0), (0.0, 23.2), (7.5, 24.0), (19.9, 20.0), (25.0, 25.0),
             (29.0, 29.5), (3.3, 30.0), (20.5, 20.0), (29.0, 28.5), (1.2, 19.99),
@@ -162,10 +163,11 @@ class TestAccuracyContract:
         # one pass of the Hankel sums serves both base orders frac(nu) and
         # frac(nu) + 1: frac(nu) at 0, just below 1, and at and near 1/2,
         # where the order-frac(nu) terms stop first; x just past the seam
-        # (the longest sums) and at 400 (the shortest).  J and Y at nu and
-        # nu + 1 give C and C' = -C_{nu+1} + (nu/x) C_nu at every angle.
+        # (the longest sums), just past 30 and at 400 (the shortest).  J and
+        # Y at nu and nu + 1 give C and C' = -C_{nu+1} + (nu/x) C_nu at
+        # every angle.
         for nu in (7.0, 7.5, 7.5 + 1e-12, 8.0 - 2.0**-40, 29.5):
-            for x in (math.nextafter(30.0, math.inf), 400.0):
+            for x in (math.nextafter(24.0, math.inf), math.nextafter(30.0, math.inf), 400.0):
                 jy = [(oracle_j(n, x), oracle_y(n, x)) for n in (nu, nu + 1.0)]
                 for delta in (0.0, math.pi / 2, 2.2):
                     with mp.workdps(60):
@@ -190,16 +192,16 @@ class TestAccuracyContract:
     BOUNDARY_ORDERS = (-0.5, -(0.5 + 1e-9), -(0.5 - 1e-9), -(1.0 - 1e-9))
 
     def test_j_order_window_past_seam(self):
-        for nu in (-0.7, -0.3, 31.0) + self.BOUNDARY_ORDERS:
-            for x in (30.05, 37.5, 250.0, 400.0):
+        for nu in (-1.0, -0.7, -0.3, 31.0) + self.BOUNDARY_ORDERS:
+            for x in (math.nextafter(24.0, math.inf), 24.05, 26.5, 30.0, 30.05, 37.5, 250.0, 400.0):
                 self._check(bessel_j(nu, x), float(oracle_j(nu, x)))
 
     def test_j_order_window_below_seam(self):
         # J_{-m} = cos(m pi) J_m - sin(m pi) Y_m = C_m(x; m pi), from the
-        # same paths as every C_m: the one-pass J, Y up to x = 30, the
+        # same paths as every C_m: the one-pass J, Y up to x = 24, the
         # Hankel sums above; order 31 through CF1 throughout
         for nu in (-1.0, -0.7, -0.3, 31.0) + self.BOUNDARY_ORDERS:
-            for x in (1e-3, 0.5, 1.99, 2.0, 7.3, 19.99, 20.0, 26.5, 30.0):
+            for x in (1e-3, 0.5, 1.99, 2.0, 7.3, 19.99, 20.0, 23.95, 24.0):
                 self._check(bessel_j(nu, x), float(oracle_j(nu, x)))
 
     def _check_or_overflow(self, got, ref):
@@ -398,7 +400,9 @@ class TestMixingAngle:
 
 def _hankel_pq_at(mu, x):
     # (P, Q) at one order, term by term, each term's sign and slot worked
-    # out from k: the reference for the one pass over both base orders
+    # out from k, and the index of the term it stopped at (None where no
+    # term of the 59 fell below 1e-20): the reference for the one pass over
+    # both base orders
     mu4 = 4.0 * mu * mu
     p, q, a = 1.0, 0.0, 1.0
     for k in range(1, 60):
@@ -409,8 +413,13 @@ def _hankel_pq_at(mu, x):
         else:
             p += sgn * a
         if abs(a) < 1e-20:
-            break
-    return p, q
+            return p, q, k
+    return p, q, None
+
+
+def _one_pass_reference(mu, x):
+    # (P, Q) at orders mu and mu + 1, as _hankel_pq must return them
+    return _hankel_pq_at(mu, x)[:2] + _hankel_pq_at(mu + 1.0, x)[:2]
 
 
 class TestHankelSums:
@@ -424,13 +433,23 @@ class TestHankelSums:
                 mu = rng.random()
             else:
                 mu = 0.5 + rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-16.0, -1.0)
-            x = 30.0 + 10.0 ** rng.uniform(-14.0, math.log10(370.0))
-            ref = _hankel_pq_at(mu, x) + _hankel_pq_at(mu + 1.0, x)
-            assert repr(_hankel_pq(mu, x)) == repr(ref), (mu, x)
+            x = 24.0 + 10.0 ** rng.uniform(-14.0, math.log10(376.0))
+            assert repr(_hankel_pq(mu, x)) == repr(_one_pass_reference(mu, x)), (mu, x)
         for mu in (0.0, 0.5, math.nextafter(0.5, 0.0), math.nextafter(1.0, 0.0)):
-            for x in (math.nextafter(30.0, math.inf), 400.0):
-                ref = _hankel_pq_at(mu, x) + _hankel_pq_at(mu + 1.0, x)
-                assert repr(_hankel_pq(mu, x)) == repr(ref), (mu, x)
+            for x in (math.nextafter(24.0, math.inf), math.nextafter(30.0, math.inf), 400.0):
+                assert repr(_hankel_pq(mu, x)) == repr(_one_pass_reference(mu, x)), (mu, x)
+
+    def test_every_order_stops_just_past_the_seam(self):
+        # the seam's lower limit: just past it, every base order mu in
+        # [0, 1) and mu + 1 reaches the 1e-20 stop before the last of the
+        # 59 terms, and within 32 (16 of the pass's 30 pairs).  Below x
+        # ~ 22.3 some orders never reach it
+        x = math.nextafter(_X_SERIES, math.inf)
+        ulps = (math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0), math.nextafter(1.0, 0.0))
+        mus = [k / 2048.0 for k in range(2048)] + list(ulps)
+        stops = [_hankel_pq_at(order, x)[2] for mu in mus for order in (mu, mu + 1.0)]
+        assert None not in stops
+        assert max(stops) <= 32
 
 
 class TestSignAtOrigin:

@@ -228,13 +228,20 @@ class TestNoSkippedZero:
         )
         assert seq.refined_to == zeros.REL_TOL
 
+    @staticmethod
+    def _start_orders():
+        # three orders below 1e-6, 40 random ones, and four in the Hankel
+        # band (24, 30], where x0 = nu is evaluated by the Hankel sums and C
+        # and H = J + iY no longer come from the same J and Y
+        rng = random.Random(20261027)
+        return [0.0, 1e-12, 1e-7] + [30.0 * (1.0 - rng.random()) for _ in range(40)] + [
+            24.372412471096418, math.nextafter(24.0, math.inf), 27.5, 30.0]
+
     def test_first_zero_on_the_start(self):
         # C's zero put on x0 = max(nu, 1e-6), at angles a few ulps apart:
-        # the start index and the sign test read u's side of 1 from the same
-        # f, so the first zero is found once, neither repeated nor skipped
-        rng = random.Random(20261027)
-        nus = [0.0, 1e-12, 1e-7] + [30.0 * (1.0 - rng.random()) for _ in range(40)]
-        for nu in nus:
+        # the start index reads u's side of 1 from the sign test's own f, so
+        # the first zero is found once, neither repeated nor skipped
+        for nu in self._start_orders():
             x0 = max(nu, zeros._START)
             d0 = math.atan2(bessel_j(nu, x0), bessel_y(nu, x0)) % math.pi  # C(x0) = 0
             for k in range(-3, 4):
@@ -249,6 +256,31 @@ class TestNoSkippedZero:
                 # x0 itself is not probed: either count is right within rounding of the zero
                 assert zero_count(spec, EvalKind.FUNCTION, x0 * (1.0 - 1e-9)) == 0, spec
                 assert zero_count(spec, EvalKind.FUNCTION, x0 * (1.0 + 1e-9)) == 1, spec
+
+    def test_derivative_zeros_on_the_start(self):
+        # C''s zero put on x0 = nu, where its phase turns (phi' = 0): a
+        # double zero, which angles a few ulps off split into two zeros
+        # about 1e-8 nu either side of nu, or remove.  The start index reads
+        # u's side of 1 from the sign test's own f, so the walk and
+        # zero_count find both halves or neither, and the next zero after
+        # (checked against the reference at the outer angles)
+        kind = EvalKind.DERIVATIVE
+        for nu in self._start_orders()[3:]:
+            jp = cylinder_and_prime(_spec(nu, 0.0), nu)[1]
+            yp = -cylinder_and_prime(_spec(nu, math.pi / 2), nu)[1]
+            d0 = math.atan2(jp, yp)  # C'(nu) = 0, with J', Y' > 0 at nu
+            for k in range(-3, 4):
+                spec = _spec(nu, d0 + k * 2.2e-16)
+                zs = find_zeros(spec, kind, 3).zeros
+                assert all(a < b for a, b in zip(zs, zs[1:])), (spec, zs)
+                pair = sum(abs(z - nu) <= 1e-6 * nu for z in zs)
+                assert pair in (0, 2), (spec, zs)
+                assert zero_count(spec, kind, nu * (1.0 - 1e-6)) == 0, spec
+                assert zero_count(spec, kind, nu * (1.0 + 1e-6)) == pair, spec
+                z = zs[pair]
+                assert abs(k) < 3 or certify_sign_change(
+                    lambda t: oracle_cylinder_prime(nu, spec.delta, t), z, eps=mp.mpf(z) * mp.mpf("1e-12")
+                )
 
     def test_zero_below_the_double_range_raises(self):
         # C_0's first zero, where J_0/(-Y_0) = tan(pi - delta), lies below
@@ -311,11 +343,11 @@ class TestPhasePremises:
     @staticmethod
     def _grid(nu):
         # x -> 0 geometrically, then step 0.25, refined to 0.02 in the
-        # turning region, at the regime seam x = 30 and at x = 20
+        # turning region, at the regime seam x = 24, and at x = 20 and 30
         xs = [1e-6 * 1.25**k for k in range(62)]
         x = 1.0
         while x < 400.0:
-            fine = abs(x - nu) < 0.3 * nu + 0.5 or abs(x - 20.0) < 0.5 or abs(x - 30.0) < 0.5
+            fine = abs(x - nu) < 0.3 * nu + 0.5 or any(abs(x - c) < 0.5 for c in (20.0, 24.0, 30.0))
             x = min(400.0, x + (0.02 if fine else 0.25))
             xs.append(x)
         return xs
@@ -390,11 +422,11 @@ class TestPhasePremises:
     def test_complex_path_matches_the_real_path(self, kind):
         # the phase's f/|H|, from H = J + iY (H' for C'), is the C (C') that
         # users see over hypot(J, Y) (hypot(J', Y')): ties the zero finder's
-        # H and H' to the real values, mostly where x > 30
+        # H and H' to the real values, mostly where x > 24
         rng = random.Random(20261025)
         for i in range(600):
             nu, delta = rng.uniform(0.0, 30.0), rng.uniform(0.0, math.pi)
-            x = rng.uniform(1.0, 30.0) if i % 10 == 0 else rng.uniform(30.0, 400.0)
+            x = rng.uniform(1.0, 24.0) if i % 10 == 0 else rng.uniform(24.0, 400.0)
             spec = _spec(nu, delta)
             got = zeros._target(spec, kind)(x)[2]
             if kind is EvalKind.FUNCTION:
