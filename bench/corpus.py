@@ -127,6 +127,13 @@ CORPUS = (
     "eval --nu 1.5 --x 1.5707963267948966",
     "verify recurrences --nu 0.5 --grid 1.5707963267948966",
     "wronskian --nu 1 --mu 2.5 --x 1.5707963267948966",
+    # false counterexamples at order gaps below about 1e-9 (ROADMAP item 14)
+    "verify theorem1 --nu 1 --a 1e-10 --b 0.5 --c 0.5 --n 10",
+    "verify theorem3 --nu 1 --mu 1.0000000001 --n 5",
+    "verify theorem3 --nu -0 --mu 5e-324",
+    "verify equivalence --nu 1 --mu 1.0000000001 --n 5",
+    "interlace --nu 1 --mu 1.0000000001 --n 5",
+    "sweep --family cylinder --nu 1 --gaps 1e-10 --n 5 --format json",
 )
 
 ZEROS_COLD = "import corpus, json, sys; print(json.dumps(corpus.zeros_cold_walk(*map(int, sys.argv[1:]))))"

@@ -197,7 +197,8 @@ def _cmd_sweep(args) -> int:
 def _verify_all_reports() -> list:
     import random
 
-    rng = random.Random(20240817)
+    seed = 20240817
+    rng = random.Random(seed)
     reports = []
     reports.append(verify_recurrences(0.5, 0.0, [0.5, 1.0, 5.0, 20.0, 100.0]))
     reports.append(verify_recurrences(2.5, math.pi / 3.0, [0.5, 1.0, 5.0, 20.0, 100.0]))
@@ -241,13 +242,7 @@ def _verify_all_reports() -> list:
     from .reports import VerificationReport
 
     reports.append(
-        VerificationReport(
-            name="wronskian-derivative-identity(randomized, seed=20240817)",
-            passed=bad is None,
-            checks=n_samples,
-            worst_residual=worst,
-            counterexample=bad,
-        )
+        VerificationReport.of("wronskian-derivative-identity", {"seed": seed}, n_samples, worst, bad)
     )
     return reports
 

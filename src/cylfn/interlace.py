@@ -172,10 +172,5 @@ def verify_chain(nu: float, c: float, n: int) -> VerificationReport:
         counterexample = {"s": k // 6 + 1, "link": link, "lower": chain[k], "upper": chain[k + 1]}
     elif nu > jp[0]:
         counterexample = {"link": "nu <= j'_{nu,1}", "nu": nu, "first_zero": jp[0]}
-    return VerificationReport(
-        name=f"chain(nu={nu:g}, c={c:g}, n={n})",
-        passed=counterexample is None,
-        checks=6 * n + 1,
-        worst_residual=min(*margins, jp[0] - nu),
-        counterexample=counterexample,
-    )
+    margin = min(*margins, jp[0] - nu)
+    return VerificationReport.of("chain", {"nu": nu, "c": c, "n": n}, 6 * n + 1, margin, counterexample)

@@ -25,6 +25,15 @@ class VerificationReport(namedtuple("VerificationReport", _REPORT_FIELDS)):
 
     _make = classmethod(lambda cls, it: cls(*it))  # validates, and so does _replace
 
+    @classmethod
+    def of(cls, suite, params, checks, worst_residual, counterexample=None, details=None):
+        """The report of one run, named suite(k=v, ...) from the dict params
+        in order: a str value as it is and any other by repr, so that
+        distinct inputs get distinct names.  passed is counterexample is None."""
+        args = ", ".join(f"{k}={v if isinstance(v, str) else repr(v)}" for k, v in params.items())
+        passed = counterexample is None
+        return cls(f"{suite}({args})", passed, checks, worst_residual, counterexample, details)
+
     def to_schema(self) -> dict:
         """Fixed-field-order mapping matching the CLI JSON report schema."""
         return {

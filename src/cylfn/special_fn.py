@@ -437,7 +437,8 @@ def cylinder(spec: CylinderSpec, x: float) -> float:
 
 
 def cylinder_prime(spec: CylinderSpec, x: float) -> float:
-    """Evaluate C'(x; nu, delta) via C'_nu = -C_{nu+1} + (nu/x) C_nu."""
+    """Evaluate C'(x; nu, delta): from _jy's own J' and Y' at x <= 24, and
+    past it via C'_nu = -C_{nu+1} + (nu/x) C_nu."""
     return cylinder_and_prime(spec, x)[1]
 
 

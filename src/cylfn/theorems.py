@@ -118,13 +118,7 @@ def verify_recurrences(nu: float, delta: float, x_grid) -> VerificationReport:
                 worst = rel
             if rel > 1e-9 and counterexample is None:
                 counterexample = {"identity": name, "x": x, "residual": rel}
-    return VerificationReport(
-        name=f"recurrences(nu={nu:g}, delta={delta:g})",
-        passed=counterexample is None,
-        checks=checks,
-        worst_residual=worst,
-        counterexample=counterexample,
-    )
+    return VerificationReport.of("recurrences", {"nu": nu, "delta": delta}, checks, worst, counterexample)
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +131,7 @@ def verify_theorem1(nu: float, a: float, b: float, c: float, n: int) -> Verifica
     plus the inequality chain with gap c."""
     if not (0.0 < a <= 2.0 and 0.0 < b <= 1.0 and 0.0 < c <= 1.0):
         raise DomainError("require 0 < a <= 2, 0 < b <= 1, 0 < c <= 1")
-    nu = Order(nu).nu
+    nu, n = Order(nu).nu, _count(n, "need n >= 1")
     checks = 0
     counterexample = None
     parts = [("a-functions", d, EvalKind.FUNCTION, a) for d in (0.0, math.pi / 4.0, _HALF_PI)]
@@ -155,13 +149,8 @@ def verify_theorem1(nu: float, a: float, b: float, c: float, n: int) -> Verifica
     checks += chain.checks
     if not chain.passed and counterexample is None:
         counterexample = {"part": "b-chain", "violation": chain.counterexample}
-    return VerificationReport(
-        name=f"theorem1(nu={nu:g}, a={a:g}, b={b:g}, c={c:g}, n={n})",
-        passed=counterexample is None,
-        checks=checks,
-        worst_residual=chain.worst_residual,
-        counterexample=counterexample,
-    )
+    params = {"nu": nu, "a": a, "b": b, "c": c, "n": n}
+    return VerificationReport.of("theorem1", params, checks, chain.worst_residual, counterexample)
 
 
 def _family_angles(family: Family, delta: float):
@@ -195,17 +184,11 @@ def verify_theorem3(
     if family is Family.JVSY:
         raise DomainError("theorem3 judges |nu - mu| <= 2, not J vs Y; use sweep --family jvsy")
     nu, mu, n = Order(nu).nu, Order(mu).nu, _count(n, "need n >= 1")
-    name = f"theorem3({family.value}, nu={nu:g}, mu={mu:g}, delta={MixingAngle(delta).delta:g}, n={n})"
+    params = {"family": family.value, "nu": nu, "mu": mu, "delta": MixingAngle(delta).delta, "n": n}
     sa, sb, kind = _family_specs(family, nu, mu, delta)
     if nu == mu:
-        return VerificationReport(
-            name=name,
-            passed=True,
-            checks=0,
-            worst_residual=0.0,
-            counterexample=None,
-            details={"excluded": True, "reason": "identical orders"},
-        )
+        details = {"excluded": True, "reason": "identical orders"}
+        return VerificationReport.of("theorem3", params, 0, 0.0, details=details)
     rep = check_interlaced(find_zeros(sa, kind, n), find_zeros(sb, kind, n))
     predicate = abs(nu - mu) <= 2.0
     agree = rep.interlaced == predicate
@@ -216,13 +199,9 @@ def verify_theorem3(
             "predicate": predicate,
             "first_violation": rep.first_violation,
         }
-    return VerificationReport(
-        name=name,
-        passed=agree,
-        checks=rep.pairs_checked,
-        worst_residual=0.0 if agree else 1.0,
-        counterexample=counterexample,
-        details={"interlaced": rep.interlaced, "predicate": predicate},
+    return VerificationReport.of(
+        "theorem3", params, rep.pairs_checked, float(not agree), counterexample,
+        {"interlaced": rep.interlaced, "predicate": predicate},
     )
 
 
@@ -249,17 +228,11 @@ def verify_transitivity(
         raise DomainError("triple must have orders nu, nu+1, nu+2")
     if not (fspec.delta == gspec.delta == hspec.delta):
         raise DomainError("triple must share the mixing angle")
-    name = f"transitivity(nu={nu:g}, delta={fspec.delta:g}, kind={kind.value}, probe=({lo:g}, {hi:g}))"
+    params = {"nu": nu, "delta": fspec.delta, "kind": kind.value, "probe": (lo, hi)}
 
     def premise_failure(checks, **details):
-        return VerificationReport(
-            name=name,
-            passed=True,
-            checks=checks,
-            worst_residual=0.0,
-            counterexample=None,
-            details={"status": "premise-failure", **details},
-        )
+        details = {"status": "premise-failure", **details}
+        return VerificationReport.of("transitivity", params, checks, 0.0, details=details)
 
     # premise 1: coefficient signs constant on (lo, hi).  For C they are 1,
     # -(2nu+2)/x and 1, of fixed sign on x > 0; for C' they are x^2 - const
@@ -294,14 +267,8 @@ def verify_transitivity(
             "conclusion": "f-h not interlaced despite premises",
             "first_violation": conclusion.first_violation,
         }
-    return VerificationReport(
-        name=name,
-        passed=counterexample is None,
-        checks=checks,
-        worst_residual=0.0,
-        counterexample=counterexample,
-        details={"status": "ok" if counterexample is None else "conclusion-failure"},
-    )
+    status = "ok" if counterexample is None else "conclusion-failure"
+    return VerificationReport.of("transitivity", params, checks, 0.0, counterexample, {"status": status})
 
 
 # ---------------------------------------------------------------------------

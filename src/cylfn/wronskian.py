@@ -166,10 +166,6 @@ def interlace_wronskian_equivalence(
     sc, counted = _sign_changes(prof.extrema, x_hi)
     rep = check_interlaced(za, zb)
     agree = (sc == 0) == rep.interlaced
-    name = (
-        f"wronskian-equivalence(nu={spec_a.nu:g}, delta={spec_a.delta:g}, "
-        f"mu={spec_b.nu:g}, delta_bar={spec_b.delta:g}, n={n})"
-    )
     counterexample = None
     if not agree:
         counterexample = {
@@ -178,11 +174,7 @@ def interlace_wronskian_equivalence(
             "first_violation": rep.first_violation,
             "window_hi": x_hi,
         }
-    return VerificationReport(
-        name=name,
-        passed=agree,
-        checks=counted + rep.pairs_checked,
-        worst_residual=float(sc),
-        counterexample=counterexample,
-        details={"sign_changes": sc, "interlaced": rep.interlaced},
-    )
+    params = dict(nu=spec_a.nu, delta=spec_a.delta, mu=spec_b.nu, delta_bar=spec_b.delta, n=len(za.zeros))
+    details = {"sign_changes": sc, "interlaced": rep.interlaced}
+    checks = counted + rep.pairs_checked
+    return VerificationReport.of("wronskian-equivalence", params, checks, float(sc), counterexample, details)

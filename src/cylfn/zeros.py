@@ -517,15 +517,18 @@ def zero_count(spec: CylinderSpec, kind: EvalKind, x: float) -> int:
     x = 0 counts for J'_0, as in find_zeros.  It is the walk's sign test at
     min(x, x0), x0 = max(nu, 1e-6), plus floor(u(x)) - floor(u(x0)) of its
     phase u above x0, u's side of a near integer read from f at x, and at
-    x0 from the sign test's own f, as the walk does.  Below where C
-    overflows it raises OverflowError, as evaluation does.
+    x0 from the sign test's own f, as the walk does.  u does not decrease
+    above x0, so the difference is at least 0: next to a C' double zero on
+    x0 = nu, where u is flat, the two readings can straddle 1 within
+    rounding.  Below where C overflows it raises OverflowError, as
+    evaluation does.
     """
     x, x0 = _check_x(x), max(spec.nu, _START)
     below, f0 = _below(spec, kind, min(x, x0))
     n = (kind is EvalKind.DERIVATIVE and spec.nu == spec.delta == 0.0) + below
     if x > x0:
         (w, _, s, _), (w0, *_) = map(_target(spec, kind), (x, x0))
-        n += _level(w, s) - _level(w0, f0)
+        n += max(0, _level(w, s) - _level(w0, f0))
     return n
 
 

@@ -426,6 +426,17 @@ class TestArtifactFields:
         assert code == 0
         assert json.loads(out)["interlaced"] is True
 
+    def test_verify_names_tell_the_orders_apart(self, capsys):
+        # the excluded cell mu = 1 and the gap 1e-10 once shared the name mu=1
+        names = []
+        for mu in ("1", "1.0000000001"):
+            _, out, _ = run(capsys, "verify", "theorem3", "--nu", "1", "--mu", mu, "--n", "5")
+            names += [r["name"] for r in json.loads(out)["reports"]]
+        assert names == [
+            "theorem3(family=cylinder, nu=1.0, mu=1.0, delta=0.0, n=5)",
+            "theorem3(family=cylinder, nu=1.0, mu=1.0000000001, delta=0.0, n=5)",
+        ]
+
     @pytest.mark.parametrize("argv", (
         ["verify", "theorem1", "--nu", "1", "--n", "8"],
         ["verify", "equivalence", "--nu", "1", "--mu", "2", "--n", "10"],

@@ -156,6 +156,13 @@ class TestVerificationReport:
         failed = rep._replace(passed=False, counterexample={"s": 1})
         assert (failed.passed, failed.counterexample, failed.checks) == (False, {"s": 1}, 1)
 
+    def test_of_names_the_run_and_sets_passed(self):
+        params = {"kind": "function", "x": 0.1 + 0.2, "n": 3, "probe": (1.0, 2.5)}
+        rep = VerificationReport.of("s", params, 4, 0.0)
+        assert rep == ("s(kind=function, x=0.30000000000000004, n=3, probe=(1.0, 2.5))", True, 4, 0.0, None, {})
+        failed = VerificationReport.of("s", {}, 1, 1.0, {"s": 1}, {"extra": 2})
+        assert failed == ("s()", False, 1, 1.0, {"s": 1}, {"extra": 2})
+
     def test_schema_order(self):
         rep = VerificationReport("r", False, 2, -1.0, {"s": 1}, {"extra": 3})
         assert list(rep.to_schema().items()) == [

@@ -1,10 +1,12 @@
 """Recurrence, theorem, transitivity, and breakdown-atlas harness tests."""
 
+import ast
 import math
 import re
 
 import pytest
 
+from cylfn.interlace import verify_chain
 from cylfn.special_fn import CylinderSpec, DomainError, EvalKind
 from cylfn.theorems import (
     Family,
@@ -14,6 +16,7 @@ from cylfn.theorems import (
     verify_theorem3,
     verify_transitivity,
 )
+from cylfn.wronskian import interlace_wronskian_equivalence
 
 GRID = [0.5, 1.0, 5.0, 20.0, 100.0]
 
@@ -113,6 +116,15 @@ class TestTransitivity:
         rep = verify_transitivity(self.F, self.G, self.H, EvalKind.DERIVATIVE, (4.0, 60.0))
         assert rep.passed
         assert rep.details["status"] == "ok"
+
+    def test_derivative_triple_next_to_a_double_zero_on_the_start(self):
+        # C''s zero on x0 = nu is double at this angle, where zero_count
+        # once read -1 and the window's find_zeros raised
+        nu, delta = 24.372412471096418, 0.5014571593963396
+        specs = [CylinderSpec.of(nu + k, delta) for k in (0, 1, 2)]
+        rep = verify_transitivity(*specs, EvalKind.DERIVATIVE, (1.0, nu * (1.0 + 1e-9)))
+        assert rep.passed
+        assert rep.details["status"] == "premise-failure"
 
     def test_coefficient_root_in_probe_is_premise_failure(self):
         # sqrt(nu(nu+1)) = sqrt(2) sits inside (1, 60): no conclusion claimed
@@ -300,3 +312,40 @@ class TestCounterexamples:
         assert list(rep.counterexample) == ["conclusion", "first_violation"]
         assert rep.counterexample["first_violation"] == (1, 2)
         assert rep.details == {"status": "conclusion-failure"}
+
+
+class TestReportNames:
+    """A report is named suite(k=v, ...) from the values the harness was
+    given: a number reads back exactly, so distinct inputs get distinct
+    names."""
+
+    @staticmethod
+    def _params(name):
+        # the k=v pairs of a name; numbers and tuples read back, words kept as text
+        out = {}
+        for k, v in re.findall(r"(\w+)=(\([^)]*\)|[^,)]+)", name):
+            try:
+                out[k] = ast.literal_eval(v)
+            except ValueError:
+                out[k] = v
+        return out
+
+    def test_every_number_reads_back_exactly(self):
+        nu, mu, delta, gap = 0.1 + 0.2, 1.1 + 0.2, math.pi / 3, 2.0 / 3.0
+        triple = [CylinderSpec.of(nu + k, delta) for k in (0.0, 1.0, 2.0)]
+        runs = (
+            (verify_recurrences(nu, delta, GRID), {"nu": nu, "delta": delta}),
+            (verify_theorem1(nu, gap, gap, gap, 3), {"nu": nu, "a": gap, "b": gap, "c": gap, "n": 3}),
+            (verify_theorem3(nu, mu, Family.CYLINDER, delta, 3),
+             {"family": "cylinder", "nu": nu, "mu": mu, "delta": delta, "n": 3}),
+            (verify_theorem3(nu, nu, Family.CYLINDER, delta, 3),
+             {"family": "cylinder", "nu": nu, "mu": nu, "delta": delta, "n": 3}),
+            (verify_chain(nu, gap, 3), {"nu": nu, "c": gap, "n": 3}),
+            (verify_transitivity(*triple, EvalKind.FUNCTION, (5.0, 60.0 + gap)),
+             {"nu": nu, "delta": delta, "kind": "function", "probe": (5.0, 60.0 + gap)}),
+            (interlace_wronskian_equivalence(triple[0], CylinderSpec.of(mu, delta), 3),
+             {"nu": nu, "delta": delta, "mu": mu, "delta_bar": delta, "n": 3}),
+        )
+        for rep, given in runs:
+            assert self._params(rep.name) == given, rep.name
+

@@ -174,7 +174,7 @@ class TestCountArgument:
     def test_integral_float_accepted(self):
         for whole, exact in zip(self._calls(3.0), self._calls(3)):
             assert whole() == exact()
-        assert self._calls(3.0)[2]().name == "chain(nu=1, c=0.5, n=3)"
+        assert self._calls(3.0)[2]().name == "chain(nu=1.0, c=0.5, n=3)"
 
     @pytest.mark.parametrize("k", (2**63 - 1, 2**63, 10**19))
     def test_count_beyond_maxsize_gets_the_box_message(self, k):
@@ -949,6 +949,48 @@ class TestZeroCount:
         spec = _spec(1e-7, 1.5707925749095e-07)
         assert zero_count(spec, EvalKind.DERIVATIVE, 1e-6) == 2
         assert all(z < 1e-6 for z in find_zeros(spec, EvalKind.DERIVATIVE, 2))
+
+    @staticmethod
+    def _double_zero_specs():
+        # C''s zero put on x0 = nu, where its phase is flat (u' = 0): orders
+        # uniform in [1, 30], angles d0 + k 2.2e-16 for k = -6..6
+        rng = random.Random(20261031)
+        for _ in range(40):
+            nu = rng.uniform(1.0, 30.0)
+            jp = cylinder_and_prime(_spec(nu, 0.0), nu)[1]
+            yp = -cylinder_and_prime(_spec(nu, math.pi / 2), nu)[1]
+            d0 = math.atan2(jp, yp)  # C'(nu) = 0, with J', Y' > 0 at nu
+            for k in range(-6, 7):
+                yield _spec(nu, d0 + k * 2.2e-16)
+
+    def test_count_next_to_a_double_zero_on_the_start(self):
+        # u does not decrease above x0, so no count at x = nu (1 + e) falls
+        # below the sign test's count at x0; from e = 1e-7, past where u's
+        # rounding spans x, the count is the walk's
+        kind = EvalKind.DERIVATIVE
+        probes = 0
+        for spec in self._double_zero_specs():
+            nu = spec.nu
+            zs = find_zeros(spec, kind, 3).zeros
+            start = zero_count(spec, kind, nu)
+            for e in (1e-12, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6):
+                x = nu * (1.0 + e)
+                count = zero_count(spec, kind, x)
+                assert count >= start >= 0, (spec, e)
+                assert e < 1e-7 or count == bisect.bisect_right(zs, x), (spec, e)
+                probes += 1
+        assert probes == 3120
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP items 16 and 17: u's rounding spans x within 1e-8 of nu")
+    def test_count_where_the_derivative_phase_is_flat(self):
+        # C''s zeros lie at nu (1 - 6.3e-9) and nu (1 + 4.6e-9); at
+        # nu (1 + 1e-12) the level reads u above 1 within rounding, and the
+        # count is 2, against the walk's 1
+        nu = 11.893893764250018
+        spec = _spec(nu, 0.4881684892889116)
+        zs = find_zeros(spec, EvalKind.DERIVATIVE, 3).zeros
+        x = nu * (1.0 + 1e-12)
+        assert zero_count(spec, EvalKind.DERIVATIVE, x) == bisect.bisect_right(zs, x)
 
     @pytest.mark.parametrize("x", (0.0, -1.0, 400.5, math.inf, math.nan))
     def test_rejects_x_outside_the_box(self, x):
