@@ -442,17 +442,19 @@ def _hermite(x0, u0, d0, x1, u1, d1, m):
 
 
 @lru_cache(maxsize=4096)
-def _find_zeros_cached(spec: CylinderSpec, kind: EvalKind, n: int):
-    # the first n zeros and the worst relative tolerance achieved; no pass past the n-th
+def _find_zeros_cached(spec: CylinderSpec, kind: EvalKind, n, top):
+    # the zeros up to the n-th, or up to the last at x <= top, and the worst relative
+    # tolerance achieved: the walk ends on the n-th, or on the first zero computed past top
     nu, delta, derivative = spec.nu, spec.delta, kind is EvalKind.DERIVATIVE
     zeros = [0.0] if derivative and nu == delta == 0.0 else []  # x = 0 counts as the first zero of J'_0
     worst, x = REL_TOL, max(nu, _START)
     below, f = _below(spec, kind, x) if len(zeros) < n else (False, None)
     if below:
         z, tol = _origin(spec, kind, x)
-        zeros.append(z)
-        worst = max(worst, tol)
-    if len(zeros) == n:
+        if z <= top:
+            zeros.append(z)
+            worst = max(worst, tol)
+    if len(zeros) == n or below and z > top:
         return tuple(zeros), worst
     phase = _target(spec, kind)
     w, dw, _, _ = phase(x)
@@ -460,8 +462,9 @@ def _find_zeros_cached(spec: CylinderSpec, kind: EvalKind, n: int):
     first = _level(w, f) + 1
     three = _DEBYE[derivative]
     two = (three[0], (0, 0, 0), (0, 0, 0, 0))  # the first zero's, to the U_1 (V_1) term
-    before = None  # the last pass of the zero before the one before m
-    for m in range(first, first + n - len(zeros)):
+    before, m = None, first - 1  # the last pass of the zero before the one before m
+    while len(zeros) < n:
+        m += 1
         # the bracket of the module docstring, past x = 400 only for a request beyond the box
         lo, hi = x + math.pi * (m - w), math.pi * (m - omega)
         if hi < lo:
@@ -485,8 +488,8 @@ def _find_zeros_cached(spec: CylinderSpec, kind: EvalKind, n: int):
         if seed > hi:
             seed = hi
         z, tol, last = _refine(phase, m, seed, lo, hi, nu, derivative)
-        if z > X_MAX:
-            raise DomainError(f"n={n} zeros at nu={nu:g} would leave the box x <= {X_MAX:g}")
+        if z > top:
+            break
         zeros.append(z)
         worst = max(worst, tol)
         before = x, w, dw
@@ -507,29 +510,22 @@ def find_zeros(spec: CylinderSpec, kind: EvalKind, n: int) -> ZeroSequence:
 
     Requires n >= 1 and the n-th zero inside x <= 400: n <= zero_count(spec, kind, 400).
     """
-    zs, tol = _find_zeros_cached(spec, kind, _count(n, "need n >= 1"))
+    n = _count(n, "need n >= 1")
+    zs, tol = _find_zeros_cached(spec, kind, n, X_MAX)
+    if len(zs) < n:
+        raise DomainError(f"n={n} zeros at nu={spec.nu:g} would leave the box x <= {X_MAX:g}")
     return ZeroSequence(spec=spec, kind=kind, zeros=zs, refined_to=tol)
 
 
 def zero_count(spec: CylinderSpec, kind: EvalKind, x: float) -> int:
     """The number of zeros of C (or C') in (0, x], for 0 < x <= 400.
 
-    x = 0 counts for J'_0, as in find_zeros.  It is the walk's sign test at
-    min(x, x0), x0 = max(nu, 1e-6), plus floor(u(x)) - floor(u(x0)) of its
-    phase u above x0, u's side of a near integer read from f at x, and at
-    x0 from the sign test's own f, as the walk does.  u does not decrease
-    above x0, so the difference is at least 0: next to a C' double zero on
-    x0 = nu, where u is flat, the two readings can straddle 1 within
-    rounding.  Below where C overflows it raises OverflowError, as
-    evaluation does.
+    x = 0 counts for J'_0, as in find_zeros.  It is the length of find_zeros'
+    own walk, run up to the first zero past x, so it costs that walk and
+    agrees with find_zeros bit for bit: at the k-th zero it returned, the
+    count is k.  A first zero below 1e-300 raises IterationError, as there.
     """
-    x, x0 = _check_x(x), max(spec.nu, _START)
-    below, f0 = _below(spec, kind, min(x, x0))
-    n = (kind is EvalKind.DERIVATIVE and spec.nu == spec.delta == 0.0) + below
-    if x > x0:
-        (w, _, s, _), (w0, *_) = map(_target(spec, kind), (x, x0))
-        n += max(0, _level(w, s) - _level(w0, f0))
-    return n
+    return len(_find_zeros_cached(spec, kind, math.inf, _check_x(x))[0])
 
 
 def zero_trajectory(angle: MixingAngle, kind: EvalKind, s: int, nu_grid) -> Trajectory:

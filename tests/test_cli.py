@@ -1,11 +1,15 @@
 """CLI contract tests: exit codes, formats, determinism."""
 
+import csv
+import io
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -468,6 +472,99 @@ class TestDeterminism:
         assert list(report.keys()) == [
             "name", "passed", "checks", "worst_residual", "counterexample",
         ]
+
+
+# edge values for every number the CLI reads, given as --opt=value so that
+# argparse takes a leading minus as part of the value
+_EDGES = ("-0", "5e-324", "nan", "inf", "-inf", "1e-300", "1.0000000001",
+          repr(math.nextafter(24.0, 0.0)), "24", repr(math.nextafter(24.0, math.inf)))
+_ITEM_14 = ("verify", "theorem1", "--nu=1", "--a=1e-10", "--b=0.5", "--c=0.5", "--n=10")
+
+
+def _value(rng, lo, hi, *extra):
+    # an edge value, or a draw uniform in [lo, hi]
+    return rng.choice(_EDGES + extra) if rng.random() < 0.25 else repr(rng.uniform(lo, hi))
+
+
+def _options(rng, command):
+    # the options of a subcommand, or of a verify suite, each number an edge value or a draw
+    order = lambda: _value(rng, 0.0, 30.0, "0", "30", "31")
+    angle = lambda: _value(rng, 0.0, math.pi, "pi/2", "-pi/3")
+    unit = lambda: _value(rng, 0.0, 1.0, "1")
+    n = lambda: rng.choice(("1", "2", "3", "5", "8", "0", "-1", "2.5"))
+    x = lambda: _value(rng, 0.0, 400.0, "400", "400.5")
+    listed = lambda hi: ",".join(_value(rng, 0.0, hi) for _ in range(rng.randint(1, 3)))
+    kind = lambda *more: rng.choice(("function", "derivative") + more)
+    form = lambda: rng.choice(("json", "csv"))
+
+    def family():  # an angle only where the family takes one
+        name = rng.choice(("cylinder", "jprime", "yprime", "jvsy"))
+        return {"--family": name, "--delta": angle()} if name == "cylinder" else {"--family": name}
+
+    return {
+        "eval": lambda: {"--nu": order(), "--delta": angle(), "--x": x(), "--kind": kind("both")},
+        "zeros": lambda: {"--nu": order(), "--delta": angle(), "--kind": kind(), "--n": n(), "--format": form()},
+        "interlace": lambda: {"--nu": order(), "--mu": order(), "--delta": angle(), "--delta-bar": angle(),
+                              "--kind": kind(), "--n": n()},
+        "wronskian": lambda: {"--nu": order(), "--mu": order(), "--delta": angle(), "--delta-bar": angle(),
+                              "--n": n(), **({"--x": x()} if rng.random() < 0.5 else {})},
+        "sweep": lambda: {"--nu": order(), "--gaps": listed(3.0), "--n": n(), "--format": form(), **family()},
+        "theorem1": lambda: {"--nu": order(), "--a": _value(rng, 0.0, 2.0, "2", "1e-10"), "--b": unit(),
+                             "--c": unit(), "--n": n()},
+        "theorem3": lambda: {"--nu": order(), "--mu": order(), "--n": n(), **family()},
+        "chain": lambda: {"--nu": order(), "--c": unit(), "--n": n()},
+        "recurrences": lambda: {"--nu": order(), "--delta": angle(), "--grid": listed(400.0)},
+        "equivalence": lambda: {"--nu": order(), "--mu": order(), "--delta": angle(), "--delta-bar": angle(),
+                                "--n": n()},
+        "all": dict,
+    }[command]()
+
+
+def _fuzz_argv(rng):
+    # one argv over every subcommand; each option is left out one time in 20
+    head = [rng.choice(("eval", "zeros", "interlace", "wronskian", "verify", "sweep"))]
+    if head[0] == "verify":
+        head.append(rng.choice(("theorem1", "theorem3", "chain", "recurrences", "equivalence") * 2 + ("all",)))
+    return head + [f"{k}={v}" for k, v in _options(rng, head[-1]).items() if rng.random() >= 0.05]
+
+
+def _reject_constant(text):
+    raise ValueError(f"{text} is not JSON")
+
+
+class TestFuzz:
+    def test_exit_codes_and_artifacts(self, capsys):
+        # a seeded in-process fuzz of main, with no --out: no exception
+        # escapes, exits 1 and 2 write nothing to stdout, every artifact of
+        # exits 0 and 3 parses (CSV where the format is csv, else JSON with
+        # no NaN or Infinity), and only verify exits 3
+        rng = random.Random(20261102)
+        codes = Counter()
+        for _ in range(1000):
+            argv = _fuzz_argv(rng)
+            code, out, _ = run(capsys, *argv)
+            codes[code] += 1
+            assert code in (0, 1, 2, 3), argv
+            if code in (1, 2):
+                assert out == "", argv
+                continue
+            assert code == 0 or argv[0] == "verify", argv
+            if "--format=csv" in argv or argv[0] == "sweep" and "--format=json" not in argv:  # sweep's default
+                rows = list(csv.reader(io.StringIO(out)))
+                assert out.endswith("\n") and len({len(r) for r in rows}) == 1, argv
+            else:
+                json.loads(out, parse_constant=_reject_constant)
+        assert codes[0] > 300 and codes[1] > 300 and codes[2] > 0, codes
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 14: zeros of orders 1e-10 apart read as coincident")
+    def test_theorem1_never_exits_3_on_input_it_accepts(self, capsys):
+        # the interlacing results that theorem1 checks hold for every
+        # accepted gap, so a failed suite is a false counterexample
+        rng = random.Random(20261103)
+        draws = [_ITEM_14] + [("verify", "theorem1", *(f"{k}={v}" for k, v in _options(rng, "theorem1").items()))
+                              for _ in range(200)]
+        failed = [argv for argv in draws if run(capsys, *argv)[0] == 3]
+        assert failed == []
 
 
 class TestStartup:

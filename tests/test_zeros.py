@@ -921,8 +921,8 @@ class TestZeroCount:
         rng = random.Random(20261025)
         probes = 0
         for spec, kind in self._cases(rng, 30):
-            total = zero_count(spec, kind, 400.0)
             try:
+                total = zero_count(spec, kind, 400.0)
                 zs = find_zeros(spec, kind, total).zeros
             except IterationError:  # the first zero lies below 1e-300
                 continue
@@ -936,6 +936,24 @@ class TestZeroCount:
                 assert zero_count(spec, kind, x) == bisect.bisect_right(zs, x), (spec, kind, x)
             probes += len(xs)
         assert probes > 600
+
+    def test_count_at_the_walks_own_zeros(self):
+        # the count is the walk's own: at its k-th zero z_k it is k, one ulp
+        # below k - 1 and one ulp above k again, over the mix of orders,
+        # angles and kinds (J'_0's zero at x = 0 lies outside the box)
+        rng = random.Random(20261101)
+        probes = 0
+        for spec, kind in self._cases(rng, 30):
+            try:
+                zs = find_zeros(spec, kind, 8).zeros
+            except IterationError:  # the first zero lies below 1e-300
+                continue
+            for k, z in enumerate(zs, 1):
+                if z > 0.0:
+                    for x, want in ((z, k), (math.nextafter(z, 0.0), k - 1), (math.nextafter(z, math.inf), k)):
+                        assert zero_count(spec, kind, x) == want, (spec, kind, k, x)
+                    probes += 3
+        assert probes > 1200
 
     def test_count_next_to_a_zero_of_j_mu(self):
         # x = pi/2 is next to a zero of J_{-1/2}; J_{3/2}'s first zero is at 4.49
@@ -964,28 +982,24 @@ class TestZeroCount:
                 yield _spec(nu, d0 + k * 2.2e-16)
 
     def test_count_next_to_a_double_zero_on_the_start(self):
-        # u does not decrease above x0, so no count at x = nu (1 + e) falls
-        # below the sign test's count at x0; from e = 1e-7, past where u's
-        # rounding spans x, the count is the walk's
+        # at x = nu (1 + e) the count is the walk's, also for e below 1e-8,
+        # where u's rounding spans x and a second reading of the phase could
+        # straddle an integer
         kind = EvalKind.DERIVATIVE
         probes = 0
         for spec in self._double_zero_specs():
             nu = spec.nu
             zs = find_zeros(spec, kind, 3).zeros
-            start = zero_count(spec, kind, nu)
             for e in (1e-12, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6):
                 x = nu * (1.0 + e)
-                count = zero_count(spec, kind, x)
-                assert count >= start >= 0, (spec, e)
-                assert e < 1e-7 or count == bisect.bisect_right(zs, x), (spec, e)
+                assert zero_count(spec, kind, x) == bisect.bisect_right(zs, x), (spec, e)
                 probes += 1
         assert probes == 3120
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP items 16 and 17: u's rounding spans x within 1e-8 of nu")
     def test_count_where_the_derivative_phase_is_flat(self):
         # C''s zeros lie at nu (1 - 6.3e-9) and nu (1 + 4.6e-9); at
-        # nu (1 + 1e-12) the level reads u above 1 within rounding, and the
-        # count is 2, against the walk's 1
+        # nu (1 + 1e-12) u reads above 1 within rounding, yet the count is
+        # the walk's 1
         nu = 11.893893764250018
         spec = _spec(nu, 0.4881684892889116)
         zs = find_zeros(spec, EvalKind.DERIVATIVE, 3).zeros
@@ -998,10 +1012,21 @@ class TestZeroCount:
             zero_count(_spec(1.0, 0.0), EvalKind.FUNCTION, x)
 
     @pytest.mark.parametrize("kind", tuple(EvalKind))
-    def test_overflow_below_the_start_raises(self, kind):
-        # the sign test evaluates f at x itself, as evaluation would raise
-        with pytest.raises(OverflowError):
-            zero_count(_spec(30.0, 0.3), kind, 1e-9)
+    def test_count_below_where_c_overflows(self, kind):
+        # f is never evaluated at x itself, where C_30 overflows: the walk
+        # starts at nu = 30 and stops at its first zero, past x
+        spec = _spec(30.0, 0.3)
+        assert zero_count(spec, kind, 1e-9) == 0
+        assert find_zeros(spec, kind, 1)[0] > 1e-9
+
+    def test_count_raises_where_the_walk_raises(self):
+        # C_0's first zero lies below 1e-300 at pi - delta = 1e-3: no count
+        # is returned that find_zeros could not honour
+        spec = _spec(0.0, math.pi - 1e-3)
+        with pytest.raises(IterationError):
+            zero_count(spec, EvalKind.FUNCTION, 1.0)
+        with pytest.raises(IterationError):
+            find_zeros(spec, EvalKind.FUNCTION, 1)
 
     @pytest.mark.parametrize("nu, kind, total", (
         (0.0, EvalKind.FUNCTION, 127),
